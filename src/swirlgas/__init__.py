@@ -19,7 +19,6 @@ from .errors import (
     NoBracket,
     NonFiniteState,
     NonPositiveTime,
-    StepFailure,
     SwirlgasError,
     TrajectoryTooShort,
     UndefinedCritical,

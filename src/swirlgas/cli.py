@@ -24,6 +24,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -105,14 +106,7 @@ def _resolve_integration(args, cfg_file, default_t_end=10.0) -> IntegrationConfi
         if v is not None:
             record[name] = v
     record.setdefault("t_end", default_t_end)
-    base = IntegrationConfig()
-    return IntegrationConfig(
-        rel_tol=float(record.get("rel_tol", base.rel_tol)),
-        abs_tol=float(record.get("abs_tol", base.abs_tol)),
-        max_step=float(record.get("max_step", base.max_step)),
-        collapse_epsilon=float(record.get("collapse_epsilon", base.collapse_epsilon)),
-        t_end=float(record.get("t_end")),
-    )
+    return IntegrationConfig(**{k: float(record[k]) for k in INTEGRATION_FIELDS if k in record})
 
 
 def _effective_config(params=None, integration=None, extra=None):
@@ -417,17 +411,12 @@ def cmd_fvbench(args):
     traj = integrate(params, icfg)
     report = fv.run_and_compare(params, traj, fv_cfg, resolutions)
     if args.dump_cells:
-        finest = fv.run(params, traj, _replace_resolution(fv_cfg, resolutions[-1]))
+        finest = fv.run(params, traj, replace(fv_cfg, nx=resolutions[-1], ny=resolutions[-1]))
         _dump_cells(args.dump_cells, finest)
     hdr, body = report.rows()
     _emit(args, payload_json={"config": config, **report.as_dict()},
           csv_rows=body, csv_header=hdr)
     return 0
-
-
-def _replace_resolution(cfg: fv.FvConfig, n: int) -> fv.FvConfig:
-    from dataclasses import replace
-    return replace(cfg, nx=n, ny=n)
 
 
 def _dump_cells(path, field):

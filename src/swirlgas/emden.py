@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rk
-from .errors import CollapsedAtOrBefore, CollapsedState
+from .errors import CollapsedAtOrBefore, CollapsedState, InvalidParams, NonPositiveTime
 from .fields import ScaleState, SolutionParams
 
 __all__ = [
@@ -64,8 +64,10 @@ class IntegrationConfig:
     t_end: float = 10.0
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0 and self.collapse_epsilon > 0):
-            raise ValueError("tolerances and collapse_epsilon must be positive")
+        violations = [f"NonPositive:{name}" for name in ("rel_tol", "abs_tol", "collapse_epsilon")
+                      if not getattr(self, name) > 0]
+        if violations:
+            raise InvalidParams(violations)
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,7 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     reported with a bracket whose width is the last step size.
     """
     if not cfg.t_end > 0.0:
-        raise ValueError("t_end must be positive")
+        raise NonPositiveTime("t_end must be positive")
     eps = cfg.collapse_epsilon
     if params.a0 <= eps:
         raise CollapsedState(f"a0 = {params.a0!r} is not above collapse_epsilon = {eps!r}")
@@ -201,37 +203,43 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     def stop(y):
         return y[0] - eps
 
-    def near_stop(t, y):
-        # Deep in a collapse the solution's derivatives exceed what double
-        # precision can resolve at the smallest representable step near t;
-        # once the remaining time to a = 0 (bounded by a/|adot| while the
-        # plunge accelerates) falls below that resolution scale, report the
-        # collapse with the remaining time as the bracket width.
-        a, adot = y
-        if adot >= 0.0:
-            return None
-        plunge = a / -adot
-        floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
-        if a <= max(20.0 * eps, 1e-7) or (a <= 1e-3 and plunge <= 1e4 * floor):
-            return plunge
-        return None
-
     sol = _rk.solve(rhs, 0.0, np.array([params.a0, params.a1]), cfg.t_end,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
-                    step_bound=step_bound, admissible=admissible,
-                    stop=stop, near_stop=near_stop)
+                    step_bound=step_bound, admissible=admissible, stop=stop,
+                    near_stop=lambda t, y: _near_collapse(t, y[0], y[1], eps))
+    return Trajectory(params, sol, _terminal_event(sol))
 
+
+def _near_collapse(t, a, adot, eps):
+    """Remaining-time bound to a = 0 once the step floor is reached, or None.
+
+    Deep in a collapse the solution's derivatives exceed what double
+    precision can resolve at the smallest representable step near t; once
+    the remaining time to a = 0 (bounded by a/|adot| while the plunge
+    accelerates) falls below that resolution scale, the collapse is reported
+    with the remaining time as the bracket width.
+    """
+    if adot >= 0.0:
+        return None
+    plunge = a / -adot
+    floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
+    if a <= max(20.0 * eps, 1e-7) or (a <= 1e-3 and plunge <= 1e4 * floor):
+        return plunge
+    return None
+
+
+def _terminal_event(sol: _rk.RkSolution) -> TerminalEvent:
+    """How a collapse-aware run ended; a collapse bracket is widened by the
+    last step on both sides of the event time."""
     if sol.status == "stopped":
         h_last = float(sol.hs[-1]) if sol.hs.size else 0.0
         lo, hi = sol.stop_bracket
         bracket = (min(lo, sol.stop_t - h_last), max(hi, sol.stop_t + h_last))
-        terminal = TerminalEvent(kind="collapsed", t=float(sol.stop_t), bracket=bracket,
-                                 message=sol.message)
-    elif sol.status == "reached_end":
-        terminal = TerminalEvent(kind="reached_end", t=float(sol.ts[-1]))
-    else:
-        terminal = TerminalEvent(kind="step_failure", t=float(sol.ts[-1]), message=sol.message)
-    return Trajectory(params, sol, terminal)
+        return TerminalEvent(kind="collapsed", t=float(sol.stop_t), bracket=bracket,
+                             message=sol.message)
+    if sol.status == "reached_end":
+        return TerminalEvent(kind="reached_end", t=float(sol.ts[-1]))
+    return TerminalEvent(kind="step_failure", t=float(sol.ts[-1]), message=sol.message)
 
 
 def gamma2_scale_squared_coeffs(params: SolutionParams):

@@ -37,18 +37,6 @@ class CollapsedAtOrBefore(SwirlgasError, ValueError):
         super().__init__(message or f"scale factor vanishes at t = {t_collapse!r}")
 
 
-class StepFailure(SwirlgasError, RuntimeError):
-    """The adaptive step controller could not meet its tolerance.
-
-    Carries the last good state so the failure is never silent.
-    """
-
-    def __init__(self, t, y, message=""):
-        self.t = float(t)
-        self.y = y
-        super().__init__(message or f"step controller failed at t = {t!r}")
-
-
 class ZeroRotation(SwirlgasError, ValueError):
     """Classification requires a nonzero rotation constant."""
 

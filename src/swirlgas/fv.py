@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emden import Trajectory
-from .errors import BoxOutsideSupport, NonFiniteState
+from .errors import BoxOutsideSupport, InvalidParams, NonFiniteState
 from .fields import SolutionParams, eval_flow_arrays, support_s_bound
 
 __all__ = ["FvConfig", "ConservativeField", "ErrorReport", "init_from_exact",
@@ -50,12 +50,15 @@ class FvConfig:
     support_margin: float = 0.9
 
     def __post_init__(self):
+        violations = []
         if not 0.0 < self.cfl < 1.0:
-            raise ValueError("CFL must lie in (0, 1)")
+            violations.append("CflOutsideUnitInterval")
         if self.nx < 16 or self.ny < 16:
-            raise ValueError("resolution must be at least 16 cells per axis")
+            violations.append("ResolutionBelow16")
         if self.boundary not in ("exact", "outflow"):
-            raise ValueError(f"unknown boundary mode {self.boundary!r}")
+            violations.append(f"UnknownBoundary:{self.boundary}")
+        if violations:
+            raise InvalidParams(violations)
 
     @property
     def dx(self) -> float:

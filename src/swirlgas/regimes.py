@@ -26,7 +26,7 @@ refuses to stay silent on a mismatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -42,6 +42,7 @@ from .emden import (
 from .errors import (
     CertificationMismatch,
     DegenerateOrbit,
+    InvalidParams,
     NoBracket,
     UndefinedCritical,
     ZeroRotation,
@@ -86,7 +87,6 @@ class CriticalData:
 
     a_max_scale: float | None = None        # (-lam/xi^2)^(1/(2g-4)) for gamma > 2
     f_pot_at_max: float | None = None
-    blowup_threshold: float | None = None   # sqrt(-lam-xi^2)/a0 for gamma = 2
 
 
 @dataclass(frozen=True)
@@ -397,8 +397,9 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0,
     Raises CertificationMismatch on disagreement; never suppresses it.
     """
     checks = {}
+    cfg = cfg or IntegrationConfig()
     if regime.kind == "global":
-        traj = integrate(params, _with_t_end(cfg, horizon))
+        traj = integrate(params, replace(cfg, t_end=horizon))
         checks["terminal"] = traj.terminal.kind
         if traj.terminal.kind != "reached_end":
             raise CertificationMismatch(regime.kind, traj.terminal.kind,
@@ -407,8 +408,8 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0,
     elif regime.kind == "time-periodic":
         t_ret = regime.period
         if t_ret is None:
-            raise ValueError("periodic regime carries no period to certify")
-        traj = integrate(params, _with_t_end(cfg, t_ret * 1.001))
+            raise InvalidParams(["Missing:period"])
+        traj = integrate(params, replace(cfg, t_end=t_ret * 1.001))
         if traj.terminal.kind != "reached_end":
             raise CertificationMismatch(regime.kind, traj.terminal.kind,
                                         "classified periodic but the orbit did not survive "
@@ -421,7 +422,7 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0,
             raise CertificationMismatch(regime.kind, f"return distance {dist}",
                                         f"state after one period T = {t_ret} is off by {dist}")
     elif regime.kind == "steady":
-        traj = integrate(params, _with_t_end(cfg, horizon))
+        traj = integrate(params, replace(cfg, t_end=horizon))
         checks["terminal"] = traj.terminal.kind
         if traj.terminal.kind != "reached_end":
             raise CertificationMismatch(regime.kind, traj.terminal.kind,
@@ -435,7 +436,7 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0,
         t_hi = horizon
         if regime.blowup_bracket is not None:
             t_hi = max(horizon, regime.blowup_bracket[1] * 1.5)
-        traj = integrate(params, _with_t_end(cfg, t_hi))
+        traj = integrate(params, replace(cfg, t_end=t_hi))
         checks["terminal"] = traj.terminal.kind
         if traj.terminal.kind != "collapsed":
             raise CertificationMismatch(regime.kind, traj.terminal.kind,
@@ -452,10 +453,3 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0,
     else:
         raise ValueError(f"unknown regime kind {regime.kind!r}")
     return CertificationReport(regime=regime, horizon=horizon, checks=checks)
-
-
-def _with_t_end(cfg: IntegrationConfig | None, t_end: float) -> IntegrationConfig:
-    base = cfg or IntegrationConfig()
-    return IntegrationConfig(rel_tol=base.rel_tol, abs_tol=base.abs_tol,
-                             max_step=base.max_step,
-                             collapse_epsilon=base.collapse_epsilon, t_end=t_end)

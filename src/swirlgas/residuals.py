@@ -1,26 +1,31 @@
 """Numerical verification lab for the exact-solution claims.
 
 Every field evaluated by this package is pushed back through the governing
-equations with finite differences:
+equations with finite differences.  One balance routine, ``_balance``, does
+it in any dimension: it evaluates the field once on the sample points
+stacked with all their stencil neighbours and builds the mass and momentum
+terms with central space stencils.  The public checks add only their
+guards, their field and their time derivative:
 
-* mass and momentum residuals of the 2D family (4th-order 5-point stencils
-  in space, 2nd-order central differences in time, scale factors taken from
-  dense trajectory output),
-* the gamma = 2 fixture on its own independent code path (2nd-order spatial
-  stencils; its time derivatives are analytic),
-* the generic-swirl mass identity: for ANY tangential speed profile G(t, r),
-  rho = f(r/a)/a^2 with the dilation velocity keeps the mass equation exact,
-* the viscous term mu * Laplacian(u), identically zero for velocity fields
-  affine in (x, y), so the inviscid and viscous momentum residuals agree,
-* the three-axis 3D family (e.g. anisotropic scales with uniform drift)
-  whose consistency is MEASURED, not assumed: reports carry a PASS/FAIL
-  verdict with the offending equation and location on failure.
+* ``euler_residual_2d`` (2D family) and ``euler_residual_3d`` (three-axis
+  family, whose consistency is MEASURED: with a tolerance the report
+  carries a PASS/FAIL verdict with the offending equation and location):
+  4th-order space stencils, time derivatives by 2nd-order central
+  differences of the field at t +- h_t (scale states from dense output);
+  the 2D check optionally adds the viscous term mu * Laplacian(u),
+* ``mass_residual_generic_g``: the generic-swirl mass identity (for ANY
+  tangential speed profile G(t, r), rho = f(r/a)/a^2 with the dilation
+  velocity keeps the mass equation exact); mass equation only, else as 2D,
+* ``zz_direct_residual``: the gamma = 2 fixture on its own code path;
+  2nd-order space stencils, analytic rho_t = -2 rho/t and u_t = -u/t.
 
-Residuals are normalized per equation by the largest constituent-term
-magnitude on the grid, making tolerances scale-free across parameter
-regimes.  For exact fields the normalized residual is pure finite-difference
-truncation error and must shrink at the stencil order under h-refinement;
-``residual_convergence`` measures that order.
+One normalization rule holds everywhere: an equation's residual is divided
+by the largest of its terms (time derivative, one flux or convection term
+per axis, pressure gradient, viscous term) and of its undifferentiated flux
+payloads on the grid, so tolerances are scale-free across parameter
+regimes.  For exact fields the normalized residual is pure truncation error
+and shrinks at the stencil order under h-refinement; ``residual_convergence``
+measures that order.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rk
-from .emden import IntegrationConfig, TerminalEvent, Trajectory
+from .emden import IntegrationConfig, Trajectory, _near_collapse, _terminal_event
 from .errors import (
     GridTouchesSupportBoundary,
     InvalidParams,
@@ -91,10 +96,12 @@ class GridSpec:
     support_margin: float = 0.9
 
     def __post_init__(self):
-        if self.h <= 0 or self.h_t <= 0:
-            raise ValueError("stencil steps h and h_t must be positive")
+        violations = [f"NonPositive:{name}" for name in ("h", "h_t")
+                      if not getattr(self, name) > 0]
         if self.kind not in ("annulus", "box"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
+            violations.append(f"UnknownGridKind:{self.kind}")
+        if violations:
+            raise InvalidParams(violations)
 
     def points(self):
         """Flattened (x, y) sample arrays."""
@@ -155,7 +162,7 @@ def _d1_central2(fm1, fp1, h):
     return (fp1 - fm1) / (2.0 * h)
 
 
-def _summarize(name, residual, terms, coords, payloads=()):
+def _summarize(residual, terms, coords, payloads):
     """Normalized residual statistics for one equation.
 
     The scale is the largest constituent-term magnitude on the grid.  The
@@ -170,12 +177,78 @@ def _summarize(name, residual, terms, coords, payloads=()):
     scale = max(scale, 1e-300)
     normal = np.abs(residual) / scale
     k = int(np.argmax(normal))
-    return name, {
+    return {
         "max": float(normal[k]),
         "mean": float(np.mean(normal)),
         "scale": scale,
         "worst_point": tuple(float(c[k]) for c in coords),
     }
+
+
+def _balance(field, X, h, order, time_derivative, mu=0.0):
+    """Mass and momentum residual summaries of a field at the points X.
+
+    field(X) -> (rho, U, p) evaluates the field at the current time on a
+    d-tuple of coordinate arrays, with U a d-tuple of velocity components.
+    A field with p = None (no pressure law) is checked against the mass
+    equation only.  time_derivative(rho, U) -> (rho_t, U_t) gives the time
+    derivatives at X; rho and U are the field's values there.
+
+    Space derivatives are central differences of the given order (4: 5-point,
+    2: 3-point stencil) with step h.  With mu != 0 the momentum equations
+    gain the term -mu Laplacian(u_i).  The flux payloads that floor the
+    normalization are rho and rho u_j for mass, and rho u_i, rho u_j u_i for
+    every axis j and p for momentum i.
+    """
+    d, n = len(X), X[0].size
+    offsets = (-2, -1, 1, 2) if order == 4 else (-1, 1)
+    m = len(offsets)
+    rho_s, U_s, p_s = field(tuple(
+        np.concatenate([X[i]] + [X[i] + k * h if i == j else X[i]
+                                 for j in range(d) for k in offsets])
+        for i in range(d)))
+
+    def rows(q):
+        """Row 0: q at X; row 1 + j m + k: q at X shifted by offsets[k] h along axis j."""
+        return q.reshape(1 + d * m, n)
+
+    def along(q, j):
+        return rows(q)[1 + j * m:1 + (j + 1) * m]
+
+    def diff(s):
+        return _d1_central4(*s, h) if order == 4 else _d1_central2(*s, h)
+
+    rho = rows(rho_s)[0]
+    U = [rows(u)[0] for u in U_s]
+    rho_t, U_t = time_derivative(rho, U)
+
+    terms = [rho_t] + [diff(along(rho_s, j) * along(U_s[j], j)) for j in range(d)]
+    eqs = {"mass": _summarize(sum(terms), terms, X, [rho] + [rho * u for u in U])}
+    if p_s is None:
+        return eqs
+    neighbours = [1 + j * m + offsets.index(k) for j in range(d) for k in (1, -1)]
+    for i in range(d):
+        terms = ([rho * U_t[i]] + [rho * U[j] * diff(along(U_s[i], j)) for j in range(d)]
+                 + [diff(along(p_s, i))])
+        if mu != 0.0:
+            ui = rows(U_s[i])
+            lap = (sum(ui[r] for r in neighbours) - 2.0 * d * ui[0]) / (h * h)
+            terms.append(-mu * lap)
+        payloads = [rho * U[i]] + [rho * U[j] * U[i] for j in range(d)] + [rows(p_s)[0]]
+        eqs[f"momentum-{'xyz'[i]}"] = _summarize(sum(terms), terms, X, payloads)
+    return eqs
+
+
+def _central_in_time(before, after, X, h_t):
+    """time_derivative for _balance: 2nd-order central differences of the
+    fields ``before`` and ``after`` evaluated at X at t - h_t and t + h_t."""
+
+    def time_derivative(rho, U):
+        (rho_m, U_m, _), (rho_p, U_p, _) = before(X), after(X)
+        return (_d1_central2(rho_m, rho_p, h_t),
+                [_d1_central2(um, up, h_t) for um, up in zip(U_m, U_p)])
+
+    return time_derivative
 
 
 def _check_support_margin(params, a_values, grid: GridSpec):
@@ -189,6 +262,11 @@ def _check_support_margin(params, a_values, grid: GridSpec):
         raise GridTouchesSupportBoundary(
             f"stencil reaches s = {s_reach:.4g} but the margin allows "
             f"{grid.support_margin:.3g} * {s_b:.4g}")
+
+
+def _check_annulus(grid: GridSpec):
+    if grid.kind == "annulus" and grid.r_lo <= 2.0 * grid.h:
+        raise ValueError("annulus must exclude an r = 0 neighborhood wider than 2h")
 
 
 def euler_residual_2d(params: SolutionParams, traj: Trajectory, t: float,
@@ -205,70 +283,26 @@ def euler_residual_2d(params: SolutionParams, traj: Trajectory, t: float,
     density_factor multiplies the density everywhere; values != 1 provide a
     deliberately broken field as a negative control for convergence studies.
     """
-    h, h_t = grid.h, grid.h_t
+    h_t = grid.h_t
     if not traj.covers(t - h_t, t + h_t):
         raise TrajectoryTooShort(
             f"need [{t - h_t}, {t + h_t}] inside {traj.t_span}")
     st_m, st_0, st_p = (traj.state_at(t - h_t), traj.state_at(t), traj.state_at(t + h_t))
     _check_support_margin(params, (st_m.a, st_0.a, st_p.a), grid)
-    x, y = grid.points()
+    X = grid.points()
 
-    def fields_at(state, xs, ys):
-        rho, u1, u2, p = eval_flow_arrays(params, state, xs, ys)
-        if density_factor != 1.0:
-            rho = rho * density_factor
-            p = params.K * rho ** params.gamma
-        return rho, u1, u2, p
+    def field_at(state):
+        def field(X):
+            rho, u1, u2, p = eval_flow_arrays(params, state, *X)
+            if density_factor != 1.0:
+                rho = rho * density_factor
+                p = params.K * rho ** params.gamma
+            return rho, (u1, u2), p
+        return field
 
-    c = fields_at(st_0, x, y)
-    tm = fields_at(st_m, x, y)
-    tp = fields_at(st_p, x, y)
-    xs = {d: fields_at(st_0, x + d * h, y) for d in (-2, -1, 1, 2)}
-    ys = {d: fields_at(st_0, x, y + d * h) for d in (-2, -1, 1, 2)}
-
-    rho, u1, u2, p = c
-
-    def dx4(idx):
-        return _d1_central4(xs[-2][idx], xs[-1][idx], xs[1][idx], xs[2][idx], h)
-
-    def dy4(idx):
-        return _d1_central4(ys[-2][idx], ys[-1][idx], ys[1][idx], ys[2][idx], h)
-
-    def dt2(idx):
-        return _d1_central2(tm[idx], tp[idx], h_t)
-
-    # Mass: rho_t + d_x(rho u1) + d_y(rho u2)
-    t_rho = dt2(0)
-    t_mx = _d1_central4(xs[-2][0] * xs[-2][1], xs[-1][0] * xs[-1][1],
-                        xs[1][0] * xs[1][1], xs[2][0] * xs[2][1], h)
-    t_my = _d1_central4(ys[-2][0] * ys[-2][2], ys[-1][0] * ys[-1][2],
-                        ys[1][0] * ys[1][2], ys[2][0] * ys[2][2], h)
-    mass_terms = [t_rho, t_mx, t_my]
-    mass_res = t_rho + t_mx + t_my
-
-    # Momentum: rho [u_t + (u.grad) u] + grad p  (- mu Laplacian(u))
-    u1_x, u1_y = dx4(1), dy4(1)
-    u2_x, u2_y = dx4(2), dy4(2)
-    p_x, p_y = dx4(3), dy4(3)
-    mx_terms = [rho * dt2(1), rho * u1 * u1_x, rho * u2 * u1_y, p_x]
-    my_terms = [rho * dt2(2), rho * u1 * u2_x, rho * u2 * u2_y, p_y]
-    if mu != 0.0:
-        lap1 = (xs[1][1] + xs[-1][1] + ys[1][1] + ys[-1][1] - 4.0 * u1) / (h * h)
-        lap2 = (xs[1][2] + xs[-1][2] + ys[1][2] + ys[-1][2] - 4.0 * u2) / (h * h)
-        mx_terms.append(-mu * lap1)
-        my_terms.append(-mu * lap2)
-    mx_res = sum(mx_terms)
-    my_res = sum(my_terms)
-
-    eqs = dict([
-        _summarize("mass", mass_res, mass_terms, (x, y),
-                   payloads=(rho, rho * u1, rho * u2)),
-        _summarize("momentum-x", mx_res, mx_terms, (x, y),
-                   payloads=(rho * u1, rho * u1 * u1, rho * u2 * u1, p)),
-        _summarize("momentum-y", my_res, my_terms, (x, y),
-                   payloads=(rho * u2, rho * u1 * u2, rho * u2 * u2, p)),
-    ])
-    return ResidualReport(equations=eqs, h=h, h_t=h_t, n_points=x.size)
+    eqs = _balance(field_at(st_0), X, grid.h, 4,
+                   _central_in_time(field_at(st_m), field_at(st_p), X, h_t), mu=mu)
+    return ResidualReport(equations=eqs, h=grid.h, h_t=h_t, n_points=X[0].size)
 
 
 def zz_direct_residual(t: float, K: float, grid: GridSpec) -> ResidualReport:
@@ -278,39 +312,16 @@ def zz_direct_residual(t: float, K: float, grid: GridSpec) -> ResidualReport:
     (rho_t = -2 rho/t, u_t = -u/t), so only 2nd-order spatial truncation
     error remains.
     """
-    if grid.kind == "annulus" and grid.r_lo <= 2.0 * grid.h:
-        raise ValueError("annulus must exclude an r = 0 neighborhood wider than 2h")
-    h = grid.h
-    x, y = grid.points()
+    _check_annulus(grid)
+    X = grid.points()
 
-    def at(xs, ys):
-        return zhang_zheng_arrays(t, xs, ys, K)
+    def field(X):
+        rho, u1, u2, p = zhang_zheng_arrays(t, *X, K)
+        return rho, (u1, u2), p
 
-    rho, u1, u2, p = at(x, y)
-    xp, xm = at(x + h, y), at(x - h, y)
-    yp, ym = at(x, y + h), at(x, y - h)
-
-    t_rho = -2.0 * rho / t
-    t_mx = _d1_central2(xm[0] * xm[1], xp[0] * xp[1], h)
-    t_my = _d1_central2(ym[0] * ym[2], yp[0] * yp[2], h)
-    mass_terms = [t_rho, t_mx, t_my]
-    mass_res = t_rho + t_mx + t_my
-
-    u1_x, u1_y = _d1_central2(xm[1], xp[1], h), _d1_central2(ym[1], yp[1], h)
-    u2_x, u2_y = _d1_central2(xm[2], xp[2], h), _d1_central2(ym[2], yp[2], h)
-    p_x, p_y = _d1_central2(xm[3], xp[3], h), _d1_central2(ym[3], yp[3], h)
-    mx_terms = [-rho * u1 / t, rho * u1 * u1_x, rho * u2 * u1_y, p_x]
-    my_terms = [-rho * u2 / t, rho * u1 * u2_x, rho * u2 * u2_y, p_y]
-
-    eqs = dict([
-        _summarize("mass", mass_res, mass_terms, (x, y),
-                   payloads=(rho, rho * u1, rho * u2)),
-        _summarize("momentum-x", sum(mx_terms), mx_terms, (x, y),
-                   payloads=(rho * u1, rho * u1 * u1, rho * u2 * u1, p)),
-        _summarize("momentum-y", sum(my_terms), my_terms, (x, y),
-                   payloads=(rho * u2, rho * u1 * u2, rho * u2 * u2, p)),
-    ])
-    return ResidualReport(equations=eqs, h=h, h_t=0.0, n_points=x.size)
+    eqs = _balance(field, X, grid.h, 2,
+                   lambda rho, U: (-2.0 * rho / t, [-u / t for u in U]))
+    return ResidualReport(equations=eqs, h=grid.h, h_t=0.0, n_points=X[0].size)
 
 
 @dataclass(frozen=True)
@@ -334,40 +345,30 @@ class GenericRotationField:
 
 def mass_residual_generic_g(fieldspec: GenericRotationField, t: float,
                             grid: GridSpec) -> float:
-    """Normalized max mass residual of the generic-swirl structure."""
+    """Normalized max mass residual of the generic-swirl structure.
+
+    4th-order space stencils; rho_t is a 2nd-order central difference of the
+    density at t +- h_t.
+    """
     if grid.kind != "annulus":
         raise ValueError("generic-swirl residuals need an annulus grid (u is singular at r = 0)")
-    if grid.r_lo <= 2.0 * grid.h:
-        raise ValueError("annulus must exclude an r = 0 neighborhood wider than 2h")
-    h, h_t = grid.h, grid.h_t
-    x, y = grid.points()
+    _check_annulus(grid)
+    X = grid.points()
 
-    def rho_at(tau, xs, ys):
+    def field_at(tau):
         a = fieldspec.a(tau)
-        rr = np.hypot(xs, ys)
-        return fieldspec.f(rr / a) / (a * a)
+        dil = fieldspec.adot(tau) / a
 
-    a0 = fieldspec.a(t)
-    ad0 = fieldspec.adot(t)
+        def field(X):
+            x, y = X
+            rr = np.hypot(x, y)
+            swirl = fieldspec.G(tau, rr) / rr
+            return fieldspec.f(rr / a) / (a * a), (dil * x - swirl * y, swirl * x + dil * y), None
+        return field
 
-    def mom_at(xs, ys, which):
-        rr = np.hypot(xs, ys)
-        rho = fieldspec.f(rr / a0) / (a0 * a0)
-        swirl = fieldspec.G(t, rr) / rr
-        if which == 1:
-            return rho * ((ad0 / a0) * xs - swirl * ys)
-        return rho * (swirl * xs + (ad0 / a0) * ys)
-
-    t_rho = _d1_central2(rho_at(t - h_t, x, y), rho_at(t + h_t, x, y), h_t)
-    t_mx = _d1_central4(mom_at(x - 2 * h, y, 1), mom_at(x - h, y, 1),
-                        mom_at(x + h, y, 1), mom_at(x + 2 * h, y, 1), h)
-    t_my = _d1_central4(mom_at(x, y - 2 * h, 2), mom_at(x, y - h, 2),
-                        mom_at(x, y + h, 2), mom_at(x, y + 2 * h, 2), h)
-    terms = [t_rho, t_mx, t_my]
-    scale = max(float(np.max(np.abs(tm))) for tm in terms)
-    for q in (rho_at(t, x, y), mom_at(x, y, 1), mom_at(x, y, 2)):
-        scale = max(scale, float(np.max(np.abs(q))))
-    return float(np.max(np.abs(t_rho + t_mx + t_my)) / max(scale, 1e-300))
+    eqs = _balance(field_at(t), X, grid.h, 4,
+                   _central_in_time(field_at(t - grid.h_t), field_at(t + grid.h_t), X, grid.h_t))
+    return eqs["mass"]["max"]
 
 
 def laplacian_fd(velocity, x, y, h: float):
@@ -479,14 +480,8 @@ class Scales3Trajectory:
         self.H = 0.5 * np.sum(kin_sq, axis=1) + c3.xi3 / ((g - 1.0) * prod ** (g - 1.0))
         self.drift = np.abs(self.H - self.H[0]) / max(1.0, abs(self.H[0]))
 
-    @property
-    def t_span(self):
-        return float(self.ts[0]), float(self.ts[-1])
-
-    def covers(self, t_lo, t_hi):
-        lo, hi = self.t_span
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        return lo - slack <= t_lo and t_hi <= hi + slack
+    t_span = Trajectory.t_span
+    covers = Trajectory.covers
 
     def state_at(self, t: float):
         """(a[3], adot[3]) arrays from dense output."""
@@ -526,28 +521,14 @@ def integrate_scales_3d(c3: ThreeAxisParams, t_end: float,
         return float(np.min(y[:3])) - eps
 
     def near_stop(t, y):
-        a, ad = y[:3], y[3:]
-        k = int(np.argmin(a))
-        if ad[k] >= 0.0:
-            return None
-        plunge = a[k] / -ad[k]
-        floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
-        if a[k] <= max(20.0 * eps, 1e-7) or (a[k] <= 1e-3 and plunge <= 1e4 * floor):
-            return plunge
-        return None
+        k = int(np.argmin(y[:3]))
+        return _near_collapse(t, y[k], y[3 + k], eps)
 
     y0 = np.array(list(c3.a_init) + list(c3.adot_init), dtype=float)
     sol = _rk.solve(rhs, 0.0, y0, t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol,
                     max_step=cfg.max_step, step_bound=step_bound,
                     admissible=admissible, stop=stop, near_stop=near_stop)
-    if sol.status == "stopped":
-        terminal = TerminalEvent(kind="collapsed", t=float(sol.stop_t),
-                                 bracket=sol.stop_bracket, message=sol.message)
-    elif sol.status == "reached_end":
-        terminal = TerminalEvent(kind="reached_end", t=float(sol.ts[-1]))
-    else:
-        terminal = TerminalEvent(kind="step_failure", t=float(sol.ts[-1]), message=sol.message)
-    return Scales3Trajectory(c3, sol, terminal)
+    return Scales3Trajectory(c3, sol, _terminal_event(sol))
 
 
 def eval_flow_3d_arrays(c3: ThreeAxisParams, a, adot, t: float, x, y, z):
@@ -610,46 +591,24 @@ def euler_residual_3d(c3: ThreeAxisParams, scales: Scales3Trajectory, t: float,
             raise GridTouchesSupportBoundary(
                 f"stencil reach s = {(reach / a_min) ** 2:.4g} exceeds "
                 f"{grid.support_margin:.3g} * {s_b:.4g}")
-    x, y, z = grid.points(c3.drift_at(t))
+    X = grid.points(c3.drift_at(t))
 
-    def at(dt, xs, ys, zs):
+    def field_at(dt):
         a, ad = states[dt]
-        return eval_flow_3d_arrays(c3, a, ad, t + dt, xs, ys, zs)
 
-    c = at(0.0, x, y, z)
-    tm, tp = at(-h_t, x, y, z), at(h_t, x, y, z)
-    sx = {d: at(0.0, x + d * h, y, z) for d in (-2, -1, 1, 2)}
-    sy = {d: at(0.0, x, y + d * h, z) for d in (-2, -1, 1, 2)}
-    sz = {d: at(0.0, x, y, z + d * h) for d in (-2, -1, 1, 2)}
-    rho, u1, u2, u3, p = c
+        def field(X):
+            rho, u1, u2, u3, p = eval_flow_3d_arrays(c3, a, ad, t + dt, *X)
+            return rho, (u1, u2, u3), p
+        return field
 
-    def d4(shifts, idx):
-        return _d1_central4(shifts[-2][idx], shifts[-1][idx], shifts[1][idx], shifts[2][idx], h)
-
-    def d4_prod(shifts, i, j):
-        return _d1_central4(shifts[-2][i] * shifts[-2][j], shifts[-1][i] * shifts[-1][j],
-                            shifts[1][i] * shifts[1][j], shifts[2][i] * shifts[2][j], h)
-
-    t_rho = _d1_central2(tm[0], tp[0], h_t)
-    mass_terms = [t_rho, d4_prod(sx, 0, 1), d4_prod(sy, 0, 2), d4_prod(sz, 0, 3)]
-    mass_res = sum(mass_terms)
-
-    eqs = [_summarize("mass", mass_res, mass_terms, (x, y, z),
-                      payloads=(rho, rho * u1, rho * u2, rho * u3))]
-    vel = {1: ("momentum-x", u1), 2: ("momentum-y", u2), 3: ("momentum-z", u3)}
-    for i, (name, ui) in vel.items():
-        conv = rho * (u1 * d4(sx, i) + u2 * d4(sy, i) + u3 * d4(sz, i))
-        terms = [rho * _d1_central2(tm[i], tp[i], h_t), conv,
-                 {1: d4(sx, 4), 2: d4(sy, 4), 3: d4(sz, 4)}[i]]
-        eqs.append(_summarize(name, sum(terms), terms, (x, y, z),
-                              payloads=(rho * ui, rho * u1 * ui, p)))
-    eq_dict = dict(eqs)
+    eq_dict = _balance(field_at(0.0), X, h, 4,
+                       _central_in_time(field_at(-h_t), field_at(h_t), X, h_t))
 
     verdict = worst = None
     if tolerance is not None:
         worst = max(eq_dict, key=lambda k: eq_dict[k]["max"])
         verdict = "PASS" if eq_dict[worst]["max"] <= tolerance else "FAIL"
-    return ResidualReport(equations=eq_dict, h=h, h_t=h_t, n_points=x.size,
+    return ResidualReport(equations=eq_dict, h=h, h_t=h_t, n_points=X[0].size,
                           verdict=verdict, tolerance=tolerance, worst_equation=worst)
 
 

@@ -214,6 +214,22 @@ def test_invalid_params_error_payload(capsys):
     assert "NonPositiveGammaMargin" in payload["violations"]
 
 
+@pytest.mark.parametrize("args", [
+    ["integrate", "--preset", "periodic-demo", "--t-end", "-1"],
+    ["integrate", "--preset", "periodic-demo", "--rel-tol", "-1"],
+    ["verify", "--preset", "generic-smooth", "--h", "-1"],
+    ["fvbench", "--preset", "generic-smooth", "--cfl", "2"],
+    # The inner turning point is below float range, so the periodic verdict
+    # carries no period for certify to check.
+    ["classify", "--gamma", "1.999", "--K", "1", "--xi", "1", "--lam", "-2",
+     "--alpha", "1", "--a0", "1", "--a1", "0", "--certify"],
+])
+def test_bad_values_are_domain_errors(args, capsys):
+    code, _, err = run_cli(args, capsys)
+    assert code == 1
+    assert "error" in json.loads(err)
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--preset", "no-such-preset"])

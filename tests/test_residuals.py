@@ -19,6 +19,7 @@ from swirlgas import (
     integrate,
     integrate_scales_3d,
     mass_residual_generic_g,
+    profile_f,
     residual_convergence,
     zhang_zheng_embedding,
     zz_direct_residual,
@@ -160,6 +161,19 @@ def test_mass_identity_random_polynomial_sweep():
     assert max(values) <= 4.0 * max(min(values), 1e-12)
 
 
+def test_generic_swirl_mass_matches_family_mass(generic_traj):
+    # The family member written as a generic-swirl field: two independent
+    # code paths for the same mass residual.
+    a = lambda t: generic_traj.state_at(t).a
+    spec = GenericRotationField(f=lambda eta: profile_f(eta ** 2, GENERIC),
+                                G=lambda t, r: GENERIC.xi * r / a(t) ** 2,
+                                a=a, adot=lambda t: generic_traj.state_at(t).adot)
+    grid = grid_2d(1e-3)
+    family = euler_residual_2d(GENERIC, generic_traj, 0.5, grid).equations["mass"]["max"]
+    generic = mass_residual_generic_g(spec, 0.5, grid)
+    assert abs(generic - family) <= 1e-4 * family
+
+
 # ----------------------------------------------------------- viscous term
 
 def test_viscous_term_vanishes_on_family(generic_traj):
@@ -241,6 +255,18 @@ def test_3d_contraction_collapses():
     c3 = ThreeAxisParams(gamma=1.4, K=1.0, xi3=-1.0, alpha3=1.0)
     sc = integrate_scales_3d(c3, 10.0)
     assert sc.terminal.kind == "collapsed"
+
+
+def test_collapse_bracket_is_widened_by_the_last_step():
+    # Both scale integrators report a collapse bracket reaching at least one
+    # last step to either side of the bisected event time.
+    traj = integrate(SolutionParams(gamma=2, K=1, xi=1, lam=-2, alpha=1, a0=1, a1=0),
+                     IntegrationConfig(t_end=2.0))
+    sc = integrate_scales_3d(ThreeAxisParams(gamma=1.4, K=1.0, xi3=-1.0, alpha3=1.0), 10.0)
+    for ev, h_last in ((traj.terminal, traj.hs[-1]), (sc.terminal, sc._sol.hs[-1])):
+        assert ev.kind == "collapsed"
+        lo, hi = ev.bracket
+        assert lo <= ev.t - h_last and ev.t + h_last <= hi
 
 
 def test_3d_params_validation():
