@@ -1,7 +1,7 @@
 """Adaptive Dormand-Prince 5(4) stepping with dense output and stop events.
 
-Shared by the scalar scale-factor integrator and the coupled three-axis
-system.  Features the callers rely on:
+Shared by the scale-factor integrator (d = 2) and the coupled three-axis
+system (d = 6).  Features the callers rely on:
 
 * embedded 5(4) error estimate with the classic PI controller
   (h_new = h * safety * err^-0.17 * err_prev^0.04, clipped to [0.1, 5]),
@@ -9,16 +9,27 @@ system.  Features the callers rely on:
 * an optional state-dependent step bound (used to creep into a collapse
   without overshooting the singular region),
 * an admissibility predicate applied to every stage (a step whose stages
-  leave the admissible region is rejected and retried smaller),
+  leave the admissible region, turn non-finite or raise ArithmeticError is
+  rejected and retried smaller),
 * a scalar stop function: integration halts at the first accepted step whose
   endpoint has stop(y) <= 0, and the crossing time is located by bisection
   on the dense output.
+
+Steps run on plain Python floats, since on states this small a numpy call
+costs more than its arithmetic: callbacks get the state as a list, stage sums
+are written out from the tableau tuples, and the error norm is a sorted sum,
+bitwise invariant under permutations of the components.  Accepted steps fill
+flat array('d') buffers with t, h, y and the seven stage derivatives; nodes
+and dense-output coefficients are built once at the end, by one matmul with
+_P.  No stage sum goes through BLAS gemv, so nodes don't depend on its kernel.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -46,15 +57,18 @@ _P = np.array([
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 
+# The same tableau as float tuples for the stepper (zero weights are skipped).
+_C2, _C3, _C4, _C5 = _C[1:5].tolist()
+((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65), (_A71, _, _A73, _A74, _A75, _A76)) = (r.tolist() for r in _A)
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _E.tolist()
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.1
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.17   # err exponent (0.2 - 0.75*beta)
 _PI_BETA = 0.04    # previous-err exponent
-
-
-class _StageRejected(Exception):
-    """A Runge-Kutta stage left the admissible region; retry smaller."""
+_CHUNK = 2048      # query times per dense-output batch (bounds the temporaries)
 
 
 @dataclass
@@ -76,59 +90,117 @@ class RkSolution:
     def eval_dense(self, t):
         """Dense evaluation of the state at times inside the covered span.
 
-        Node times reproduce the stored node values exactly.
+        A scalar time gives shape (d,), an array of m times shape (m, d).
+        Node times reproduce the stored node values exactly.  A scalar is
+        evaluated in floats, by the same Horner sequence as an array.
         """
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        lo, hi = self.ts[0], self.ts[-1]
+        t_arr = np.asarray(t, dtype=float)
+        tq = t_arr.reshape(-1)
+        ts, ys = self.ts, self.ys
+        lo, hi = float(ts[0]), float(ts[-1])
         slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if np.any(t_arr < lo - slack) or np.any(t_arr > hi + slack):
+        t_lo, t_hi = (tq.min(), tq.max()) if tq.size > 1 else (lo, hi)
+        if tq.size == 1:
+            t_lo = t_hi = float(tq[0])
+        if t_lo < lo - slack or t_hi > hi + slack:
             raise ValueError(f"dense evaluation outside covered span [{lo}, {hi}]")
-        out = np.empty((t_arr.size, self.ys.shape[1]))
-        for k, tk in enumerate(t_arr):
-            idx = np.searchsorted(self.ts, tk)
-            if idx < self.ts.size and self.ts[idx] == tk:
-                out[k] = self.ys[idx]
-                continue
-            seg = min(max(idx - 1, 0), self.dense_q.shape[0] - 1)
-            out[k] = self._eval_segment(seg, tk)
-        if np.ndim(t) == 0:
-            return out[0]
+        # Searching from the right puts a node time at theta = 0 of the step
+        # it starts, so the node value comes back exactly; the last node
+        # starts no step and is returned as stored.
+        nseg = self.dense_q.shape[0]
+        if t_arr.ndim == 0:
+            if not nseg or t_lo == hi:
+                return ys[-1].copy()
+            seg = min(max(int(ts.searchsorted(t_lo, "right")) - 1, 0), nseg - 1)
+            h = float(self.hs[seg + 1])
+            theta = (t_lo - float(ts[seg])) / h
+            return np.array([v + h * ((((q3 * theta + q2) * theta + q1) * theta + q0) * theta)
+                             for v, (q0, q1, q2, q3)
+                             in zip(ys[seg].tolist(), self.dense_q[seg].tolist())])
+        out = np.empty((tq.size, ys.shape[1]))
+        if not nseg:
+            out[:] = ys[0]
+        for k in range(0, tq.size if nseg else 0, _CHUNK):
+            tc = tq[k:k + _CHUNK]
+            seg = np.clip(np.searchsorted(ts, tc, "right") - 1, 0, nseg - 1)
+            h = self.hs[seg + 1]
+            theta = ((tc - ts[seg]) / h)[:, None]
+            q = self.dense_q[seg]
+            poly = (((q[..., 3] * theta + q[..., 2]) * theta + q[..., 1]) * theta
+                    + q[..., 0]) * theta
+            val = ys[seg] + h[:, None] * poly
+            val[tc == hi] = ys[-1]
+            out[k:k + _CHUNK] = val
         return out
-
-    def _eval_segment(self, seg: int, tk: float):
-        h = self.hs[seg + 1]
-        theta = (tk - self.ts[seg]) / h
-        powers = theta ** np.arange(1, 5)
-        return self.ys[seg] + h * (self.dense_q[seg] @ powers)
 
 
 def _error_norm(err, y0, y1, rtol, atol):
     # Summed in sorted order so the norm is bitwise invariant under any
     # permutation of the state components.
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    sq = np.sort((err / scale) ** 2)
-    return math.sqrt(float(np.sum(sq)) / sq.size)
+    return _rms([e / (atol + rtol * max(abs(a), abs(b))) for e, a, b in zip(err, y0, y1)])
 
 
 def _rms(v):
-    sq = np.sort(v ** 2)
-    return math.sqrt(float(np.sum(sq)) / sq.size)
+    sq = sorted(x * x for x in v)
+    return math.sqrt(sum(sq) / len(sq))
+
+
+class _StageRejected(Exception):
+    """A Runge-Kutta stage left the admissible region; retry smaller."""
+
+
+def _check(y, admissible):
+    if not all(map(math.isfinite, y)) or (admissible is not None and not admissible(y)):
+        raise _StageRejected
+
+
+def _trial(f, admissible, t, y, k1, h):
+    """One trial step from (t, y) with first stage k1: (y_new, err, stages).
+
+    err is the embedded error estimate.  Raises _StageRejected when a stage
+    leaves the admissible region or turns non-finite.
+    """
+    y2 = [v + h * (_A21 * a) for v, a in zip(y, k1)]
+    _check(y2, admissible)
+    k2 = f(t + _C2 * h, y2)
+    y3 = [v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)]
+    _check(y3, admissible)
+    k3 = f(t + _C3 * h, y3)
+    y4 = [v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)]
+    _check(y4, admissible)
+    k4 = f(t + _C4 * h, y4)
+    y5 = [v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * e)
+          for v, a, b, c, e in zip(y, k1, k2, k3, k4)]
+    _check(y5, admissible)
+    k5 = f(t + _C5 * h, y5)
+    y6 = [v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * e + _A65 * g)
+          for v, a, b, c, e, g in zip(y, k1, k2, k3, k4, k5)]
+    _check(y6, admissible)
+    k6 = f(t + h, y6)
+    y7 = [v + h * (_A71 * a + _A73 * c + _A74 * e + _A75 * g + _A76 * m)
+          for v, a, c, e, g, m in zip(y, k1, k3, k4, k5, k6)]
+    _check(y7, admissible)
+    k7 = f(t + h, y7)
+    _check(k7, None)
+    err = [h * (_E1 * a + _E3 * c + _E4 * e + _E5 * g + _E6 * m + _E7 * n)
+           for a, c, e, g, m, n in zip(k1, k3, k4, k5, k6, k7)]
+    return y7, err, (k1, k2, k3, k4, k5, k6, k7)
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol, max_step, admissible):
-    scale = atol + rtol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    scale = [atol + rtol * abs(v) for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     for _ in range(20):
-        y1 = y0 + h0 * f0
+        y1 = [v + h0 * g for v, g in zip(y0, f0)]
         if admissible is None or admissible(y1):
             break
         h0 *= 0.1
     else:
         return min(1e-12, max_step)
     f1 = f(t0 + h0, y1)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -141,6 +213,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
           max_steps=1_000_000):
     """Integrate y' = f(t, y) from t0 to t_end.
 
+    f(t, y)          -> derivative as a float sequence; y is a list of floats.
     step_bound(t, y) -> additional per-step upper bound on h (or None).
     admissible(y)    -> False rejects a stage/endpoint (step retried smaller).
     stop(y)          -> halt when <= 0 at an accepted endpoint; the crossing
@@ -151,44 +224,21 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
                         the solver then reports a stop with that bound as
                         the bracket width instead of a step failure.
     """
-    y0 = np.asarray(y0, dtype=float)
-    d = y0.size
-    if stop is not None and stop(y0) <= 0.0:
+    y = [float(v) for v in y0]
+    d = len(y)
+    if stop is not None and stop(y) <= 0.0:
         raise ValueError("stop(y0) <= 0 at the initial state")
 
-    t, y = float(t0), y0.copy()
-    f_curr = np.asarray(f(t, y), dtype=float)
-    nfev = 1
+    t = float(t0)
+    f_curr = f(t, y)
     h = _initial_step(f, t, y, f_curr, rtol, atol, max_step, admissible)
-    nfev += 1
+    nfev = 2
 
-    ts = [t]
-    ys = [y.copy()]
-    hs = [0.0]
-    dense = []
+    t_buf, h_buf, y_buf, k_buf = array("d", [t]), array("d", [0.0]), array("d", y), array("d")
     err_prev = 1e-4
     naccepted = nrejected = 0
     status, message = "reached_end", ""
-    stop_t = stop_bracket = None
-
-    K = np.empty((7, d))
-
-    def attempt(h):
-        """One trial step; returns (y_new, err_norm, K) or raises _StageRejected."""
-        K[0] = f_curr
-        for i in range(1, 6):
-            yi = y + h * (K[:i].T @ _A[i - 1])
-            if not np.all(np.isfinite(yi)) or (admissible is not None and not admissible(yi)):
-                raise _StageRejected
-            K[i] = f(t + _C[i] * h, yi)
-        y_new = y + h * (K[:6].T @ _A[5])
-        if not np.all(np.isfinite(y_new)) or (admissible is not None and not admissible(y_new)):
-            raise _StageRejected
-        K[6] = f(t + h, y_new)
-        if not np.all(np.isfinite(K)):
-            raise _StageRejected
-        err = h * (K.T @ _E)
-        return y_new, _error_norm(err, y, y_new, rtol, atol), K
+    stop_t = stop_bracket = crossing = None
 
     steps = 0
     while t < t_end:
@@ -197,7 +247,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
             break
         steps += 1
 
-        h_floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
+        h_floor = 16.0 * math.ulp(1.0) * max(abs(t), 1.0)
         h = min(h, max_step, t_end - t)
         if step_bound is not None:
             b = step_bound(t, y)
@@ -206,68 +256,55 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
         pinned = h <= h_floor
         h = max(h, h_floor)
 
+        nfev += 6
         try:
-            y_new, err, _ = attempt(h)
-            nfev += 6
-        except _StageRejected:
-            nfev += 6
-            nrejected += 1
-            if pinned:
-                remain = near_stop(t, y) if near_stop is not None else None
-                if remain is not None:
-                    status, stop_t, stop_bracket = "stopped", t, (t, t + max(h, remain))
-                    message = "step floor reached inside the stop neighborhood"
-                else:
-                    status, message = "step_failure", "inadmissible stages at the step floor"
-                break
-            h *= 0.5
-            continue
+            y_new, est, stages = _trial(f, admissible, t, y, f_curr, h)
+            err = _error_norm(est, y, y_new, rtol, atol)
+        except (_StageRejected, ArithmeticError):   # e.g. dividing by an underflowed power
+            err = None
 
-        if err > 1.0:
+        if err is None or err > 1.0:
             nrejected += 1
             if pinned:
                 remain = near_stop(t, y) if near_stop is not None else None
                 if remain is not None:
                     status, stop_t, stop_bracket = "stopped", t, (t, t + max(h, remain))
                     message = "step floor reached inside the stop neighborhood"
+                elif err is None:
+                    status, message = "step_failure", "inadmissible stages at the step floor"
                 else:
                     status, message = "step_failure", f"tolerance unmet at the step floor (err={err:.3g})"
                 break
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            h *= 0.5 if err is None else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             continue
 
-        # Accepted: record node and dense coefficients, advance (FSAL).
-        q = K.T @ _P  # (d, 4)
-        dense.append(q.copy())
+        # Accepted: record node and stage derivatives, advance (FSAL).
         t_new = t + h
         if t_end - t_new < h_floor:
             t_new = min(t_new, t_end)
-        ts.append(t_new)
-        ys.append(y_new.copy())
-        hs.append(h)
+        t_buf.append(t_new)
+        h_buf.append(h)
+        y_buf.extend(y_new)
+        k_buf.extend(chain.from_iterable(zip(*stages)))   # (d, 7) per step
         naccepted += 1
 
         factor = _SAFETY * err ** -_PI_ALPHA * err_prev ** _PI_BETA if err > 0 else _MAX_FACTOR
         h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev = max(err, 1e-4)
 
-        crossed = stop is not None and stop(y_new) <= 0.0
-        t_prev, y_prev = t, y
-        t, y, f_curr = t_new, y_new, K[6].copy()
-
-        if crossed:
-            status = "stopped"
-            sol = RkSolution(np.array(ts), np.array(ys), np.array(hs),
-                             np.array(dense), status, nfev=nfev)
-            stop_t, stop_bracket = _bisect_stop(sol, stop, t_prev, t_new, rtol)
+        if stop is not None and stop(y_new) <= 0.0:
+            status, crossing = "stopped", (t, t_new)
             break
+        t, y, f_curr = t_new, y_new, stages[6]
 
     sol = RkSolution(
-        ts=np.array(ts), ys=np.array(ys), hs=np.array(hs),
-        dense_q=np.array(dense) if dense else np.empty((0, d, 4)),
+        ts=np.frombuffer(t_buf), hs=np.frombuffer(h_buf), ys=np.frombuffer(y_buf).reshape(-1, d),
+        dense_q=(np.frombuffer(k_buf).reshape(-1, 7) @ _P).reshape(-1, d, 4),
         status=status, stop_t=stop_t, stop_bracket=stop_bracket,
         message=message, nfev=nfev, naccepted=naccepted, nrejected=nrejected,
     )
+    if crossing is not None:
+        sol.stop_t, sol.stop_bracket = _bisect_stop(sol, stop, *crossing, rtol)
     return sol
 
 

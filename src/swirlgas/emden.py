@@ -133,7 +133,12 @@ class Trajectory:
     E, F_kin, F_pot : per-node energy split
     drift : per-node |E - E(0)| / max(1, |E(0)|)
     terminal : TerminalEvent
+    nfev, naccepted, nrejected : solver counters (read-only)
     """
+
+    nfev = property(lambda self: self._sol.nfev, doc="right-hand-side evaluations")
+    naccepted = property(lambda self: self._sol.naccepted, doc="accepted steps")
+    nrejected = property(lambda self: self._sol.nrejected, doc="rejected trial steps")
 
     def __init__(self, params: SolutionParams, sol: _rk.RkSolution, terminal: TerminalEvent):
         self.params = params
@@ -189,7 +194,7 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
 
     def rhs(t, y):
         a = y[0]
-        return np.array([y[1], xi2 / a ** 3 + lam / a ** expo])
+        return y[1], xi2 / _fpow(a, 3) + lam / _fpow(a, expo)
 
     def admissible(y):
         return y[0] > 0.0
@@ -203,11 +208,23 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     def stop(y):
         return y[0] - eps
 
-    sol = _rk.solve(rhs, 0.0, np.array([params.a0, params.a1]), cfg.t_end,
+    sol = _rk.solve(rhs, 0.0, (params.a0, params.a1), cfg.t_end,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
                     step_bound=step_bound, admissible=admissible, stop=stop,
                     near_stop=lambda t, y: _near_collapse(t, y[0], y[1], eps))
     return Trajectory(params, sol, _terminal_event(sol))
+
+
+def _fpow(x, p):
+    """x ** p on floats, overflowing to inf as numpy does instead of raising.
+
+    Far out on an expanding orbit a ** p can pass the float range; its force
+    term is then c / inf = 0, not a failed step.
+    """
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
 
 
 def _near_collapse(t, a, adot, eps):

@@ -79,4 +79,8 @@ class BoxOutsideSupport(SwirlgasError, ValueError):
 
 
 class LadderTooShort(SwirlgasError, ValueError):
-    """A convergence study needs at least three step sizes."""
+    """A convergence study has too few rungs for an order estimate.
+
+    The residual ladder needs at least three step sizes, the finite-volume
+    study at least two resolutions.
+    """

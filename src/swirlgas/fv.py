@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emden import Trajectory
-from .errors import BoxOutsideSupport, InvalidParams, NonFiniteState
+from .errors import BoxOutsideSupport, InvalidParams, LadderTooShort, NonFiniteState
 from .fields import SolutionParams, eval_flow_arrays, support_s_bound
 
 __all__ = ["FvConfig", "ConservativeField", "ErrorReport", "init_from_exact",
@@ -277,7 +277,7 @@ def run_and_compare(params: SolutionParams, traj: Trajectory, cfg: FvConfig,
     """Run every resolution and tabulate errors and observed L1 orders."""
     resolutions = [int(n) for n in resolutions]
     if len(resolutions) < 2:
-        raise ValueError("need at least two resolutions for an order estimate")
+        raise LadderTooShort("need at least two resolutions for an order estimate")
     l1r, lir, l1m, lim, floors = [], [], [], [], []
     for n in resolutions:
         cfg_n = replace(cfg, nx=n, ny=n)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rk
-from .emden import IntegrationConfig, Trajectory, _near_collapse, _terminal_event
+from .emden import IntegrationConfig, Trajectory, _fpow, _near_collapse, _terminal_event
 from .errors import (
     GridTouchesSupportBoundary,
     InvalidParams,
@@ -96,7 +96,7 @@ class GridSpec:
     support_margin: float = 0.9
 
     def __post_init__(self):
-        violations = [f"NonPositive:{name}" for name in ("h", "h_t")
+        violations = [f"NonPositive:{name}" for name in ("h", "h_t", "n_r", "n_theta", "nx", "ny")
                       if not getattr(self, name) > 0]
         if self.kind not in ("annulus", "box"):
             violations.append(f"UnknownGridKind:{self.kind}")
@@ -482,6 +482,7 @@ class Scales3Trajectory:
 
     t_span = Trajectory.t_span
     covers = Trajectory.covers
+    nfev, naccepted, nrejected = Trajectory.nfev, Trajectory.naccepted, Trajectory.nrejected
 
     def state_at(self, t: float):
         """(a[3], adot[3]) arrays from dense output."""
@@ -491,7 +492,7 @@ class Scales3Trajectory:
 
 def _ordered_prod3(a):
     """Product of three scales in sorted order: bitwise permutation-invariant."""
-    s = np.sort(np.asarray(a, dtype=float))
+    s = sorted(a)
     return s[0] * s[1] * s[2]
 
 
@@ -502,29 +503,24 @@ def integrate_scales_3d(c3: ThreeAxisParams, t_end: float,
     eps = cfg.collapse_epsilon
 
     def rhs(t, y):
-        a = y[:3]
-        prod = _ordered_prod3(a)
-        acc = xi3 / (a * prod ** (g - 1.0))
-        return np.concatenate([y[3:], acc])
+        c = _fpow(_ordered_prod3(y[:3]), g - 1.0)
+        return y[3], y[4], y[5], xi3 / (y[0] * c), xi3 / (y[1] * c), xi3 / (y[2] * c)
 
     def admissible(y):
-        return bool(np.all(y[:3] > 0.0))
+        return y[0] > 0.0 and y[1] > 0.0 and y[2] > 0.0
 
     def step_bound(t, y):
-        a, ad = y[:3], y[3:]
-        shrink = ad < 0.0
-        if not np.any(shrink):
-            return None
-        return float(0.1 * np.min(a[shrink] / np.abs(ad[shrink])))
+        plunges = [a / -ad for a, ad in zip(y[:3], y[3:]) if ad < 0.0]
+        return 0.1 * min(plunges) if plunges else None
 
     def stop(y):
-        return float(np.min(y[:3])) - eps
+        return min(y[0], y[1], y[2]) - eps
 
     def near_stop(t, y):
-        k = int(np.argmin(y[:3]))
+        k = min(range(3), key=y.__getitem__)
         return _near_collapse(t, y[k], y[3 + k], eps)
 
-    y0 = np.array(list(c3.a_init) + list(c3.adot_init), dtype=float)
+    y0 = tuple(c3.a_init) + tuple(c3.adot_init)
     sol = _rk.solve(rhs, 0.0, y0, t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol,
                     max_step=cfg.max_step, step_bound=step_bound,
                     admissible=admissible, stop=stop, near_stop=near_stop)
@@ -560,6 +556,12 @@ class Grid3Spec:
     h: float = 1e-3
     h_t: float = 1e-3
     support_margin: float = 0.9
+
+    def __post_init__(self):
+        violations = [f"NonPositive:{name}" for name in ("half_width", "n", "h", "h_t")
+                      if not getattr(self, name) > 0]
+        if violations:
+            raise InvalidParams(violations)
 
     def points(self, center):
         xs = np.linspace(center[0] - self.half_width, center[0] + self.half_width, self.n)

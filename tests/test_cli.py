@@ -219,6 +219,9 @@ def test_invalid_params_error_payload(capsys):
     ["integrate", "--preset", "periodic-demo", "--rel-tol", "-1"],
     ["verify", "--preset", "generic-smooth", "--h", "-1"],
     ["fvbench", "--preset", "generic-smooth", "--cfl", "2"],
+    ["fvbench", "--preset", "generic-smooth", "--resolutions", "32"],
+    ["verify", "--preset", "generic-smooth", "--n-r", "0"],
+    ["verify3d", "--h", "-1"],
     # The inner turning point is below float range, so the periodic verdict
     # carries no period for certify to check.
     ["classify", "--gamma", "1.999", "--K", "1", "--xi", "1", "--lam", "-2",

@@ -11,12 +11,14 @@ from swirlgas import (
     IntegrationConfig,
     ScaleState,
     SolutionParams,
+    ThreeAxisParams,
     closed_form_gamma2,
     emden_rhs,
     energy,
     energy_drift,
     gamma2_scale_squared_coeffs,
     integrate,
+    integrate_scales_3d,
 )
 from swirlgas import _rk
 
@@ -186,6 +188,17 @@ def test_collapse_monotonicity():
     assert np.all(np.diff(traj.a[k0:]) < 0)
 
 
+def test_integration_continues_where_a_force_power_passes_the_float_range():
+    # For gamma = 50, a ** (2 gamma - 1) and (a1 a2 a3) ** (gamma - 1) pass the
+    # float range at a ~ 1300 and a ~ 130; the force is then 0, not a failure.
+    traj = integrate(P(50, 1, 1, a1=2.0), IntegrationConfig(t_end=2000.0))
+    assert traj.terminal.kind == "reached_end" and traj.a[-1] > 4000
+    c3 = ThreeAxisParams(gamma=50.0, K=1.0, xi3=1.0, alpha3=1.0, adot_init=(2.0, 2.0, 2.0))
+    with np.errstate(over="ignore"):   # the first-integral record overflows too
+        sc = integrate_scales_3d(c3, 2000.0)
+    assert sc.terminal.kind == "reached_end" and np.all(sc.a[-1] > 4000)
+
+
 def test_integrate_rejects_bad_inputs():
     with pytest.raises(ValueError):
         integrate(P(2, 1, 0), IntegrationConfig(t_end=-1.0))
@@ -247,3 +260,84 @@ def test_rk_dense_output_accuracy():
     ts = np.linspace(0, 6, 500)
     ys = sol.eval_dense(ts)
     assert np.max(np.abs(ys[:, 0] - np.cos(ts))) <= 1e-8
+
+
+def _orbit_solution(t_end=60.0):
+    # A long periodic orbit: thousands of nodes, so random queries span
+    # several dense-output chunks.
+    return integrate(P(1.5, 1, -2), IntegrationConfig(t_end=t_end))._sol
+
+
+def test_dense_output_at_all_nodes_is_bitwise():
+    sol = _orbit_solution()
+    out = sol.eval_dense(sol.ts)
+    assert out.shape == sol.ys.shape
+    assert np.array_equal(out, sol.ys)
+
+
+def test_dense_output_batches_match_the_per_point_formula():
+    sol = _orbit_solution()
+    rng = np.random.default_rng(5)
+    ts = rng.uniform(sol.ts[0], sol.ts[-1], 3 * _rk._CHUNK + 17)
+    out = sol.eval_dense(ts)
+    seg = np.searchsorted(sol.ts, ts) - 1
+    h = sol.hs[seg + 1]
+    theta = (ts - sol.ts[seg]) / h
+    powers = theta[:, None] ** np.arange(1, 5)
+    ref = sol.ys[seg] + h[:, None] * np.einsum("kdj,kj->kd", sol.dense_q[seg], powers)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(sol.ys))
+
+
+def test_dense_output_scalar_shape_and_span():
+    sol = _orbit_solution(t_end=3.0)
+    y = sol.eval_dense(1.2345)
+    assert y.shape == (2,)
+    assert np.array_equal(y, sol.eval_dense(np.array([1.2345]))[0])
+    for t in (-0.1, 3.1):
+        with pytest.raises(ValueError):
+            sol.eval_dense(t)
+    with pytest.raises(ValueError):
+        sol.eval_dense(np.array([1.0, 3.1]))
+
+
+def test_dense_output_of_a_single_node():
+    sol = _rk.solve(lambda t, y: (y[1], -y[0]), 0.0, (1.0, 0.5), 0.0)
+    assert sol.ts.size == 1 and sol.dense_q.shape == (0, 2, 4)
+    assert np.array_equal(sol.eval_dense(0.0), [1.0, 0.5])
+    assert np.array_equal(sol.eval_dense(np.array([0.0, 0.0])), [[1.0, 0.5], [1.0, 0.5]])
+
+
+def _reference_step(f, t0, y0, h):
+    """One Dormand-Prince trial step in numpy, straight from the tableau arrays."""
+    K = np.empty((7, y0.size))
+    K[0] = f(t0, y0)
+    for i in range(1, 7):
+        c = _rk._C[i] if i < 6 else 1.0
+        K[i] = f(t0 + c * h, y0 + h * (K[:i].T @ _rk._A[i - 1]))
+    return y0 + h * (K.T @ _rk._B), h * (K.T @ _rk._E), K
+
+
+@pytest.mark.parametrize("f, y0", [
+    (lambda t, y: (y[1], -math.sin(y[0]) + 0.3 * t), (0.7, -0.2)),
+    (lambda t, y: (y[3], y[4], y[5], -y[0] * y[1], y[2] - t, math.cos(y[0] + y[5])),
+     (1.0, 0.8, 1.3, 0.1, -0.4, 0.25)),
+])
+def test_first_step_matches_a_numpy_reference(f, y0):
+    # Guards the written-out stage sums against transcription errors.
+    y0 = np.array(y0)
+    sol = _rk.solve(f, 0.0, y0, 1.0, rtol=1e-8, atol=1e-8)
+    h = sol.hs[1]
+    y_ref, err_ref, K = _reference_step(f, 0.0, y0, h)
+    assert np.max(np.abs(sol.ys[1] - y_ref)) <= 1e-14 * np.max(np.abs(y_ref))
+    assert np.max(np.abs(sol.dense_q[0] - K.T @ _rk._P)) <= 1e-14 * np.max(np.abs(K))
+    _, err, stages = _rk._trial(f, None, 0.0, list(y0), list(K[0]), h)
+    assert np.max(np.abs(np.array(stages) - K)) <= 1e-14 * np.max(np.abs(K))
+    assert np.max(np.abs(np.array(err) - err_ref)) <= 1e-14 * h * np.max(np.abs(K))
+
+
+def test_trajectory_exposes_solver_counters():
+    traj = integrate(P(1.5, 1, -2), IntegrationConfig(t_end=10.0))
+    assert traj.naccepted == traj.ts.size - 1
+    assert traj.nfev == 2 + 6 * (traj.naccepted + traj.nrejected)
+    with pytest.raises(AttributeError):
+        traj.nfev = 0

@@ -257,6 +257,14 @@ def test_3d_contraction_collapses():
     assert sc.terminal.kind == "collapsed"
 
 
+def test_3d_trajectory_exposes_solver_counters():
+    sc = integrate_scales_3d(ThreeAxisParams(gamma=1.4, K=1.0, xi3=-1.0, alpha3=1.0), 10.0)
+    assert sc.naccepted == sc.ts.size - 1
+    assert sc.nfev == 2 + 6 * (sc.naccepted + sc.nrejected)
+    with pytest.raises(AttributeError):
+        sc.naccepted = 0
+
+
 def test_collapse_bracket_is_widened_by_the_last_step():
     # Both scale integrators report a collapse bracket reaching at least one
     # last step to either side of the bisected event time.
