@@ -8,9 +8,9 @@ system (d = 6).  Features the callers rely on:
 * quartic dense output per accepted step,
 * an optional state-dependent step bound (used to creep into a collapse
   without overshooting the singular region),
-* an admissibility predicate applied to every stage (a step whose stages
-  leave the admissible region, turn non-finite or raise ArithmeticError is
-  rejected and retried smaller),
+* components that must stay positive at every stage, checked inline (a
+  step whose stages leave that region, turn non-finite or raise
+  ArithmeticError is rejected and retried smaller),
 * a scalar stop function: integration halts at the first accepted step whose
   endpoint has stop(y) <= 0, and the crossing time is located by bisection
   on the dense output.
@@ -149,37 +149,40 @@ class _StageRejected(Exception):
     """A Runge-Kutta stage left the admissible region; retry smaller."""
 
 
-def _check(y, admissible):
-    if not all(map(math.isfinite, y)) or (admissible is not None and not admissible(y)):
+def _check(y, positive):
+    if not all(map(math.isfinite, y)):
         raise _StageRejected
+    for k in positive or ():
+        if not y[k] > 0.0:
+            raise _StageRejected
 
 
-def _trial(f, admissible, t, y, k1, h):
+def _trial(f, positive, t, y, k1, h):
     """One trial step from (t, y) with first stage k1: (y_new, err, stages).
 
     err is the embedded error estimate.  Raises _StageRejected when a stage
     leaves the admissible region or turns non-finite.
     """
     y2 = [v + h * (_A21 * a) for v, a in zip(y, k1)]
-    _check(y2, admissible)
+    _check(y2, positive)
     k2 = f(t + _C2 * h, y2)
     y3 = [v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)]
-    _check(y3, admissible)
+    _check(y3, positive)
     k3 = f(t + _C3 * h, y3)
     y4 = [v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)]
-    _check(y4, admissible)
+    _check(y4, positive)
     k4 = f(t + _C4 * h, y4)
     y5 = [v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * e)
           for v, a, b, c, e in zip(y, k1, k2, k3, k4)]
-    _check(y5, admissible)
+    _check(y5, positive)
     k5 = f(t + _C5 * h, y5)
     y6 = [v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * e + _A65 * g)
           for v, a, b, c, e, g in zip(y, k1, k2, k3, k4, k5)]
-    _check(y6, admissible)
+    _check(y6, positive)
     k6 = f(t + h, y6)
     y7 = [v + h * (_A71 * a + _A73 * c + _A74 * e + _A75 * g + _A76 * m)
           for v, a, c, e, g, m in zip(y, k1, k3, k4, k5, k6)]
-    _check(y7, admissible)
+    _check(y7, positive)
     k7 = f(t + h, y7)
     _check(k7, None)
     err = [h * (_E1 * a + _E3 * c + _E4 * e + _E5 * g + _E6 * m + _E7 * n)
@@ -187,14 +190,14 @@ def _trial(f, admissible, t, y, k1, h):
     return y7, err, (k1, k2, k3, k4, k5, k6, k7)
 
 
-def _initial_step(f, t0, y0, f0, rtol, atol, max_step, admissible):
+def _initial_step(f, t0, y0, f0, rtol, atol, max_step, positive):
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     for _ in range(20):
         y1 = [v + h0 * g for v, g in zip(y0, f0)]
-        if admissible is None or admissible(y1):
+        if all(y1[k] > 0.0 for k in positive):
             break
         h0 *= 0.1
     else:
@@ -209,13 +212,14 @@ def _initial_step(f, t0, y0, f0, rtol, atol, max_step, admissible):
 
 
 def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
-          step_bound=None, admissible=None, stop=None, near_stop=None,
+          step_bound=None, positive=(), stop=None, near_stop=None,
           max_steps=1_000_000):
     """Integrate y' = f(t, y) from t0 to t_end.
 
     f(t, y)          -> derivative as a float sequence; y is a list of floats.
     step_bound(t, y) -> additional per-step upper bound on h (or None).
-    admissible(y)    -> False rejects a stage/endpoint (step retried smaller).
+    positive         -> indices of components that must stay > 0 at every
+                        stage (a step leaving that region is retried smaller).
     stop(y)          -> halt when <= 0 at an accepted endpoint; the crossing
                         is bisected on the dense output to ~rtol accuracy.
     near_stop(t, y)  -> when the step size is pinned at the floating-point
@@ -226,12 +230,10 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     """
     y = [float(v) for v in y0]
     d = len(y)
-    if stop is not None and stop(y) <= 0.0:
-        raise ValueError("stop(y0) <= 0 at the initial state")
 
     t = float(t0)
     f_curr = f(t, y)
-    h = _initial_step(f, t, y, f_curr, rtol, atol, max_step, admissible)
+    h = _initial_step(f, t, y, f_curr, rtol, atol, max_step, positive)
     nfev = 2
 
     t_buf, h_buf, y_buf, k_buf = array("d", [t]), array("d", [0.0]), array("d", y), array("d")
@@ -258,7 +260,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
 
         nfev += 6
         try:
-            y_new, est, stages = _trial(f, admissible, t, y, f_curr, h)
+            y_new, est, stages = _trial(f, positive, t, y, f_curr, h)
             err = _error_norm(est, y, y_new, rtol, atol)
         except (_StageRejected, ArithmeticError):   # e.g. dividing by an underflowed power
             err = None

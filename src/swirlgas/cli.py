@@ -30,7 +30,7 @@ import numpy as np
 
 from . import fv, regimes, residuals
 from .emden import IntegrationConfig, energy_drift, integrate
-from .errors import SwirlgasError
+from .errors import InvalidParams, SwirlgasError
 from .fields import (
     ScaleState,
     SolutionParams,
@@ -352,11 +352,10 @@ def cmd_verify(args):
 
 def cmd_verify3d(args):
     cfg_file = _load_config(args.config) if args.config else {}
-    tol = args.tolerance
-    config = {"mode": args.mode, "tolerance": tol, "h": args.h}
-    config.update(cfg_file.get("verify3d", {}))
-    _maybe_emit_config(args, config)
-    modes = ("isotropic", "drift", "anisotropic") if args.mode == "all" else (args.mode,)
+    vcfg = cfg_file.get("verify3d", {})
+    mode = _pick(args.mode, vcfg, "mode", "all")
+    tol = _pick(args.tolerance, vcfg, "tolerance", 1e-6)
+    h = _pick(args.h, vcfg, "h", 1e-3)
     cases = {
         "isotropic": residuals.ThreeAxisParams(gamma=5 / 3, K=1.0, xi3=1.0, alpha3=1.0),
         "drift": residuals.ThreeAxisParams(
@@ -366,19 +365,24 @@ def cmd_verify3d(args):
             gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0, a_init=(1.0, 1.2, 0.8),
             drift_rate=(0.1, 0.0, -0.05)),
     }
+    if mode not in ("all", *cases):
+        raise InvalidParams([f"UnknownMode:{mode}"])
+    config = {"verify3d": {"mode": mode, "tolerance": tol, "h": h}}
+    _maybe_emit_config(args, config)
+    modes = tuple(cases) if mode == "all" else (mode,)
     report = {"config": config, "cases": {}}
     all_pass = True
-    for mode in modes:
-        c3 = cases[mode]
+    for name in modes:
+        c3 = cases[name]
         scales = residuals.integrate_scales_3d(c3, 1.0)
-        grid = residuals.Grid3Spec(half_width=0.4, n=7, h=args.h, h_t=args.h / 2.0)
-        rep = residuals.euler_residual_3d(c3, scales, 0.5, grid, tolerance=tol)
-        ladder = residuals.residual_convergence(
-            lambda h: residuals.euler_residual_3d(
-                c3, scales, 0.5,
-                residuals.Grid3Spec(half_width=0.4, n=7, h=h, h_t=h / 2.0)),
-            [4 * args.h, 2 * args.h, args.h])
-        report["cases"][mode] = {
+
+        def residual(step, tolerance=None):
+            grid = residuals.Grid3Spec(half_width=0.4, n=7, h=step, h_t=step / 2.0)
+            return residuals.euler_residual_3d(c3, scales, 0.5, grid, tolerance=tolerance)
+
+        rep = residual(h, tol)
+        ladder = residuals.residual_convergence(residual, [4 * h, 2 * h, h])
+        report["cases"][name] = {
             "residual": rep.as_dict(),
             "convergence": ladder,
             "scale_drift": float(np.max(scales.drift)),
@@ -487,10 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify3d", help="three-axis 3D family residual harness")
     p.add_argument("--mode", choices=("isotropic", "drift", "anisotropic", "all"),
-                   default="all")
-    p.add_argument("--h", type=float, default=1e-3)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--config", help="JSON config file")
+                   default=None, help="default all")
+    p.add_argument("--h", type=float, default=None, help="default 1e-3")
+    p.add_argument("--tolerance", type=float, default=None, help="default 1e-6")
+    p.add_argument("--config", help="JSON config file (section \"verify3d\")")
     p.add_argument("--emit-config", metavar="PATH")
     _add_out_flags(p)
     p.set_defaults(func=cmd_verify3d)

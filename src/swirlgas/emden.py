@@ -180,39 +180,75 @@ class Trajectory:
 def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig()) -> Trajectory:
     """Integrate the scale equation from (a0, a1) at t = 0 to cfg.t_end.
 
-    Stops early with a "collapsed" terminal event when a falls to
-    cfg.collapse_epsilon; the event time is bisected on the dense output and
-    reported with a bracket whose width is the last step size.
+    Under the collapse rule of ``_integrate_scales``, a fall of a to
+    cfg.collapse_epsilon ends the run with a "collapsed" terminal event.
     """
-    if not cfg.t_end > 0.0:
-        raise NonPositiveTime("t_end must be positive")
-    eps = cfg.collapse_epsilon
-    if params.a0 <= eps:
-        raise CollapsedState(f"a0 = {params.a0!r} is not above collapse_epsilon = {eps!r}")
-
     xi2, lam, expo = params.xi ** 2, params.lam, 2.0 * params.gamma - 1.0
 
     def rhs(t, y):
         a = y[0]
         return y[1], xi2 / _fpow(a, 3) + lam / _fpow(a, expo)
 
-    def admissible(y):
-        return y[0] > 0.0
+    return Trajectory(params, *_integrate_scales(rhs, (params.a0,), (params.a1,), cfg.t_end, cfg))
+
+
+def _integrate_scales(rhs, a_init, adot_init, t_end, cfg: IntegrationConfig):
+    """Integrate y = (a_1..a_n, adot_1..adot_n) under the collapse rule.
+
+    The rule, shared by the 2D (n = 1) and three-axis (n = 3) systems: every
+    scale stays positive; each contracting axis moves by at most 0.1 a/|adot|
+    per step; the run stops when the smallest scale reaches
+    cfg.collapse_epsilon, or at the step floor once the smallest axis is near
+    collapse.  Returns the RkSolution and its TerminalEvent.
+    """
+    if not t_end > 0.0:
+        raise NonPositiveTime("t_end must be positive")
+    n, eps = len(a_init), cfg.collapse_epsilon
+    if min(a_init) <= eps:
+        raise CollapsedState(f"a_init = {tuple(a_init)!r} is not above collapse_epsilon = {eps!r}")
+    axes = tuple(range(n))  # plain loops over a tuple: these run at every step
 
     def step_bound(t, y):
-        # Creep toward a collapse: at most a 10% relative change of a per step.
-        if y[1] < 0.0:
-            return 0.1 * y[0] / abs(y[1])
-        return None
+        bound = None
+        for k in axes:
+            if y[n + k] < 0.0:
+                creep = 0.1 * y[k] / -y[n + k]
+                if bound is None or creep < bound:
+                    bound = creep
+        return bound
 
     def stop(y):
-        return y[0] - eps
+        a = y[0]
+        for k in axes:
+            if y[k] < a:
+                a = y[k]
+        return a - eps
 
-    sol = _rk.solve(rhs, 0.0, (params.a0, params.a1), cfg.t_end,
+    def near_stop(t, y):
+        # Deep in a collapse the derivatives exceed what double precision
+        # resolves at the smallest step near t.  Once the remaining time to
+        # a = 0 (bounded by a/|adot| while the plunge accelerates) falls below
+        # that scale, the collapse is reported with it as the bracket width.
+        k = min(axes, key=y.__getitem__)
+        a, adot = y[k], y[n + k]
+        if adot < 0.0:
+            plunge = a / -adot
+            floor = 16.0 * math.ulp(1.0) * max(abs(t), 1.0)
+            if a <= max(20.0 * eps, 1e-7) or (a <= 1e-3 and plunge <= 1e4 * floor):
+                return plunge
+        return None
+
+    sol = _rk.solve(rhs, 0.0, tuple(a_init) + tuple(adot_init), t_end,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
-                    step_bound=step_bound, admissible=admissible, stop=stop,
-                    near_stop=lambda t, y: _near_collapse(t, y[0], y[1], eps))
-    return Trajectory(params, sol, _terminal_event(sol))
+                    step_bound=step_bound, positive=axes, stop=stop, near_stop=near_stop)
+    if sol.status != "stopped":
+        return sol, TerminalEvent(kind=sol.status, t=float(sol.ts[-1]), message=sol.message)
+    # The collapse bracket is widened by the last step on both sides of the event.
+    h_last = float(sol.hs[-1])
+    lo, hi = sol.stop_bracket
+    bracket = (min(lo, sol.stop_t - h_last), max(hi, sol.stop_t + h_last))
+    return sol, TerminalEvent(kind="collapsed", t=float(sol.stop_t), bracket=bracket,
+                              message=sol.message)
 
 
 def _fpow(x, p):
@@ -225,38 +261,6 @@ def _fpow(x, p):
         return x ** p
     except OverflowError:
         return math.inf
-
-
-def _near_collapse(t, a, adot, eps):
-    """Remaining-time bound to a = 0 once the step floor is reached, or None.
-
-    Deep in a collapse the solution's derivatives exceed what double
-    precision can resolve at the smallest representable step near t; once
-    the remaining time to a = 0 (bounded by a/|adot| while the plunge
-    accelerates) falls below that resolution scale, the collapse is reported
-    with the remaining time as the bracket width.
-    """
-    if adot >= 0.0:
-        return None
-    plunge = a / -adot
-    floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
-    if a <= max(20.0 * eps, 1e-7) or (a <= 1e-3 and plunge <= 1e4 * floor):
-        return plunge
-    return None
-
-
-def _terminal_event(sol: _rk.RkSolution) -> TerminalEvent:
-    """How a collapse-aware run ended; a collapse bracket is widened by the
-    last step on both sides of the event time."""
-    if sol.status == "stopped":
-        h_last = float(sol.hs[-1]) if sol.hs.size else 0.0
-        lo, hi = sol.stop_bracket
-        bracket = (min(lo, sol.stop_t - h_last), max(hi, sol.stop_t + h_last))
-        return TerminalEvent(kind="collapsed", t=float(sol.stop_t), bracket=bracket,
-                             message=sol.message)
-    if sol.status == "reached_end":
-        return TerminalEvent(kind="reached_end", t=float(sol.ts[-1]))
-    return TerminalEvent(kind="step_failure", t=float(sol.ts[-1]), message=sol.message)
 
 
 def gamma2_scale_squared_coeffs(params: SolutionParams):

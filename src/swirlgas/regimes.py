@@ -29,11 +29,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .emden import (
     IntegrationConfig,
     _first_positive_root,
+    _fpow,
+    emden_rhs,
     energy_of,
     gamma2_scale_squared_coeffs,
     integrate,
@@ -47,7 +48,7 @@ from .errors import (
     UndefinedCritical,
     ZeroRotation,
 )
-from .fields import SolutionParams
+from .fields import ScaleState, SolutionParams
 
 __all__ = [
     "Regime",
@@ -157,12 +158,7 @@ def _is_steady(params: SolutionParams) -> bool:
     nonzero residual acceleration, however small, grows exponentially, so
     only a float-exact equilibrium can be certified as steady.
     """
-    if params.a1 != 0.0:
-        return False
-    a = params.a0
-    term1 = params.xi ** 2 / a ** 3
-    term2 = params.lam / a ** (2.0 * params.gamma - 1.0)
-    return term1 + term2 == 0.0
+    return params.a1 == 0.0 and emden_rhs(ScaleState(0.0, params.a0, 0.0), params)[1] == 0.0
 
 
 def turning_points(params: SolutionParams):
@@ -179,15 +175,17 @@ def turning_points(params: SolutionParams):
     if not e0 < 0.0:
         raise NoBracket(f"turning points need E(0) < 0, got {e0}")
 
-    def g(a):
-        return potential(a, params) - e0
+    xi2, lam, p = params.xi ** 2, params.lam, 2.0 * params.gamma - 2.0
+
+    def g(a):  # F_pot(a) - E(0) in floats: bisection takes ~50 evaluations per root
+        return 0.5 * xi2 * _fpow(a, -2.0) + lam / p * _fpow(a, -p) - e0
 
     a0 = params.a0
     if params.a1 != 0.0 and g(a0) < 0.0:
         anchor = a0
     else:
         # Starting at a turning point: step into the well along the force.
-        acc = params.xi ** 2 / a0 ** 3 + params.lam / a0 ** (2.0 * params.gamma - 1.0)
+        acc = emden_rhs(ScaleState(0.0, a0, 0.0), params)[1]
         if acc == 0.0:
             return a0, a0  # exact equilibrium
         direction = math.copysign(1.0, acc)
@@ -202,29 +200,39 @@ def turning_points(params: SolutionParams):
         if anchor is None:
             return a0, a0  # degenerate at numerical resolution
 
-    lo = anchor
-    for _ in range(4000):
+    lo = 0.5 * anchor
+    while lo >= 1e-150 and not g(lo) > 0.0:
         lo *= 0.5
-        if lo < 1e-150:
-            # Near gamma = 2 the two potential terms have nearly equal
-            # exponents and the inner turning point can sit beyond float
-            # range; the orbit is trapped but its bounds are not computable.
-            raise NoBracket("inner turning point below representable scale")
-        if g(lo) > 0.0:
-            break
-    else:
-        raise NoBracket("no inner bracket found")
-    a_min = brentq(g, lo, anchor, rtol=1e-14)
+    if lo < 1e-150:
+        # Near gamma = 2 the two potential terms have nearly equal
+        # exponents and the inner turning point can sit beyond float
+        # range; the orbit is trapped but its bounds are not computable.
+        raise NoBracket("inner turning point below representable scale")
+    a_min = _log_bisect(g, lo, anchor)
 
-    hi = anchor
-    for _ in range(4000):
+    # F_pot -> 0 > E(0) as a -> inf, so the doubling ends (at inf at the latest).
+    hi = 2.0 * anchor
+    while not g(hi) > 0.0:
         hi *= 2.0
-        if g(hi) > 0.0:
-            break
-    else:
-        raise NoBracket("no outer bracket found")
-    a_max = brentq(g, anchor, hi, rtol=1e-14)
+    a_max = _log_bisect(g, anchor, hi)
     return float(a_min), float(a_max)
+
+
+def _log_bisect(g, lo, hi):
+    """Root of g between 0 < lo < hi, where g changes sign, by bisection in u = ln a.
+
+    The midpoint sqrt(lo) sqrt(hi) cannot overflow.  The search ends when it
+    rounds to an end, and returns the end with g <= 0, inside the well.
+    """
+    lo_positive = g(lo) > 0.0
+    mid = math.sqrt(lo) * math.sqrt(hi)
+    while lo < mid < hi:
+        if (g(mid) > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+        mid = math.sqrt(lo) * math.sqrt(hi)
+    return hi if lo_positive else lo
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)

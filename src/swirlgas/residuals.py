@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rk
-from .emden import IntegrationConfig, Trajectory, _fpow, _near_collapse, _terminal_event
+from .emden import IntegrationConfig, Trajectory, _fpow, _integrate_scales
 from .errors import (
     GridTouchesSupportBoundary,
     InvalidParams,
@@ -467,7 +466,7 @@ class Scales3Trajectory:
     validated numerically by the test suite before being trusted.
     """
 
-    def __init__(self, c3: ThreeAxisParams, sol: _rk.RkSolution, terminal):
+    def __init__(self, c3: ThreeAxisParams, sol, terminal):
         self.c3 = c3
         self._sol = sol
         self.ts = sol.ts
@@ -500,31 +499,12 @@ def integrate_scales_3d(c3: ThreeAxisParams, t_end: float,
                         cfg: IntegrationConfig = IntegrationConfig()) -> Scales3Trajectory:
     """Integrate the coupled three-axis scale system from t = 0."""
     g, xi3 = c3.gamma, c3.xi3
-    eps = cfg.collapse_epsilon
 
     def rhs(t, y):
         c = _fpow(_ordered_prod3(y[:3]), g - 1.0)
         return y[3], y[4], y[5], xi3 / (y[0] * c), xi3 / (y[1] * c), xi3 / (y[2] * c)
 
-    def admissible(y):
-        return y[0] > 0.0 and y[1] > 0.0 and y[2] > 0.0
-
-    def step_bound(t, y):
-        plunges = [a / -ad for a, ad in zip(y[:3], y[3:]) if ad < 0.0]
-        return 0.1 * min(plunges) if plunges else None
-
-    def stop(y):
-        return min(y[0], y[1], y[2]) - eps
-
-    def near_stop(t, y):
-        k = min(range(3), key=y.__getitem__)
-        return _near_collapse(t, y[k], y[3 + k], eps)
-
-    y0 = tuple(c3.a_init) + tuple(c3.adot_init)
-    sol = _rk.solve(rhs, 0.0, y0, t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step, step_bound=step_bound,
-                    admissible=admissible, stop=stop, near_stop=near_stop)
-    return Scales3Trajectory(c3, sol, _terminal_event(sol))
+    return Scales3Trajectory(c3, *_integrate_scales(rhs, c3.a_init, c3.adot_init, t_end, cfg))
 
 
 def eval_flow_3d_arrays(c3: ThreeAxisParams, a, adot, t: float, x, y, z):

@@ -156,6 +156,35 @@ def test_verify3d_isotropic(capsys):
     assert 1.8 <= case["convergence"]["order"] <= 4.2
 
 
+def test_verify3d_config_file_applies_unless_a_flag_is_given(tmp_path, capsys):
+    cfg_path = tmp_path / "verify3d.json"
+    cfg_path.write_text(json.dumps({"verify3d": {"h": 0.004, "mode": "isotropic"}}))
+    code, out, _ = run_cli(["verify3d", "--config", str(cfg_path)], capsys)
+    rep = json.loads(out)
+    assert list(rep["cases"]) == ["isotropic"]
+    assert rep["cases"]["isotropic"]["convergence"]["h"] == [0.016, 0.008, 0.004]
+    assert rep["config"] == {"verify3d": {"mode": "isotropic", "tolerance": 1e-6, "h": 0.004}}
+    # At h = 4e-3 the isotropic residual (4.3e-6) is above the default 1e-6.
+    assert code == 1 and rep["verdict"] == "FAIL"
+    cfg_path.write_text(json.dumps({"verify3d": {"h": 0.004, "mode": "isotropic",
+                                                 "tolerance": 1e-5}}))
+    code, out, _ = run_cli(["verify3d", "--config", str(cfg_path)], capsys)
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
+    # A flag beats the file; the emitted config reproduces the run.
+    emitted = tmp_path / "emitted.json"
+    code, out1, _ = run_cli(["verify3d", "--config", str(cfg_path), "--mode", "drift",
+                             "--emit-config", str(emitted)], capsys)
+    rep = json.loads(out1)
+    assert list(rep["cases"]) == ["drift"]
+    assert rep["cases"]["drift"]["convergence"]["h"] == [0.016, 0.008, 0.004]
+    code, out2, _ = run_cli(["verify3d", "--config", str(emitted)], capsys)
+    assert json.loads(out2) == rep
+    cfg_path.write_text(json.dumps({"verify3d": {"mode": "no-such-mode"}}))
+    code, _, err = run_cli(["verify3d", "--config", str(cfg_path)], capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "InvalidParams"
+
+
 def test_fvbench_small(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code, _, _ = run_cli(["fvbench", "--preset", "generic-smooth",

@@ -1,10 +1,15 @@
 """Decision tree, turning points, period quadrature, certification."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+
+import swirlgas
 
 from swirlgas import (
     CertificationMismatch,
@@ -18,6 +23,7 @@ from swirlgas import (
     a_max_critical,
     certify,
     classify,
+    energy_of,
     gamma2_scale_squared_coeffs,
     integrate,
     period_quadrature,
@@ -96,6 +102,71 @@ def test_turning_points_need_negative_energy():
         turning_points(P(1.5, 1, 0.5))
     with pytest.raises(NoBracket):
         turning_points(P(3, 1, -1))  # gamma out of range
+
+
+def brentq_turning_points(p):
+    """Oracle: scipy's brentq at full precision, on brackets grown by factors
+    of 2 from the closed-form minimum of the potential."""
+    e0 = energy_of(p.a0, p.a1, p).E
+
+    def g(a):
+        return potential(a, p) - e0
+
+    a_eq = (-p.lam / p.xi ** 2) ** (1.0 / (2.0 * p.gamma - 4.0))
+    lo = hi = a_eq
+    while g(lo) <= 0.0:
+        lo *= 0.5
+    while g(hi) <= 0.0:
+        hi *= 2.0
+    tol = dict(xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=1000)
+    return brentq(g, lo, a_eq, **tol), brentq(g, a_eq, hi, **tol)
+
+
+def trapped_orbits(seed, gamma_range, count, zero_rate):
+    """Seeded trapped orbits: gamma in gamma_range (inside (1, 2)), lam < 0, E(0) < 0."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        p = P(rng.uniform(*gamma_range), rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0),
+              rng.uniform(-5.0, -0.1), a0=rng.uniform(0.05, 3.0),
+              a1=0.0 if zero_rate else rng.uniform(-3.0, 3.0))
+        if energy_of(p.a0, p.a1, p).E < 0.0:
+            found.append(p)
+    return found
+
+
+def root_fuzz(p, a):
+    """Width of the band around a root a of F_pot - E(0) where the difference is
+    below its rounding error: a few eps times the size of its terms over the
+    slope |F_pot'(a)|.  It exceeds 1e-13 a near the bottom of the well (small
+    slope) and close to gamma = 2, where the two potential terms cancel."""
+    e0 = energy_of(p.a0, p.a1, p).E
+    two_g_minus_2 = 2.0 * p.gamma - 2.0
+    t1, t2 = p.xi ** 2 / (2 * a * a), p.lam / (two_g_minus_2 * a ** two_g_minus_2)
+    # F_pot(a) = t1 + t2 and a F_pot'(a) = -2 t1 - (2 gamma - 2) t2.
+    return 8.0 * np.finfo(float).eps * (abs(t1) + abs(t2) + abs(e0)) * a / abs(
+        2.0 * t1 + two_g_minus_2 * t2)
+
+
+@pytest.mark.parametrize("zero_rate", [False, True])
+@pytest.mark.parametrize("gamma_range", [(1.05, 1.99), (1.99, 1.999)])
+def test_turning_points_match_brentq(gamma_range, zero_rate):
+    for p in trapped_orbits(11 + zero_rate, gamma_range, 100, zero_rate):
+        try:
+            got = turning_points(p)
+        except NoBracket:   # the inner turning point lies below the 1e-150 cut
+            continue
+        for a, ref in zip(got, brentq_turning_points(p)):
+            assert abs(a - ref) <= max(1e-13 * ref, root_fuzz(p, ref))
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, swirlgas; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(swirlgas.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------- period

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swirlgas import (
+    CollapsedState,
     ThreeAxisParams,
     GenericRotationField,
     Grid3Spec,
@@ -12,6 +13,7 @@ from swirlgas import (
     IntegrationConfig,
     InvalidParams,
     LadderTooShort,
+    NonPositiveTime,
     SolutionParams,
     TrajectoryTooShort,
     euler_residual_2d,
@@ -275,6 +277,21 @@ def test_collapse_bracket_is_widened_by_the_last_step():
         assert ev.kind == "collapsed"
         lo, hi = ev.bracket
         assert lo <= ev.t - h_last and ev.t + h_last <= hi
+
+
+def test_a_start_at_or_below_the_collapse_epsilon_is_collapsed_in_both_integrators():
+    cfg = IntegrationConfig(t_end=1.0)
+    for a in (cfg.collapse_epsilon, 1e-9):
+        with pytest.raises(CollapsedState):
+            integrate(SolutionParams(gamma=2, K=1, xi=1, lam=0, alpha=1, a0=a, a1=0), cfg)
+        with pytest.raises(CollapsedState):
+            integrate_scales_3d(ThreeAxisParams(gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0,
+                                                a_init=(1.0, a, 1.0)), 1.0, cfg)
+
+
+def test_3d_integration_needs_a_positive_t_end_like_2d():
+    with pytest.raises(NonPositiveTime):
+        integrate_scales_3d(ThreeAxisParams(gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0), 0.0)
 
 
 def test_3d_params_validation():
