@@ -10,11 +10,15 @@ Commands mirror the library surface one-to-one:
   verify3d   three-axis family residual harness              -> JSON
   fvbench    finite-volume convergence table                 -> CSV (+ JSON)
 
-Exit codes: 0 on success/PASS, 1 on structured domain errors, 2 on usage or
-I/O errors.  All numbers are emitted with full round-trip precision.  Every
-JSON report embeds the fully-resolved configuration under "config";
---emit-config writes it standalone so a run can be reproduced exactly with
---config FILE (explicit flags still override file values).
+Each setting is one row of its command's table in COMMANDS: a flag, a config
+key and a default.  A flag beats the --config file, which beats the default
+(and a --preset).  Every JSON report embeds the resolved settings under
+"config", the dict the command ran with; --emit-config writes it standalone
+so that --config FILE reproduces the run exactly.
+
+Exit codes: 0 on success/PASS, 1 on structured domain errors (a wrongly typed
+config value too), 2 on usage or I/O errors (a config file that is not a JSON
+object too).  All numbers are emitted with full round-trip precision.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,8 +55,127 @@ PRESETS = {
     "gamma2-oracle": dict(gamma=2.0, K=1.0, xi=1.0, lam=0.0, alpha=1.0, a0=1.0, a1=0.0),
 }
 
-PARAM_FIELDS = ("gamma", "K", "xi", "lam", "alpha", "a0", "a1")
-INTEGRATION_FIELDS = ("rel_tol", "abs_tol", "max_step", "collapse_epsilon", "t_end")
+THREE_AXIS_CASES = {
+    "isotropic": residuals.ThreeAxisParams(gamma=5 / 3, K=1.0, xi3=1.0, alpha3=1.0),
+    "drift": residuals.ThreeAxisParams(
+        gamma=1.4, K=1.0, xi3=0.0, alpha3=1.0,
+        drift0=(0.1, 0.0, -0.2), drift_rate=(0.3, -0.1, 0.05)),
+    "anisotropic": residuals.ThreeAxisParams(
+        gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0, a_init=(1.0, 1.2, 0.8),
+        drift_rate=(0.1, 0.0, -0.05)),
+}
+
+
+# ---------------------------------------------------------------- settings
+
+
+def int_list(text):
+    """Comma-separated integers, e.g. "64,128,256"."""
+    return [int(r) for r in text.split(",")]
+
+
+class Derived(NamedTuple):
+    """A default computed from the settings resolved before it."""
+
+    text: str
+    fn: Callable
+
+
+class Setting(NamedTuple):
+    """One setting: config section (None: top level) and key, type, default
+    (None: left out of the config until given) and a flag other than --key.
+
+    type is float, int (a count, never negative), bool, int_list or a tuple
+    of the allowed strings."""
+
+    section: str | None
+    key: str
+    type: object
+    default: object = None
+    flag: str | None = None
+    help: str = ""
+
+    @property
+    def name(self):
+        return self.key if self.section is None else f"{self.section}.{self.key}"
+
+
+PARAMS = [Setting("params", f.name, float, help="from --preset when not given")
+          for f in fields(SolutionParams)]
+
+
+def _integration(t_end):
+    """IntegrationConfig's settings with the command's t_end default; the
+    unbounded default max_step stays out of the config."""
+    return [Setting("integration", f.name, float,
+                    t_end if f.name == "t_end" else f.default if math.isfinite(f.default) else None)
+            for f in fields(IntegrationConfig)]
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked(s: Setting, value):
+    """A config-file value if it has the setting's type; ints pass as floats."""
+    if s.type is float and (_is_int(value) or isinstance(value, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    elif (s.type is int and _is_int(value)
+          or s.type is bool and isinstance(value, bool)
+          or s.type is int_list and isinstance(value, list) and all(map(_is_int, value))
+          or isinstance(s.type, tuple) and value in s.type):
+        return value
+    raise InvalidParams([f"WrongType:{s.name}"])
+
+
+class ConfigFileError(Exception):
+    """The --config file is not a JSON object; reported like an I/O error."""
+
+
+def _load_config(path) -> dict:
+    with open(path) as fh:
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or not text
+            raise ConfigFileError(f"{path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigFileError(f"{path}: the config must be a JSON object")
+    return cfg
+
+
+def _resolve_params(preset, given) -> SolutionParams:
+    """The parameters: flags and file values over the --preset."""
+    record = {**PRESETS.get(preset, {}), **given}
+    if not record:
+        raise SwirlgasError("no parameters given; use --preset, --config or explicit flags")
+    return validate_params(record)
+
+
+def _resolve(args) -> dict:
+    """Every setting of the command, flag > config file > default, as the
+    nested config dict that the command runs with and reports."""
+    file_cfg = _load_config(args.config) if args.config else {}
+    cfg = {"params": {}} if hasattr(args, "preset") else {}
+    for s in COMMANDS[args.command].settings:
+        where = file_cfg if s.section is None else file_cfg.get(s.section, {})
+        if not isinstance(where, dict):
+            raise InvalidParams([f"WrongType:{s.section}"])
+        value = getattr(args, s.key)
+        if value is None and s.key in where:
+            value = _checked(s, where[s.key])
+        if value is None:
+            value = s.default.fn(cfg) if isinstance(s.default, Derived) else s.default
+        if value is None:
+            continue
+        if s.type is int and value < 0:
+            raise InvalidParams([f"Negative:{s.name}"])
+        (cfg if s.section is None else cfg.setdefault(s.section, {}))[s.key] = value
+    if hasattr(args, "preset"):
+        cfg["params"] = asdict(_resolve_params(args.preset, cfg["params"]))
+    return cfg
 
 
 def _fmt(v):
@@ -59,66 +183,6 @@ def _fmt(v):
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
-
-
-def _add_param_flags(p: argparse.ArgumentParser):
-    p.add_argument("--preset", choices=sorted(PRESETS), help="named parameter set")
-    for name in PARAM_FIELDS:
-        p.add_argument(f"--{name}", type=float, default=None)
-    p.add_argument("--config", help="JSON config file; explicit flags override it")
-    p.add_argument("--emit-config", metavar="PATH",
-                   help="write the fully-resolved config as JSON and continue")
-
-
-def _add_integration_flags(p: argparse.ArgumentParser):
-    for name in INTEGRATION_FIELDS:
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float, default=None)
-
-
-def _add_out_flags(p: argparse.ArgumentParser, default_format="json"):
-    p.add_argument("--out", help="output file (stdout when omitted)")
-    p.add_argument("--format", choices=("json", "csv"), default=default_format)
-
-
-def _load_config(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _resolve_params(args, cfg_file) -> SolutionParams:
-    record = {}
-    if args.preset:
-        record.update(PRESETS[args.preset])
-    record.update(cfg_file.get("params", {}))
-    for name in PARAM_FIELDS:
-        v = getattr(args, name, None)
-        if v is not None:
-            record[name] = v
-    if not record:
-        raise SwirlgasError("no parameters given; use --preset, --config or explicit flags")
-    return validate_params(record)
-
-
-def _resolve_integration(args, cfg_file, default_t_end=10.0) -> IntegrationConfig:
-    record = dict(cfg_file.get("integration", {}))
-    for name in INTEGRATION_FIELDS:
-        v = getattr(args, name, None)
-        if v is not None:
-            record[name] = v
-    record.setdefault("t_end", default_t_end)
-    return IntegrationConfig(**{k: float(record[k]) for k in INTEGRATION_FIELDS if k in record})
-
-
-def _effective_config(params=None, integration=None, extra=None):
-    cfg = {}
-    if params is not None:
-        cfg["params"] = {k: getattr(params, k) for k in PARAM_FIELDS}
-    if integration is not None:
-        cfg["integration"] = {k: getattr(integration, k) for k in INTEGRATION_FIELDS
-                              if math.isfinite(getattr(integration, k))}
-    if extra:
-        cfg.update(extra)
-    return cfg
 
 
 def _emit(args, payload_json=None, csv_rows=None, csv_header=None):
@@ -149,60 +213,45 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _maybe_emit_config(args, config):
-    if getattr(args, "emit_config", None):
-        with open(args.emit_config, "w") as fh:
-            json.dump(config, fh, indent=2, default=_json_default)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_eval(args):
-    cfg_file = _load_config(args.config) if args.config else {}
-    params = _resolve_params(args, cfg_file)
-    icfg = _resolve_integration(args, cfg_file, default_t_end=max(args.time, 1e-6))
-    config = _effective_config(params, icfg, {
-        "time": args.time, "grid_n": args.grid_n, "grid_extent": args.grid_extent})
-    _maybe_emit_config(args, config)
+def cmd_eval(args, cfg):
+    params = SolutionParams(**cfg["params"])
+    icfg = IntegrationConfig(**cfg["integration"])
+    time = cfg["time"]
+    if not time >= 0.0:
+        raise InvalidParams(["Negative:time"])
 
-    if args.time > 0:
+    if time > 0:
         traj = integrate(params, icfg)
-        if traj.terminal.kind != "reached_end" and traj.t_span[1] < args.time:
+        if traj.terminal.kind != "reached_end" and traj.t_span[1] < time:
             raise SwirlgasError(
                 f"trajectory ended at t = {traj.t_span[1]} ({traj.terminal.kind}) "
-                f"before the requested time {args.time}")
-        state = traj.state_at(args.time)
+                f"before the requested time {time}")
+        state = traj.state_at(time)
     else:
         state = ScaleState(t=0.0, a=params.a0, adot=params.a1)
 
-    ext = args.grid_extent
-    xs = np.linspace(-ext, ext, args.grid_n)
+    ext = cfg["grid_extent"]
+    xs = np.linspace(-ext, ext, cfg["grid_n"])
     xg, yg = np.meshgrid(xs, xs, indexing="ij")
     rho, u1, u2, p = eval_flow_arrays(params, state, xg.ravel(), yg.ravel())
     rows = np.column_stack([xg.ravel(), yg.ravel(), rho, u1, u2, p])
-    _emit(args, payload_json={"config": config, "state": {
+    _emit(args, payload_json={"config": cfg, "state": {
         "t": state.t, "a": state.a, "adot": state.adot},
         "samples": rows.tolist()},
         csv_rows=rows, csv_header=("x", "y", "rho", "u1", "u2", "p"))
     return 0
 
 
-def cmd_integrate(args):
-    cfg_file = _load_config(args.config) if args.config else {}
-    params = _resolve_params(args, cfg_file)
-    icfg = _resolve_integration(args, cfg_file)
-    config = _effective_config(params, icfg)
-    _maybe_emit_config(args, config)
-    traj = integrate(params, icfg)
+def cmd_integrate(args, cfg):
+    traj = integrate(SolutionParams(**cfg["params"]), IntegrationConfig(**cfg["integration"]))
     summary = {
-        "config": config,
+        "config": cfg,
         "terminal": {"kind": traj.terminal.kind, "t": traj.terminal.t,
                      "bracket": traj.terminal.bracket, "message": traj.terminal.message},
         "nodes": int(traj.ts.size),
@@ -214,14 +263,11 @@ def cmd_integrate(args):
     return 0
 
 
-def cmd_classify(args):
-    cfg_file = _load_config(args.config) if args.config else {}
-    params = _resolve_params(args, cfg_file)
-    config = _effective_config(params, extra={"locate_blowup": args.locate_blowup})
-    _maybe_emit_config(args, config)
-    regime = regimes.classify(params, locate_blowup=args.locate_blowup)
+def cmd_classify(args, cfg):
+    params = SolutionParams(**cfg["params"])
+    regime = regimes.classify(params, locate_blowup=cfg["locate_blowup"])
     report = {
-        "config": config,
+        "config": cfg,
         "kind": regime.kind,
         "branch": regime.branch,
         "period": regime.period,
@@ -230,81 +276,50 @@ def cmd_classify(args):
         "certificate": regime.certificate,
         "notes": list(regime.notes),
     }
-    if args.certify:
-        rep = regimes.certify(params, regime, horizon=args.horizon)
+    if cfg["certify"]:
+        rep = regimes.certify(params, regime, horizon=cfg["horizon"])
         report["certification"] = {"passed": rep.passed, "checks": rep.checks,
                                    "horizon": rep.horizon}
     _emit(args, payload_json=report)
     return 0
 
 
-def cmd_period(args):
-    cfg_file = _load_config(args.config) if args.config else {}
-    params = _resolve_params(args, cfg_file)
-    config = _effective_config(params)
-    _maybe_emit_config(args, config)
-    pr = regimes.period_quadrature(params)
+def cmd_period(args, cfg):
+    pr = regimes.period_quadrature(SolutionParams(**cfg["params"]))
     _emit(args, payload_json={
-        "config": config, "period": pr.period, "quad_error": pr.quad_error,
+        "config": cfg, "period": pr.period, "quad_error": pr.quad_error,
         "a_min": pr.a_min, "a_max": pr.a_max, "nodes": pr.nodes})
     return 0
 
 
-def _pick(flag_value, cfg_section, key, default):
-    """Flag (when given) beats the config file, which beats the default."""
-    if flag_value is not None:
-        return flag_value
-    if key in cfg_section:
-        return cfg_section[key]
-    return default
+def cmd_verify(args, cfg):
+    params = SolutionParams(**cfg["params"])
+    time_at, mu, tolerance = cfg["time"], cfg["mu"], cfg["tolerance"]
+    grid = residuals.GridSpec(kind="annulus", **cfg["grid"])
+    traj = integrate(params, IntegrationConfig(**cfg["integration"]))
+    report = {"config": cfg}
 
-
-def cmd_verify(args):
-    cfg_file = _load_config(args.config) if args.config else {}
-    gcfg = cfg_file.get("grid", {})
-    params = _resolve_params(args, cfg_file)
-    time_at = _pick(args.time, cfg_file, "time", 0.5)
-    icfg = _resolve_integration(args, cfg_file, default_t_end=2.0 * time_at)
-    h = _pick(args.h, gcfg, "h", 1e-3)
-    grid = residuals.GridSpec(
-        kind="annulus",
-        r_lo=_pick(args.r_lo, gcfg, "r_lo", 0.3),
-        r_hi=_pick(args.r_hi, gcfg, "r_hi", 2.0),
-        n_r=int(_pick(args.n_r, gcfg, "n_r", 16)),
-        n_theta=int(_pick(args.n_theta, gcfg, "n_theta", 24)),
-        h=h, h_t=_pick(args.h_t, gcfg, "h_t", 0.5 * h))
-    args.time = time_at
-    config = _effective_config(params, icfg, {
-        "time": time_at, "grid": {
-            "r_lo": grid.r_lo, "r_hi": grid.r_hi, "n_r": grid.n_r,
-            "n_theta": grid.n_theta, "h": grid.h, "h_t": grid.h_t},
-        "tolerance": args.tolerance, "mu": args.mu, "mass_sweep": args.mass_sweep})
-    _maybe_emit_config(args, config)
-    traj = integrate(params, icfg)
-    report = {"config": config}
-
-    rep = residuals.euler_residual_2d(params, traj, args.time, grid)
+    rep = residuals.euler_residual_2d(params, traj, time_at, grid)
     report["family"] = rep.as_dict()
     worst = rep.max_normalized
 
-    if args.mu:
-        rep_ns = residuals.euler_residual_2d(params, traj, args.time, grid, mu=args.mu)
+    if mu:
+        rep_ns = residuals.euler_residual_2d(params, traj, time_at, grid, mu=mu)
         x, y = grid.points()
-        vn = residuals.viscous_norm(params, traj.state_at(args.time), x, y,
-                                    mu=args.mu, h=grid.h)
-        report["viscous"] = {"mu": args.mu, "residual_with_viscous": rep_ns.as_dict(),
+        vn = residuals.viscous_norm(params, traj.state_at(time_at), x, y, mu=mu, h=grid.h)
+        report["viscous"] = {"mu": mu, "residual_with_viscous": rep_ns.as_dict(),
                              "viscous_term_normalized": vn,
                              "max_difference": abs(rep_ns.max_normalized - worst)}
 
-    if args.preset == "zhang-zheng":
-        t_fix = 1.0 + args.time  # family clock starts at the fixture time 1
+    emb = zhang_zheng_embedding(params.K)
+    if params == emb.params:
+        t_fix = 1.0 + time_at  # family clock starts at the fixture time 1
         gz = residuals.GridSpec(kind="annulus", r_lo=max(grid.r_lo, 3 * grid.h),
                                 r_hi=grid.r_hi, n_r=grid.n_r, n_theta=grid.n_theta,
                                 h=grid.h / 2.0)
         zz = residuals.zz_direct_residual(t_fix, params.K, gz)
         report["fixture_direct"] = zz.as_dict()
         worst = max(worst, zz.max_normalized)
-        emb = zhang_zheng_embedding(params.K)
         rng = np.random.default_rng(0)
         xr = rng.uniform(-2, 2, 100)
         yr = rng.uniform(-2, 2, 100)
@@ -317,10 +332,10 @@ def cmd_verify(args):
             "field_match": emb.field_match,
         }
 
-    if args.mass_sweep:
+    if cfg["mass_sweep"]:
         rng = np.random.default_rng(7)
         sweep = []
-        for _ in range(args.mass_sweep):
+        for _ in range(cfg["mass_sweep"]):
             coef = rng.uniform(-1.0, 1.0, 5)
             fieldspec = residuals.GenericRotationField(
                 f=lambda eta: np.exp(-eta ** 2),
@@ -329,16 +344,16 @@ def cmd_verify(args):
                 adot=lambda t: 0.5,
             )
             sweep.append(residuals.mass_residual_generic_g(
-                fieldspec, args.time,
+                fieldspec, time_at,
                 residuals.GridSpec(kind="annulus", r_lo=max(grid.r_lo, 3 * grid.h),
                                    r_hi=grid.r_hi, n_r=grid.n_r, n_theta=grid.n_theta,
                                    h=grid.h, h_t=1e-4)))
         report["mass_sweep"] = {"max": max(sweep), "values": sweep}
         worst = max(worst, max(sweep))
 
-    passed = worst <= args.tolerance
+    passed = worst <= tolerance
     report["max_normalized"] = worst
-    report["tolerance"] = args.tolerance
+    report["tolerance"] = tolerance
     report["verdict"] = "PASS" if passed else "FAIL"
     csv_rows = [("family", eq, v["max"], v["mean"], v["scale"])
                 for eq, v in report["family"]["equations"].items()]
@@ -350,30 +365,12 @@ def cmd_verify(args):
     return 0 if passed else 1
 
 
-def cmd_verify3d(args):
-    cfg_file = _load_config(args.config) if args.config else {}
-    vcfg = cfg_file.get("verify3d", {})
-    mode = _pick(args.mode, vcfg, "mode", "all")
-    tol = _pick(args.tolerance, vcfg, "tolerance", 1e-6)
-    h = _pick(args.h, vcfg, "h", 1e-3)
-    cases = {
-        "isotropic": residuals.ThreeAxisParams(gamma=5 / 3, K=1.0, xi3=1.0, alpha3=1.0),
-        "drift": residuals.ThreeAxisParams(
-            gamma=1.4, K=1.0, xi3=0.0, alpha3=1.0,
-            drift0=(0.1, 0.0, -0.2), drift_rate=(0.3, -0.1, 0.05)),
-        "anisotropic": residuals.ThreeAxisParams(
-            gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0, a_init=(1.0, 1.2, 0.8),
-            drift_rate=(0.1, 0.0, -0.05)),
-    }
-    if mode not in ("all", *cases):
-        raise InvalidParams([f"UnknownMode:{mode}"])
-    config = {"verify3d": {"mode": mode, "tolerance": tol, "h": h}}
-    _maybe_emit_config(args, config)
-    modes = tuple(cases) if mode == "all" else (mode,)
-    report = {"config": config, "cases": {}}
+def cmd_verify3d(args, cfg):
+    mode, tol, h = (cfg["verify3d"][k] for k in ("mode", "tolerance", "h"))
+    report = {"config": cfg, "cases": {}}
     all_pass = True
-    for name in modes:
-        c3 = cases[name]
+    for name in THREE_AXIS_CASES if mode == "all" else (mode,):
+        c3 = THREE_AXIS_CASES[name]
         scales = residuals.integrate_scales_3d(c3, 1.0)
 
         def residual(step, tolerance=None):
@@ -393,32 +390,19 @@ def cmd_verify3d(args):
     return 0 if all_pass else 1
 
 
-def cmd_fvbench(args):
-    cfg_file = _load_config(args.config) if args.config else {}
-    bcfg = cfg_file.get("fvbench", {})
-    params = _resolve_params(args, cfg_file)
-    horizon = _pick(args.horizon, bcfg, "horizon", 0.2)
-    box = _pick(args.box, bcfg, "box_half_width", 1.2)
-    cfl = _pick(args.cfl, bcfg, "cfl", 0.4)
-    res_spec = _pick(args.resolutions, bcfg, "resolutions", "64,128,256")
-    if isinstance(res_spec, str):
-        resolutions = [int(r) for r in res_spec.split(",")]
-    else:
-        resolutions = [int(r) for r in res_spec]
-    icfg = _resolve_integration(args, cfg_file, default_t_end=horizon + 0.1)
+def cmd_fvbench(args, cfg):
+    params = SolutionParams(**cfg["params"])
+    bcfg = cfg["fvbench"]
+    box, resolutions = bcfg["box_half_width"], bcfg["resolutions"]
     fv_cfg = fv.FvConfig(x_lo=-box, x_hi=box, y_lo=-box, y_hi=box,
-                         cfl=cfl, t0=0.0, t_end=horizon)
-    config = _effective_config(params, icfg, {"fvbench": {
-        "resolutions": resolutions, "box_half_width": box,
-        "cfl": cfl, "horizon": horizon}})
-    _maybe_emit_config(args, config)
-    traj = integrate(params, icfg)
+                         cfl=bcfg["cfl"], t0=0.0, t_end=bcfg["horizon"])
+    traj = integrate(params, IntegrationConfig(**cfg["integration"]))
     report = fv.run_and_compare(params, traj, fv_cfg, resolutions)
     if args.dump_cells:
         finest = fv.run(params, traj, replace(fv_cfg, nx=resolutions[-1], ny=resolutions[-1]))
         _dump_cells(args.dump_cells, finest)
     hdr, body = report.rows()
-    _emit(args, payload_json={"config": config, **report.as_dict()},
+    _emit(args, payload_json={"config": cfg, **report.as_dict()},
           csv_rows=body, csv_header=hdr)
     return 0
 
@@ -436,97 +420,109 @@ def _dump_cells(path, field):
             w.writerow([_fmt(v) for v in row])
 
 
+class Command(NamedTuple):
+    run: Callable
+    help: str
+    format: str  # default output format
+    settings: list
+
+
+COMMANDS = {
+    "eval": Command(cmd_eval, "sample the exact flow field on a grid", "csv", [
+        *PARAMS,
+        Setting(None, "time", float, 0.0),
+        Setting(None, "grid_n", int, 9),
+        Setting(None, "grid_extent", float, 1.0),
+        *_integration(Derived("max(time, 1e-6)", lambda c: max(c["time"], 1e-6)))]),
+    "integrate": Command(cmd_integrate, "integrate the scale equation", "csv",
+                         [*PARAMS, *_integration(10.0)]),
+    "classify": Command(cmd_classify, "classify the long-time regime", "json", [
+        *PARAMS,
+        Setting(None, "locate_blowup", bool, False),
+        Setting(None, "certify", bool, False, help="cross-check the verdict by integration"),
+        Setting(None, "horizon", float, 20.0)]),
+    "period": Command(cmd_period, "oscillation period of a trapped orbit", "json", PARAMS),
+    "verify": Command(cmd_verify, "2D residual verification", "json", [
+        *PARAMS,
+        Setting(None, "time", float, 0.5),
+        *_integration(Derived("2 * time", lambda c: 2.0 * c["time"])),
+        Setting("grid", "r_lo", float, 0.3),
+        Setting("grid", "r_hi", float, 2.0),
+        Setting("grid", "n_r", int, 16),
+        Setting("grid", "n_theta", int, 24),
+        Setting("grid", "h", float, 1e-3),
+        Setting("grid", "h_t", float, Derived("h/2", lambda c: 0.5 * c["grid"]["h"])),
+        Setting(None, "tolerance", float, 1e-6),
+        Setting(None, "mu", float, 0.0, help="viscosity for the NS check"),
+        Setting(None, "mass_sweep", int, 0,
+                help="number of random swirl profiles for the mass identity")]),
+    "verify3d": Command(cmd_verify3d, "three-axis 3D family residual harness", "json", [
+        Setting("verify3d", "mode", (*THREE_AXIS_CASES, "all"), "all"),
+        Setting("verify3d", "tolerance", float, 1e-6),
+        Setting("verify3d", "h", float, 1e-3)]),
+    "fvbench": Command(cmd_fvbench, "finite-volume convergence study", "csv", [
+        *PARAMS,
+        Setting("fvbench", "resolutions", int_list, (64, 128, 256)),
+        Setting("fvbench", "box_half_width", float, 1.2, flag="--box",
+                help="half-width of the square box"),
+        Setting("fvbench", "cfl", float, 0.4),
+        Setting("fvbench", "horizon", float, 0.2),
+        *_integration(Derived("horizon + 0.1", lambda c: c["fvbench"]["horizon"] + 0.1))]),
+}
+
+
+def _help(s: Setting):
+    """The row's help text followed by its default."""
+    default = s.default.text if isinstance(s.default, Derived) else s.default
+    if isinstance(default, tuple):
+        default = ",".join(map(str, default))
+    if default is None:
+        return s.help or "unset by default"
+    return f"{s.help} (default {default})" if s.help else f"default {default}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="swirlgas",
         description="Swirling self-similar gas flows: exact fields, scale dynamics, "
                     "classification, residual verification, finite-volume benchmark.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="sample the exact flow field on a grid")
-    _add_param_flags(p)
-    _add_integration_flags(p)
-    p.add_argument("--time", type=float, default=0.0)
-    p.add_argument("--grid-n", type=int, default=9)
-    p.add_argument("--grid-extent", type=float, default=1.0)
-    _add_out_flags(p, default_format="csv")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("integrate", help="integrate the scale equation")
-    _add_param_flags(p)
-    _add_integration_flags(p)
-    _add_out_flags(p, default_format="csv")
-    p.set_defaults(func=cmd_integrate)
-
-    p = sub.add_parser("classify", help="classify the long-time regime")
-    _add_param_flags(p)
-    p.add_argument("--locate-blowup", action="store_true")
-    p.add_argument("--certify", action="store_true",
-                   help="cross-check the verdict by integration")
-    p.add_argument("--horizon", type=float, default=20.0)
-    _add_out_flags(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("period", help="oscillation period of a trapped orbit")
-    _add_param_flags(p)
-    _add_out_flags(p)
-    p.set_defaults(func=cmd_period)
-
-    p = sub.add_parser("verify", help="2D residual verification")
-    _add_param_flags(p)
-    _add_integration_flags(p)
-    p.add_argument("--time", type=float, default=None, help="default 0.5")
-    p.add_argument("--r-lo", type=float, default=None, help="default 0.3")
-    p.add_argument("--r-hi", type=float, default=None, help="default 2.0")
-    p.add_argument("--n-r", type=int, default=None, help="default 16")
-    p.add_argument("--n-theta", type=int, default=None, help="default 24")
-    p.add_argument("--h", type=float, default=None, help="default 1e-3")
-    p.add_argument("--h-t", type=float, default=None, help="defaults to h/2")
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--mu", type=float, default=0.0, help="viscosity for the NS check")
-    p.add_argument("--mass-sweep", type=int, default=0,
-                   help="number of random swirl profiles for the mass identity")
-    _add_out_flags(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("verify3d", help="three-axis 3D family residual harness")
-    p.add_argument("--mode", choices=("isotropic", "drift", "anisotropic", "all"),
-                   default=None, help="default all")
-    p.add_argument("--h", type=float, default=None, help="default 1e-3")
-    p.add_argument("--tolerance", type=float, default=None, help="default 1e-6")
-    p.add_argument("--config", help="JSON config file (section \"verify3d\")")
-    p.add_argument("--emit-config", metavar="PATH")
-    _add_out_flags(p)
-    p.set_defaults(func=cmd_verify3d)
-
-    p = sub.add_parser("fvbench", help="finite-volume convergence study")
-    _add_param_flags(p)
-    _add_integration_flags(p)
-    p.add_argument("--resolutions", default=None, help="default 64,128,256")
-    p.add_argument("--box", type=float, default=None,
-                   help="half-width of the square box (default 1.2)")
-    p.add_argument("--cfl", type=float, default=None, help="default 0.4")
-    p.add_argument("--horizon", type=float, default=None, help="default 0.2")
-    p.add_argument("--dump-cells", metavar="PATH",
-                   help="write the finest-run interior cells as CSV")
-    _add_out_flags(p, default_format="csv")
-    p.set_defaults(func=cmd_fvbench)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if PARAMS[0] in cmd.settings:
+            p.add_argument("--preset", choices=sorted(PRESETS),
+                           help="named parameter set, beneath the config file")
+        for s in cmd.settings:
+            kind = (dict(action="store_true") if s.type is bool else
+                    dict(choices=s.type) if isinstance(s.type, tuple) else dict(type=s.type))
+            p.add_argument(s.flag or "--" + s.key.replace("_", "-"), dest=s.key,
+                           default=None, help=_help(s), **kind)
+        p.add_argument("--config", help="JSON config file; explicit flags override it")
+        p.add_argument("--emit-config", metavar="PATH",
+                       help="write the resolved config as JSON and continue")
+        p.add_argument("--out", help="output file (stdout when omitted)")
+        p.add_argument("--format", choices=("json", "csv"), default=cmd.format,
+                       help=f"default {cmd.format}")
+    sub.choices["fvbench"].add_argument("--dump-cells", metavar="PATH",
+                                        help="write the finest-run interior cells as CSV")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _resolve(args)
+        if args.emit_config:
+            with open(args.emit_config, "w") as fh:
+                fh.write(json.dumps(cfg, indent=2) + "\n")
+        return COMMANDS[args.command].run(args, cfg)
     except SwirlgasError as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "violations"):
             err["violations"] = exc.violations
         print(json.dumps(err), file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, ConfigFileError) as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 2
 

@@ -64,7 +64,8 @@ class IntegrationConfig:
     t_end: float = 10.0
 
     def __post_init__(self):
-        violations = [f"NonPositive:{name}" for name in ("rel_tol", "abs_tol", "collapse_epsilon")
+        violations = [f"NonPositive:{name}"
+                      for name in ("rel_tol", "abs_tol", "max_step", "collapse_epsilon")
                       if not getattr(self, name) > 0]
         if violations:
             raise InvalidParams(violations)

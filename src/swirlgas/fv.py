@@ -53,6 +53,8 @@ class FvConfig:
         violations = []
         if not 0.0 < self.cfl < 1.0:
             violations.append("CflOutsideUnitInterval")
+        if not (self.x_hi > self.x_lo and self.y_hi > self.y_lo):
+            violations.append("EmptyBox")
         if self.nx < 16 or self.ny < 16:
             violations.append("ResolutionBelow16")
         if self.boundary not in ("exact", "outflow"):
@@ -98,12 +100,6 @@ class ConservativeField:
         """Views of the interior cells (no ghosts)."""
         sl = (slice(1, -1), slice(1, -1))
         return self.rho[sl], self.m1[sl], self.m2[sl]
-
-    def copy(self):
-        out = ConservativeField(self.cfg, self.rho.copy(), self.m1.copy(),
-                                self.m2.copy(), self.t)
-        out.floor_events = self.floor_events
-        return out
 
 
 def _sound_speed(rho, params: SolutionParams):
@@ -278,6 +274,8 @@ def run_and_compare(params: SolutionParams, traj: Trajectory, cfg: FvConfig,
     resolutions = [int(n) for n in resolutions]
     if len(resolutions) < 2:
         raise LadderTooShort("need at least two resolutions for an order estimate")
+    if any(fine <= coarse for coarse, fine in zip(resolutions, resolutions[1:])):
+        raise InvalidParams(["ResolutionsNotIncreasing"])
     l1r, lir, l1m, lim, floors = [], [], [], [], []
     for n in resolutions:
         cfg_n = replace(cfg, nx=n, ny=n)

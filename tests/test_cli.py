@@ -198,25 +198,30 @@ def test_fvbench_small(tmp_path, capsys):
     assert float(rows[2][1]) < float(rows[1][1])  # L1 error decreases
 
 
-def test_config_roundtrip(tmp_path, capsys):
+@pytest.mark.parametrize("args", [
+    pytest.param(["classify", "--preset", "gamma3-critical"], id="classify-preset"),
+    pytest.param(["eval", "--preset", "periodic-demo", "--time", "0.5", "--grid-n", "3"],
+                 id="eval"),
+    pytest.param(["integrate", "--preset", "periodic-demo", "--t-end", "2"], id="integrate"),
+    pytest.param(["classify", "--preset", "blowup-demo", "--locate-blowup", "--certify",
+                  "--horizon", "5"], id="classify"),
+    pytest.param(["period", "--preset", "periodic-demo"], id="period"),
+    pytest.param(["verify", "--preset", "generic-smooth", "--h", "0.002", "--r-hi", "1.5"],
+                 id="verify-grid"),
+    pytest.param(["verify", "--preset", "generic-smooth", "--tolerance", "1e-9",
+                  "--mu", "0.5", "--mass-sweep", "1"], id="verify"),
+    pytest.param(["verify", "--preset", "zhang-zheng"], id="verify-zhang-zheng"),
+    pytest.param(["fvbench", "--preset", "generic-smooth", "--resolutions", "16,32",
+                  "--horizon", "0.05"], id="fvbench"),
+    pytest.param(["verify3d", "--mode", "drift"], id="verify3d"),
+])
+def test_config_roundtrip(args, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    code, out1, _ = run_cli(["classify", "--preset", "gamma3-critical",
-                             "--emit-config", str(cfg_path)], capsys)
-    assert code == 0
-    code, out2, _ = run_cli(["classify", "--config", str(cfg_path)], capsys)
-    assert code == 0
-    assert json.loads(out1) == json.loads(out2)
-
-
-def test_verify_config_roundtrip(tmp_path, capsys):
-    cfg_path = tmp_path / "verify.json"
-    code, out1, _ = run_cli(["verify", "--preset", "generic-smooth",
-                             "--h", "0.002", "--r-hi", "1.5",
-                             "--emit-config", str(cfg_path)], capsys)
-    assert code == 0
-    code, out2, _ = run_cli(["verify", "--config", str(cfg_path)], capsys)
-    assert code == 0
-    assert json.loads(out1) == json.loads(out2)
+    code1, out1, _ = run_cli(args + ["--format", "json", "--emit-config", str(cfg_path)], capsys)
+    code2, out2, _ = run_cli([args[0], "--config", str(cfg_path), "--format", "json"], capsys)
+    assert code2 == code1
+    assert out2 == out1
+    assert json.loads(out1)["config"] == json.loads(cfg_path.read_text())
 
 
 def test_flag_overrides_config(tmp_path, capsys):
@@ -255,11 +260,43 @@ def test_invalid_params_error_payload(capsys):
     # carries no period for certify to check.
     ["classify", "--gamma", "1.999", "--K", "1", "--xi", "1", "--lam", "-2",
      "--alpha", "1", "--a0", "1", "--a1", "0", "--certify"],
+    ["eval", "--preset", "generic-smooth", "--grid-n", "-1"],
+    ["verify", "--preset", "generic-smooth", "--mass-sweep", "-1"],
+    ["eval", "--preset", "periodic-demo", "--time", "-1"],
+    ["integrate", "--preset", "periodic-demo", "--max-step", "0"],
+    ["fvbench", "--preset", "generic-smooth", "--box", "-1"],
+    ["fvbench", "--preset", "generic-smooth", "--resolutions", "16,16"],
 ])
 def test_bad_values_are_domain_errors(args, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 1
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("args, text, code, error", [
+    (["verify", "--preset", "generic-smooth"], '{"grid": {"h": "0.004"}}', 1, "grid.h"),
+    (["verify3d"], '{"verify3d": {"h": "0.004"}}', 1, "verify3d.h"),
+    (["integrate", "--preset", "periodic-demo"], '{"integration": {"rel_tol": "x"}}', 1,
+     "integration.rel_tol"),
+    (["classify"], '{"params": {"gamma": "abc"}}', 1, "params.gamma"),
+    (["fvbench", "--preset", "generic-smooth"], '{"fvbench": {"cfl": "0.4"}}', 1, "fvbench.cfl"),
+    (["fvbench", "--preset", "generic-smooth"], '{"fvbench": {"resolutions": 64}}', 1,
+     "fvbench.resolutions"),
+    (["classify", "--preset", "blowup-demo"], '[1, 2]', 2, "io"),
+    (["classify", "--preset", "blowup-demo"], '{"params": ', 2, "io"),
+], ids=["grid-h", "verify3d-h", "integration-rel-tol", "params-gamma", "fvbench-cfl",
+        "fvbench-resolutions", "top-level-list", "malformed"])
+def test_bad_config_files(args, text, code, error, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    got, _, err = run_cli(args + ["--config", str(cfg_path)], capsys)
+    assert got == code
+    payload = json.loads(err)
+    if code == 1:
+        assert payload["error"] == "InvalidParams"
+        assert payload["violations"] == [f"WrongType:{error}"]
+    else:
+        assert payload["error"] == error
 
 
 def test_usage_errors_exit_two(capsys):
@@ -269,6 +306,10 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["fvbench", "--preset", "generic-smooth", "--resolutions", "a,b"])
     assert exc.value.code == 2
     capsys.readouterr()
 
