@@ -18,7 +18,8 @@ so that --config FILE reproduces the run exactly.
 
 Exit codes: 0 on success/PASS, 1 on structured domain errors (a wrongly typed
 config value too), 2 on usage or I/O errors (a config file that is not a JSON
-object too).  All numbers are emitted with full round-trip precision.
+object too).  All numbers are emitted with full round-trip precision, and
+JSON is strict: a number that is not finite is written as null.
 """
 
 from __future__ import annotations
@@ -105,10 +106,8 @@ PARAMS = [Setting("params", f.name, float, help="from --preset when not given")
 
 
 def _integration(t_end):
-    """IntegrationConfig's settings with the command's t_end default; the
-    unbounded default max_step stays out of the config."""
-    return [Setting("integration", f.name, float,
-                    t_end if f.name == "t_end" else f.default if math.isfinite(f.default) else None)
+    """IntegrationConfig's settings with the command's t_end default."""
+    return [Setting("integration", f.name, float, t_end if f.name == "t_end" else f.default)
             for f in fields(IntegrationConfig)]
 
 
@@ -170,6 +169,10 @@ def _resolve(args) -> dict:
             value = s.default.fn(cfg) if isinstance(s.default, Derived) else s.default
         if value is None:
             continue
+        if s.type is float and not math.isfinite(value):
+            if value == s.default:  # an unbounded default (max_step) stays out of the config
+                continue
+            raise InvalidParams([f"NonFinite:{s.name}"])
         if s.type is int and value < 0:
             raise InvalidParams([f"Negative:{s.name}"])
         (cfg if s.section is None else cfg.setdefault(s.section, {}))[s.key] = value
@@ -200,7 +203,7 @@ def _emit(args, payload_json=None, csv_rows=None, csv_header=None):
             if args.out:
                 target.close()
     else:
-        text = json.dumps(payload_json, indent=2, default=_json_default)
+        text = _dumps(payload_json)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
@@ -208,12 +211,20 @@ def _emit(args, payload_json=None, csv_rows=None, csv_header=None):
             print(text)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _dumps(obj) -> str:
+    """Strict JSON, which has no Infinity or NaN: a non-finite float is null."""
+    return json.dumps(_plain(obj), indent=2, allow_nan=False)
+
+
+def _plain(obj):
+    """obj with numpy values as Python ones and non-finite floats as None."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    return obj.item() if isinstance(obj, np.integer) else obj
 
 
 # ---------------------------------------------------------------- commands
@@ -514,7 +525,7 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         if args.emit_config:
             with open(args.emit_config, "w") as fh:
-                fh.write(json.dumps(cfg, indent=2) + "\n")
+                fh.write(_dumps(cfg) + "\n")
         return COMMANDS[args.command].run(args, cfg)
     except SwirlgasError as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}

@@ -15,6 +15,13 @@ step (time-dependent Dirichlet), so interior error isolates the scheme.
 The intended use is convergence studies against the exact solutions: a
 first-order scheme on a smooth exact field must show L1 errors shrinking at
 order ~ 1 under mesh doubling, which ``run_and_compare`` tabulates.
+
+State layout: a ``ConservativeField`` holds one C-ordered array ``U`` of shape
+(3, nx+2, ny+2), and ``rho`` / ``m1`` / ``m2`` are views of its rows.  ``step``
+works on ``U`` flattened per component, where the y neighbour of a cell is at
+offset +1 and the x neighbour at +(ny+2), so every face pass is contiguous.
+Its work buffers and the ghost-ring coordinates belong to the field: ``step``
+makes them on first use, and ``run`` drops them before it returns.
 """
 
 from __future__ import annotations
@@ -78,18 +85,27 @@ class FvConfig:
 
 
 class ConservativeField:
-    """Cell data (rho, rho u1, rho u2) with a one-cell ghost ring."""
+    """Cell data (rho, rho u1, rho u2) with a one-cell ghost ring, stored as U."""
 
     def __init__(self, cfg: FvConfig, rho, m1, m2, t: float):
         self.cfg = cfg
-        self.rho = np.asarray(rho, dtype=float)
-        self.m1 = np.asarray(m1, dtype=float)
-        self.m2 = np.asarray(m2, dtype=float)
+        expected = (cfg.nx + 2, cfg.ny + 2)
+        rho = np.asarray(rho, dtype=float)
+        if rho.shape != expected:
+            raise ValueError(f"expected padded shape {expected}, got {rho.shape}")
+        self.U = np.empty((3, *expected))
+        self.U[0], self.U[1], self.U[2] = rho, m1, m2
         self.t = float(t)
         self.floor_events = 0
-        expected = (cfg.nx + 2, cfg.ny + 2)
-        if self.rho.shape != expected:
-            raise ValueError(f"expected padded shape {expected}, got {self.rho.shape}")
+        # Over the steps taken (min and max of none are +inf and -inf): the
+        # count, the smallest and largest dt and the peak |u| + c.
+        self.stats = {"steps": 0, "dt_min": math.inf, "dt_max": -math.inf,
+                      "max_wave_speed": -math.inf}
+        self._work = None
+
+    rho = property(lambda self: self.U[0])
+    m1 = property(lambda self: self.U[1])
+    m2 = property(lambda self: self.U[2])
 
     @classmethod
     def from_primitive(cls, cfg: FvConfig, rho, u1, u2, t: float = 0.0):
@@ -102,42 +118,38 @@ class ConservativeField:
         return self.rho[sl], self.m1[sl], self.m2[sl]
 
 
-def _sound_speed(rho, params: SolutionParams):
-    return np.sqrt(params.gamma * params.K * rho ** (params.gamma - 1.0))
+class _Work:
+    """One grid's step buffers, and its ghost ring as flat indices and coordinates."""
 
-
-def _flux_x(rho, m1, m2, params):
-    u = m1 / rho
-    p = params.K * rho ** params.gamma
-    return m1, m1 * u + p, m2 * u
-
-
-def _flux_y(rho, m1, m2, params):
-    v = m2 / rho
-    p = params.K * rho ** params.gamma
-    return m2, m1 * v, m2 * v + p
+    def __init__(self, cfg: FvConfig):
+        self.W = cfg.ny + 2                  # flat offset of the x neighbour
+        self.M = cfg.nx * self.W             # flat length of rows 1..nx
+        n = (cfg.nx + 2) * self.W
+        self.u1, self.u2, self.p, self.c, self.ay, self.amax = np.empty((6, n))
+        self.flux, self.face, self.res = np.empty((3, 3, n))
+        ring = np.ones((cfg.nx + 2, self.W), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        self.ring = np.flatnonzero(ring)
+        self.xr, self.yr = (g.ravel()[self.ring] for g in cfg.centers())
 
 
 def _fill_ghosts(field: ConservativeField, params, traj, t: float):
-    cfg = field.cfg
-    if cfg.boundary == "outflow":
-        for q in (field.rho, field.m1, field.m2):
-            q[0, :] = q[1, :]
-            q[-1, :] = q[-2, :]
-            q[:, 0] = q[:, 1]
-            q[:, -1] = q[:, -2]
+    U = field.U
+    if field.cfg.boundary == "outflow":
+        U[:, 0, :] = U[:, 1, :]
+        U[:, -1, :] = U[:, -2, :]
+        U[:, :, 0] = U[:, :, 1]
+        U[:, :, -1] = U[:, :, -2]
         return
     if traj is None:
         raise ValueError("exact-Dirichlet boundaries need the scale trajectory")
-    xg, yg = cfg.centers()
+    w = field._work
     state = traj.state_at(t)
-    ring = np.zeros_like(xg, dtype=bool)
-    ring[0, :] = ring[-1, :] = True
-    ring[:, 0] = ring[:, -1] = True
-    rho, u1, u2, _ = eval_flow_arrays(params, state, xg[ring], yg[ring])
-    field.rho[ring] = rho
-    field.m1[ring] = rho * u1
-    field.m2[ring] = rho * u2
+    rho, u1, u2, _ = eval_flow_arrays(params, state, w.xr, w.yr)
+    flat = U.reshape(3, -1)
+    flat[0, w.ring] = rho
+    flat[1, w.ring] = rho * u1
+    flat[2, w.ring] = rho * u2
 
 
 def init_from_exact(params: SolutionParams, traj: Trajectory, t0: float,
@@ -172,34 +184,46 @@ def step(field: ConservativeField, params: SolutionParams,
     Ghost cells are refreshed at the current time before the fluxes are
     formed.  Densities below the floor are clamped (and counted).  NaN or
     Inf anywhere aborts via NonFiniteState with diagnostics.
+
+    Face values are kept doubled (F_L + F_R - a (q_R - q_L)) and the 0.5 is
+    folded into dt/dx and dt/dy; scaling by a power of two is exact, so the
+    update is bitwise that of the halved face fluxes.
     """
     cfg = field.cfg
+    if field._work is None:
+        field._work = _Work(cfg)
+    w = field._work
     _fill_ghosts(field, params, traj, field.t)
-    rho, m1, m2 = field.rho, field.m1, field.m2
-    u1 = m1 / rho
-    u2 = m2 / rho
-    c = _sound_speed(rho, params)
-    smax = float(np.max(np.maximum(np.abs(u1), np.abs(u2)) + c))
+    U = field.U.reshape(3, -1)
+    rho = U[0]
+    u1, u2, p, c, ay, amax = w.u1, w.u2, w.p, w.c, w.ay, w.amax
+    np.divide(U[1], rho, out=u1)
+    np.divide(U[2], rho, out=u2)
+    np.multiply(params.K, rho ** params.gamma, out=p)
+    np.sqrt(np.multiply(params.gamma * params.K, rho ** (params.gamma - 1.0), out=c), out=c)
+    np.add(np.abs(u2, out=ay), c, out=ay)
+    ax = np.add(np.abs(u1, out=amax), c, out=c)  # the last use of c: ax takes its buffer
+    smax = float(np.maximum(ax.max(), ay.max()))
     dt = cfg.cfl * min(cfg.dx, cfg.dy) / smax
     if dt_cap is not None:
         dt = min(dt, dt_cap)
 
-    fx = _flux_x(rho, m1, m2, params)
-    fy = _flux_y(rho, m1, m2, params)
-    ax = np.abs(u1) + c
-    ay = np.abs(u2) + c
-
-    # x faces between columns i and i+1 (rows trimmed to the interior).
-    amax_x = np.maximum(ax[:-1, 1:-1], ax[1:, 1:-1])
-    flux_x = [0.5 * (f[:-1, 1:-1] + f[1:, 1:-1]) - 0.5 * amax_x * (q[1:, 1:-1] - q[:-1, 1:-1])
-              for f, q in zip(fx, (rho, m1, m2))]
-    amax_y = np.maximum(ay[1:-1, :-1], ay[1:-1, 1:])
-    flux_y = [0.5 * (f[1:-1, :-1] + f[1:-1, 1:]) - 0.5 * amax_y * (q[1:-1, 1:] - q[1:-1, :-1])
-              for f, q in zip(fy, (rho, m1, m2))]
-
-    lam_x, lam_y = dt / cfg.dx, dt / cfg.dy
-    for q, gx, gy in zip((field.rho, field.m1, field.m2), flux_x, flux_y):
-        q[1:-1, 1:-1] -= lam_x * (gx[1:, :] - gx[:-1, :]) + lam_y * (gy[:, 1:] - gy[:, :-1])
+    W, M = w.W, w.M
+    flux, res = w.flux, w.res[:, :M]
+    for d, s, u, a, h in ((1, W, u1, ax, dt / cfg.dx), (2, 1, u2, ay, dt / cfg.dy)):
+        flux[0] = U[d]
+        np.multiply(U[1:], u, out=flux[1:])
+        flux[d] += p
+        np.maximum(a[:-s], a[s:], out=amax[:-s])
+        face = w.face[:, :-s]
+        np.multiply(np.subtract(U[:, s:], U[:, :-s], out=face), amax[:-s], out=face)
+        for q in range(3):  # amax is free again: it holds each flux sum in turn
+            np.subtract(np.add(flux[q, :-s], flux[q, s:], out=amax[:-s]), face[q], out=face[q])
+        out = res if d == 1 else flux[:, :M]
+        np.subtract(face[:, W:W + M], face[:, W - s:W - s + M], out=out)
+        out *= 0.5 * h
+    res += flux[:, :M]
+    field.U[:, 1:-1, 1:-1] -= res.reshape(3, cfg.nx, W)[:, :, 1:-1]
 
     inner = field.rho[1:-1, 1:-1]
     low = inner < cfg.rho_floor
@@ -207,23 +231,31 @@ def step(field: ConservativeField, params: SolutionParams,
         field.floor_events += int(np.count_nonzero(low))
         inner[low] = cfg.rho_floor
     field.t += dt
-    if not (np.all(np.isfinite(field.rho)) and np.all(np.isfinite(field.m1))
-            and np.all(np.isfinite(field.m2))):
+    if not np.isfinite(field.U).all():
         raise NonFiniteState(f"non-finite cell state at t = {field.t}")
+    stats = field.stats
+    stats["steps"] += 1
+    stats["dt_min"], stats["dt_max"] = min(stats["dt_min"], dt), max(stats["dt_max"], dt)
+    stats["max_wave_speed"] = max(stats["max_wave_speed"], smax)
     return dt
 
 
 def run(params: SolutionParams, traj: Trajectory, cfg: FvConfig) -> ConservativeField:
-    """March from t0 to t_end; the final partial step lands exactly on t_end."""
+    """March from t0 to t_end; the final partial step lands exactly on t_end.
+    The step buffers are dropped on return, so they never outlive the run."""
     field = init_from_exact(params, traj, cfg.t0, cfg)
-    while field.t < cfg.t_end - 1e-14 * max(1.0, abs(cfg.t_end)):
-        step(field, params, traj, dt_cap=cfg.t_end - field.t)
+    try:
+        while field.t < cfg.t_end - 1e-14 * max(1.0, abs(cfg.t_end)):
+            step(field, params, traj, dt_cap=cfg.t_end - field.t)
+    finally:
+        field._work = None
     return field
 
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Per-resolution errors against the exact field, with observed orders."""
+    """Per-resolution errors against the exact field, with observed orders;
+    diagnostics maps each key of ``ConservativeField.stats`` to its values."""
 
     resolutions: tuple
     l1_rho: tuple
@@ -232,6 +264,7 @@ class ErrorReport:
     linf_mom: tuple
     orders_l1_rho: tuple
     floor_events: tuple
+    diagnostics: dict
 
     def rows(self):
         hdr = ("resolution", "l1_rho", "linf_rho", "l1_mom", "linf_mom", "order_l1_rho")
@@ -251,6 +284,7 @@ class ErrorReport:
             "linf_mom": list(self.linf_mom),
             "orders_l1_rho": list(self.orders_l1_rho),
             "floor_events": list(self.floor_events),
+            "diagnostics": {k: list(v) for k, v in self.diagnostics.items()},
         }
 
 
@@ -276,7 +310,7 @@ def run_and_compare(params: SolutionParams, traj: Trajectory, cfg: FvConfig,
         raise LadderTooShort("need at least two resolutions for an order estimate")
     if any(fine <= coarse for coarse, fine in zip(resolutions, resolutions[1:])):
         raise InvalidParams(["ResolutionsNotIncreasing"])
-    l1r, lir, l1m, lim, floors = [], [], [], [], []
+    l1r, lir, l1m, lim, floors, stats = [], [], [], [], [], []
     for n in resolutions:
         cfg_n = replace(cfg, nx=n, ny=n)
         field = run(params, traj, cfg_n)
@@ -286,6 +320,7 @@ def run_and_compare(params: SolutionParams, traj: Trajectory, cfg: FvConfig,
         l1m.append(e[2])
         lim.append(e[3])
         floors.append(field.floor_events)
+        stats.append(field.stats)
     orders = tuple(
         math.log2(l1r[k] / l1r[k + 1]) / math.log2(resolutions[k + 1] / resolutions[k])
         if l1r[k + 1] > 0 else math.inf
@@ -293,4 +328,5 @@ def run_and_compare(params: SolutionParams, traj: Trajectory, cfg: FvConfig,
     )
     return ErrorReport(resolutions=tuple(resolutions), l1_rho=tuple(l1r),
                        linf_rho=tuple(lir), l1_mom=tuple(l1m), linf_mom=tuple(lim),
-                       orders_l1_rho=orders, floor_events=tuple(floors))
+                       orders_l1_rho=orders, floor_events=tuple(floors),
+                       diagnostics={k: tuple(st[k] for st in stats) for k in stats[0]})

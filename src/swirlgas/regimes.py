@@ -45,6 +45,7 @@ from .errors import (
     DegenerateOrbit,
     InvalidParams,
     NoBracket,
+    NonPositiveTime,
     UndefinedCritical,
     ZeroRotation,
 )
@@ -402,8 +403,11 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0,
     steady   : the scale stays within 1e-9 of a0 over the horizon.
     blowup   : a collapse event occurs, inside the reported bracket if any.
 
-    Raises CertificationMismatch on disagreement; never suppresses it.
+    Raises CertificationMismatch on disagreement; never suppresses it, and
+    NonPositiveTime for a horizon that is not positive, whatever the regime.
     """
+    if not horizon > 0:
+        raise NonPositiveTime(f"certification horizon must be positive, got {horizon}")
     checks = {}
     cfg = cfg or IntegrationConfig()
     if regime.kind == "global":

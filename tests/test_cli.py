@@ -266,11 +266,40 @@ def test_invalid_params_error_payload(capsys):
     ["integrate", "--preset", "periodic-demo", "--max-step", "0"],
     ["fvbench", "--preset", "generic-smooth", "--box", "-1"],
     ["fvbench", "--preset", "generic-smooth", "--resolutions", "16,16"],
+    ["classify", "--preset", "periodic-demo", "--certify", "--horizon", "-1"],
+    ["verify", "--preset", "generic-smooth", "--tolerance", "nan"],
+    ["fvbench", "--preset", "generic-smooth", "--horizon", "inf"],
 ])
 def test_bad_values_are_domain_errors(args, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 1
     assert "error" in json.loads(err)
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reports_and_configs_are_strict_json(tmp_path, capsys):
+    # An explicit unbounded max_step is the default: it stays out of the config.
+    cfg_path = tmp_path / "cfg.json"
+    args = ["integrate", "--preset", "periodic-demo", "--format", "json"]
+    code, out, _ = run_cli(args + ["--max-step", "inf", "--emit-config", str(cfg_path)], capsys)
+    assert code == 0
+    cfg = _strict_json(cfg_path.read_text())
+    assert "max_step" not in cfg["integration"]
+    assert _strict_json(out)["config"] == cfg
+    assert run_cli(["integrate", "--config", str(cfg_path), "--format", "json"], capsys)[1] == out
+    # A zero horizon leaves both errors 0, so the order is not finite: null.
+    code, out, _ = run_cli(["fvbench", "--preset", "generic-smooth", "--horizon", "0",
+                            "--resolutions", "16,32", "--format", "json"], capsys)
+    assert code == 0
+    report = _strict_json(out)
+    assert report["orders_l1_rho"] == [None]
+    assert report["diagnostics"] == {"steps": [0, 0], "dt_min": [None, None],
+                                     "dt_max": [None, None], "max_wave_speed": [None, None]}
 
 
 @pytest.mark.parametrize("args, text, code, error", [
