@@ -29,7 +29,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -408,10 +408,8 @@ def cmd_fvbench(args, cfg):
     fv_cfg = fv.FvConfig(x_lo=-box, x_hi=box, y_lo=-box, y_hi=box,
                          cfl=bcfg["cfl"], t0=0.0, t_end=bcfg["horizon"])
     traj = integrate(params, IntegrationConfig(**cfg["integration"]))
-    report = fv.run_and_compare(params, traj, fv_cfg, resolutions)
-    if args.dump_cells:
-        finest = fv.run(params, traj, replace(fv_cfg, nx=resolutions[-1], ny=resolutions[-1]))
-        _dump_cells(args.dump_cells, finest)
+    dump = (lambda field: _dump_cells(args.dump_cells, field)) if args.dump_cells else None
+    report = fv.run_and_compare(params, traj, fv_cfg, resolutions, on_finest=dump)
     hdr, body = report.rows()
     _emit(args, payload_json={"config": cfg, **report.as_dict()},
           csv_rows=body, csv_header=hdr)
@@ -424,11 +422,11 @@ def _dump_cells(path, field):
     sl = (slice(1, -1), slice(1, -1))
     cols = [xg[sl].ravel(), yg[sl].ravel(), field.rho[sl].ravel(),
             field.m1[sl].ravel(), field.m2[sl].ravel()]
+    # Shortest round-trip reprs, joined as csv.writer would: no field needs quoting.
+    lines = map(",".join, zip(*(map(repr, col.tolist()) for col in cols)))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("x", "y", "rho", "m1", "m2"))
-        for row in zip(*cols):
-            w.writerow([_fmt(v) for v in row])
+        fh.write("x,y,rho,m1,m2\r\n")
+        fh.writelines(line + "\r\n" for line in lines)
 
 
 class Command(NamedTuple):

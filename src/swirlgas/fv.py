@@ -303,8 +303,12 @@ def _errors_vs_exact(field: ConservativeField, params, traj):
 
 
 def run_and_compare(params: SolutionParams, traj: Trajectory, cfg: FvConfig,
-                    resolutions) -> ErrorReport:
-    """Run every resolution and tabulate errors and observed L1 orders."""
+                    resolutions, on_finest=None) -> ErrorReport:
+    """Run every resolution and tabulate errors and observed L1 orders.
+
+    on_finest, when given, is called with the finest run's field; the report
+    does not keep any field.
+    """
     resolutions = [int(n) for n in resolutions]
     if len(resolutions) < 2:
         raise LadderTooShort("need at least two resolutions for an order estimate")
@@ -321,6 +325,8 @@ def run_and_compare(params: SolutionParams, traj: Trajectory, cfg: FvConfig,
         lim.append(e[3])
         floors.append(field.floor_events)
         stats.append(field.stats)
+        if on_finest is not None and n == resolutions[-1]:
+            on_finest(field)
     orders = tuple(
         math.log2(l1r[k] / l1r[k + 1]) / math.log2(resolutions[k + 1] / resolutions[k])
         if l1r[k + 1] > 0 else math.inf

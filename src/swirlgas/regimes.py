@@ -19,8 +19,10 @@ falls into exactly one branch:
       whether the orbit clears or is trapped by that barrier decides
       global vs finite-time blowup.                   ["3bI-*", "3bII-*"]
 
-``certify`` cross-checks any classification against direct integration and
-refuses to stay silent on a mismatch.
+Periods and gamma > 2 blowup times are the energy integral
+int da / sqrt(2 (E0 - F_pot(a))), taken by one quadrature.  ``certify``
+cross-checks any classification against direct integration and refuses to
+stay silent on a mismatch.
 """
 
 from __future__ import annotations
@@ -111,29 +113,28 @@ class CertificationReport:
 def a_max_critical(params: SolutionParams) -> CriticalData:
     """Barrier location and height for gamma > 2, lam < 0, xi != 0.
 
-    Near gamma = 2 the exponent 1/(2 gamma - 4) explodes and the barrier
-    scale can leave the representable range; those limits are returned as 0
-    (with an infinite barrier height) or inf (with height 0) so the decision
-    tree still applies.
+    At the barrier a*, lam a*^(4 - 2 gamma) = -xi^2, so its height is
+    F* = xi^2 (gamma - 2) / ((2 gamma - 2) a*^2), formed in log space.  Near
+    gamma = 2 the exponent 1/(2 gamma - 4) explodes and a* can leave the
+    float range; a* is then returned as 0 or inf, and F* as its limit inf or
+    0 (not the nan of inf - inf that the potential gives there), so that
+    E(0) still compares with it exactly.
     """
     if not (params.gamma > 2.0 and params.lam < 0.0 and params.xi != 0.0):
         raise UndefinedCritical(
             f"needs gamma > 2, lam < 0, xi != 0; got gamma={params.gamma}, "
             f"lam={params.lam}, xi={params.xi}"
         )
-    a_max = _stationary_scale(params)
-    if a_max == 0.0:
-        return CriticalData(a_max_scale=0.0, f_pot_at_max=math.inf)
-    if math.isinf(a_max):
-        return CriticalData(a_max_scale=math.inf, f_pot_at_max=0.0)
-    f_star = potential(a_max, params)
-    # Sanity: the barrier is a local maximum (tolerant probe; near gamma = 2
-    # the barrier is so flat the difference can sit at rounding level).
-    slack = 1e-9 * max(1.0, abs(f_star))
-    for probe in (a_max * (1.0 - 1e-3), a_max * (1.0 + 1e-3)):
-        if potential(probe, params) > f_star + slack:
-            raise UndefinedCritical("potential is not locally maximal at the critical scale")
-    return CriticalData(a_max_scale=a_max, f_pot_at_max=f_star)
+    g = params.gamma
+    log_a = _log_stationary_scale(params)
+    log_f = math.log(params.xi ** 2 * (g - 2.0) / (2.0 * g - 2.0)) - 2.0 * log_a
+    f_star = math.exp(log_f) if log_f < 709.0 else math.inf
+    return CriticalData(a_max_scale=_stationary_scale(params), f_pot_at_max=f_star)
+
+
+def _log_stationary_scale(params: SolutionParams) -> float:
+    """ln of the stationary point (-lam/xi^2)^(1/(2g-4)) of the potential (lam < 0, gamma != 2)."""
+    return math.log(-params.lam / params.xi ** 2) / (2.0 * params.gamma - 4.0)
 
 
 def _stationary_scale(params: SolutionParams) -> float | None:
@@ -144,7 +145,7 @@ def _stationary_scale(params: SolutionParams) -> float | None:
     """
     if params.lam >= 0.0 or params.xi == 0.0 or params.gamma == 2.0:
         return None
-    log_a = math.log(-params.lam / params.xi ** 2) / (2.0 * params.gamma - 4.0)
+    log_a = _log_stationary_scale(params)
     if log_a < -700.0:
         return 0.0
     if log_a > 700.0:
@@ -176,11 +177,7 @@ def turning_points(params: SolutionParams):
     if not e0 < 0.0:
         raise NoBracket(f"turning points need E(0) < 0, got {e0}")
 
-    xi2, lam, p = params.xi ** 2, params.lam, 2.0 * params.gamma - 2.0
-
-    def g(a):  # F_pot(a) - E(0) in floats: bisection takes ~50 evaluations per root
-        return 0.5 * xi2 * _fpow(a, -2.0) + lam / p * _fpow(a, -p) - e0
-
+    g = _excess(params, e0)
     a0 = params.a0
     if params.a1 != 0.0 and g(a0) < 0.0:
         anchor = a0
@@ -219,6 +216,16 @@ def turning_points(params: SolutionParams):
     return float(a_min), float(a_max)
 
 
+def _excess(params: SolutionParams, e0: float):
+    """g(a) = F_pot(a) - E(0) on floats, for the root finds: ~50 evaluations per root."""
+    xi2, lam, p = params.xi ** 2, params.lam, 2.0 * params.gamma - 2.0
+
+    def g(a):
+        return 0.5 * xi2 * _fpow(a, -2.0) + lam / p * _fpow(a, -p) - e0
+
+    return g
+
+
 def _log_bisect(g, lo, hi):
     """Root of g between 0 < lo < hi, where g changes sign, by bisection in u = ln a.
 
@@ -237,67 +244,126 @@ def _log_bisect(g, lo, hi):
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Panels per node array in _orbit_time: a fine quadrature is summed a chunk at
+# a time, so that its arrays stay at 768 floats (128 panels a chunk raised the
+# regime-sweep peak RSS by 0.4 MB).
+_PANEL_CHUNK = 32
+_MAX_PANELS = 8192
+# Blowup times: the quadrature converges to 1e-12 relative (absolute below 1),
+# and the bracket adds the integrator's share, _EVENT_BUDGET times its default
+# rel_tol scaled by max(1, t*).  Over 9,400 seeded gamma > 2 blowups the
+# integrated event lay a median 0.02 and at most 81 of those units from t*.
+_BLOWUP_QUAD_TOL = 1e-12
+_EVENT_BUDGET = 200.0
+
+
+def _orbit_time(params: SolutionParams, a_lo, a_hi, gap_lo, gap_hi, abs_tol, rel_tol=0.0):
+    """Time int da / sqrt(2 (E0 - F_pot(a))) to pass from a_lo to a_hi.
+
+    gap_lo and gap_hi are E0 - F_pot at the two ends, given exactly: 0 at a
+    turning point, a1^2/2 at the starting scale.  a_lo = 0 is a collapse
+    (gamma > 2, lam < 0), where the integrand vanishes like a^(gamma - 1).
+
+    The substitution a = a_lo + (a_hi - a_lo) sin^2(theta) removes the
+    inverse-square-root singularities at turning points.  The plain
+    difference E0 - F_pot(a) cancels to rounding noise next to a turning
+    point, so at each node the gap is taken from an end instead: the gap
+    there plus the fall of F_pot from it, formed from ln(a / a_end) with
+    expm1.  The end is a_lo on the lower half of [0, pi/2] while a <= 2 a_lo,
+    and a_hi elsewhere.  Composite 24-node Gauss-Legendre panels, summed
+    _PANEL_CHUNK at a time, double until three successive sums agree to
+    max(abs_tol, rel_tol * value).  Returns (value, error estimate, nodes).
+    """
+    width = a_hi - a_lo
+    xi2, lam, p = params.xi ** 2, params.lam, 2.0 * params.gamma - 2.0
+    ends = [(a_hi, gap_hi), (a_lo, gap_lo)] if a_lo > 0.0 else [(a_hi, gap_hi)]
+    # Per end: (a_end, gap there, xi^2/(2 a_end^2), lam/(p a_end^p)).
+    ends = np.array([(a, gap, 0.5 * xi2 * _fpow(a, -2.0), lam / p * _fpow(a, -p))
+                     for a, gap in ends])
+
+    def integral(panels):
+        h = 0.5 * math.pi / panels
+        total = 0.0
+        for k in range(0, panels, _PANEL_CHUNK):
+            mid = h * (np.arange(k, min(k + _PANEL_CHUNK, panels)) + 0.5)
+            theta = (mid[:, None] + 0.5 * h * _GAUSS_NODES).ravel()
+            s, c = np.sin(theta), np.cos(theta)
+            rise = width * s * s            # a - a_lo, and a_hi - a is width c^2
+            a = a_lo + rise
+            from_lo = (theta < 0.25 * math.pi) & (rise <= a_lo)
+            a_end, gap_end, c_xi, c_lam = ends[from_lo.astype(int)].T
+            rel = np.where(from_lo, rise, -width * c * c) / a_end
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                log_u = np.where(np.abs(rel) <= 0.5, np.log1p(rel), np.log(a / a_end))
+                gap = gap_end - c_xi * np.expm1(-2.0 * log_u) - c_lam * np.expm1(-p * log_u)
+                f = 2.0 * width * s * c / np.sqrt(2.0 * gap)
+            total += float(np.sum(f.reshape(-1, _GAUSS_NODES.size) @ _GAUSS_WEIGHTS))
+        return 0.5 * h * total
+
+    # Two successive doublings must agree: a first agreement can be chance
+    # (1 and 2 panels agree to 1.8e-13 on a fall whose 2-panel sum is 1.6e-12 off).
+    prev, err_prev, panels = integral(1), math.inf, 2
+    while True:
+        cur = integral(panels)
+        err = abs(cur - prev)
+        if max(err, err_prev) <= max(abs_tol, rel_tol * abs(cur)) or panels >= _MAX_PANELS:
+            return cur, err, panels * _GAUSS_NODES.size
+        prev, err_prev, panels = cur, err, 2 * panels
 
 
 def period_quadrature(params: SolutionParams, quad_tol: float = 1e-9) -> PeriodResult:
     """Oscillation period T = 2 * integral da / sqrt(2 (E0 - F_pot(a))).
 
-    The substitution a = a_min + (a_max - a_min) sin^2(theta) removes the
-    inverse-square-root endpoint singularities.  The transformed integrand is
-    integrated by composite 24-node Gauss-Legendre panels, doubling the panel
-    count until successive values agree to quad_tol (reported as quad_error).
+    The integral runs between the turning points, by ``_orbit_time`` to an
+    absolute tolerance quad_tol (its error estimate is reported as quad_error).
     """
     a_min, a_max = turning_points(params)
-    width = a_max - a_min
-    if width <= 1e-12 * max(a_min, 1e-300):
+    if a_max - a_min <= 1e-12 * max(a_min, 1e-300):
         raise DegenerateOrbit("orbit is a single point; report it as steady instead")
-    e0 = energy_of(params.a0, params.a1, params).E
-
-    def integral(panels):
-        edges = np.linspace(0.0, 0.5 * math.pi, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        theta = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
-        st = np.sin(theta)
-        a = a_min + width * st * st
-        pot = potential(a, params)
-        # E0 - F_pot cancels catastrophically right at the turning points;
-        # flooring at the rounding scale of the operands keeps the poisoned
-        # endpoint nodes from exploding the quadrature.
-        noise = 8.0 * np.finfo(float).eps * (abs(e0) + np.abs(pot))
-        delta = np.maximum(e0 - pot, noise)
-        g = 2.0 * width * st * np.cos(theta) / np.sqrt(2.0 * delta)
-        w = (half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
-        return 2.0 * float(np.sum(w * g))
-
-    prev = integral(1)
-    panels, nodes = 2, 24
-    err_prev = math.inf
-    while panels <= 4096:
-        cur = integral(panels)
-        nodes = panels * 24
-        err = abs(cur - prev)
-        if err <= quad_tol:
-            return PeriodResult(period=cur, quad_error=err, a_min=a_min,
-                                a_max=a_max, nodes=nodes)
-        if err >= 0.5 * err_prev:
-            # Refinement has hit the cancellation noise floor; the previous
-            # estimate is as good as this integrand evaluation permits.
-            return PeriodResult(period=prev, quad_error=err_prev, a_min=a_min,
-                                a_max=a_max, nodes=nodes // 2)
-        prev, err_prev = cur, err
-        panels *= 2
-    return PeriodResult(period=prev, quad_error=err_prev, a_min=a_min,
+    half, err, nodes = _orbit_time(params, a_min, a_max, 0.0, 0.0, 0.5 * quad_tol)
+    return PeriodResult(period=2.0 * half, quad_error=2.0 * err, a_min=a_min,
                         a_max=a_max, nodes=nodes)
 
 
-def classify(params: SolutionParams, locate_blowup: bool = False,
-             blowup_horizon: float = 100.0) -> Regime:
+def _blowup_time(params: SolutionParams, e0: float, a_barrier: float):
+    """Time t* at which a reaches 0 on a gamma > 2, lam < 0 blowup orbit, and its error.
+
+    An inward start (a1 <= 0) falls from a0 with the gap a1^2/2 there.  An
+    outward one climbs to the turning point below the barrier a_barrier and
+    falls from it.  The error is inf when that turning point is not resolved
+    in floats.
+    """
+    a0, a1 = params.a0, params.a1
+    if a1 <= 0.0:
+        t, err, _ = _orbit_time(params, 0.0, a0, None, 0.5 * a1 * a1,
+                                _BLOWUP_QUAD_TOL, _BLOWUP_QUAD_TOL)
+        return t, err
+    g = _excess(params, e0)
+    if not g(a0) < 0.0:
+        return math.nan, math.inf   # a1^2/2 is below the rounding of E(0)
+    hi = a_barrier
+    if math.isinf(hi):  # the barrier is beyond the float range, F_pot -> 0 > E(0) before it
+        hi = 2.0 * a0
+        while not g(hi) > 0.0:
+            hi *= 2.0
+    a_turn = _log_bisect(g, a0, hi)
+    up, err_up, _ = _orbit_time(params, a0, a_turn, 0.5 * a1 * a1, 0.0,
+                                _BLOWUP_QUAD_TOL, _BLOWUP_QUAD_TOL)
+    down, err_down, _ = _orbit_time(params, 0.0, a_turn, None, 0.0,
+                                    _BLOWUP_QUAD_TOL, _BLOWUP_QUAD_TOL)
+    return up + down, err_up + err_down
+
+
+def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
     """Map parameters to their long-time branch.
 
-    For gamma = 2 blowups the time comes from the closed-form quadratic.  For
-    gamma > 2 blowups a certified bracket is produced by integration only
-    when ``locate_blowup`` is set (classification itself stays symbolic).
+    Classification is symbolic: energy against the potential's shape.  For
+    gamma = 2 blowups the time comes from the closed-form quadratic.  For
+    gamma > 2 blowups, ``locate_blowup`` adds the time t* from the energy
+    quadrature (no integration) with the bracket t* +- w, where w is the
+    quadrature's error estimate plus the integrator's share,
+    _EVENT_BUDGET * rel_tol * max(1, t*) at the default rel_tol.  When the
+    quadrature cannot produce t*, blowup_time stays None and a note says why.
     """
     if params.xi == 0.0:
         raise ZeroRotation("classification requires xi != 0")
@@ -379,19 +445,18 @@ def classify(params: SolutionParams, locate_blowup: bool = False,
         if _is_steady(params):
             return Regime(kind="steady", branch=f"{branch_stub}-global", certificate=cert)
         return Regime(kind="global", branch=f"{branch_stub}-global", certificate=cert)
-    regime = Regime(kind="finite-time-blowup", branch=f"{branch_stub}-blowup",
-                    certificate=cert)
-    if locate_blowup:
-        traj = integrate(params, IntegrationConfig(t_end=blowup_horizon))
-        if traj.terminal.kind == "collapsed":
-            regime = Regime(kind=regime.kind, branch=regime.branch,
-                            blowup_time=traj.terminal.t,
-                            blowup_bracket=traj.terminal.bracket,
-                            certificate=cert)
-        else:
-            regime = Regime(kind=regime.kind, branch=regime.branch, certificate=cert,
-                            notes=(f"no collapse located within horizon {blowup_horizon}",))
-    return regime
+    branch = f"{branch_stub}-blowup"
+    if not locate_blowup:
+        return Regime(kind="finite-time-blowup", branch=branch, certificate=cert)
+    t_star, quad_err = _blowup_time(params, e0, a_max)
+    if not quad_err <= 1e-6 * max(1.0, t_star):     # false for a nan or inf as well
+        return Regime(kind="finite-time-blowup", branch=branch, certificate=cert,
+                      notes=(f"blowup time not computable: quadrature gave {t_star} "
+                             f"+- {quad_err}",))
+    cert["blowup_quad_error"] = quad_err
+    w = quad_err + _EVENT_BUDGET * IntegrationConfig.rel_tol * max(1.0, t_star)
+    return Regime(kind="finite-time-blowup", branch=branch, blowup_time=t_star,
+                  blowup_bracket=(t_star - w, t_star + w), certificate=cert)
 
 
 def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0,
@@ -401,7 +466,9 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0,
     global   : no collapse up to the horizon.
     periodic : the state returns to (a0, a1) after one period within 1e-6.
     steady   : the scale stays within 1e-9 of a0 over the horizon.
-    blowup   : a collapse event occurs, inside the reported bracket if any.
+    blowup   : a collapse event occurs, inside the reported bracket if any;
+               event_margin is its distance from the bracket centre over the
+               half-width.
 
     Raises CertificationMismatch on disagreement; never suppresses it, and
     NonPositiveTime for a horizon that is not positive, whatever the regime.
@@ -457,6 +524,7 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0,
         checks["event_time"] = traj.terminal.t
         if regime.blowup_bracket is not None:
             lo, hi = regime.blowup_bracket
+            checks["event_margin"] = abs(traj.terminal.t - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
             if not (lo <= traj.terminal.t <= hi):
                 raise CertificationMismatch(
                     regime.kind, f"event at {traj.terminal.t}",

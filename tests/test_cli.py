@@ -185,6 +185,48 @@ def test_verify3d_config_file_applies_unless_a_flag_is_given(tmp_path, capsys):
     assert json.loads(err)["error"] == "InvalidParams"
 
 
+def test_fvbench_dump_cells_reuses_the_table_run(tmp_path, capsys, monkeypatch):
+    # The dump is the finest field of the table's own runs: the default
+    # 64/128/256 table takes 209 steps with or without it.
+    from swirlgas import fv
+    steps = []
+    step = fv.step
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(fv, "step", counted)
+    code, _, _ = run_cli(["fvbench", "--preset", "generic-smooth",
+                          "--dump-cells", str(tmp_path / "cells.csv")], capsys)
+    assert code == 0
+    assert len(steps) == 209
+
+
+def test_fvbench_dump_cells_format(tmp_path, capsys):
+    # Byte for byte what csv.writer makes of the shortest round-trip reprs.
+    from swirlgas import fv
+    from swirlgas.emden import IntegrationConfig, integrate
+    cells = tmp_path / "cells.csv"
+    code, _, _ = run_cli(["fvbench", "--preset", "generic-smooth", "--resolutions", "16,32",
+                          "--horizon", "0.05", "--dump-cells", str(cells)], capsys)
+    assert code == 0
+    p = SolutionParams(gamma=1.4, K=1, xi=0.7, lam=0.9, alpha=1, a0=1, a1=0.3)
+    traj = integrate(p, IntegrationConfig(t_end=0.15))
+    field = fv.run(p, traj, fv.FvConfig(x_lo=-1.2, x_hi=1.2, y_lo=-1.2, y_hi=1.2, nx=32, ny=32,
+                                        cfl=0.4, t0=0.0, t_end=0.05))
+    xg, yg = field.cfg.centers()
+    sl = (slice(1, -1), slice(1, -1))
+    cols = [xg[sl], yg[sl], field.rho[sl], field.m1[sl], field.m2[sl]]
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(("x", "y", "rho", "m1", "m2"))
+        for row in zip(*(c.ravel() for c in cols)):
+            w.writerow([repr(float(v)) for v in row])
+    assert cells.read_bytes() == expected.read_bytes()
+
+
 def test_fvbench_small(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code, _, _ = run_cli(["fvbench", "--preset", "generic-smooth",

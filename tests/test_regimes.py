@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import swirlgas
@@ -308,6 +309,22 @@ def test_certify_blowup_event_in_bracket():
     assert abs(report.checks["event_time"] - 1.0) <= 1e-6
 
 
+def test_certify_reports_event_margins():
+    # Closed-form gamma = 2 bracket: t* = 1 +- 1e-6.
+    report = certify(P(2, 1, -2), classify(P(2, 1, -2)), horizon=5.0)
+    assert report.checks["event_margin"] == pytest.approx(
+        abs(report.checks["event_time"] - 1.0) / 1e-6, rel=1e-6)
+    # Quadrature gamma > 2 bracket: its error enters the certificate.
+    p = P(3, 1, -1, a0=0.5)
+    regime = classify(p, locate_blowup=True)
+    assert 0.0 <= regime.certificate["blowup_quad_error"] <= 1e-12
+    lo, hi = regime.blowup_bracket
+    report = certify(p, regime)
+    margin = abs(report.checks["event_time"] - regime.blowup_time) / (0.5 * (hi - lo))
+    assert report.checks["event_margin"] == pytest.approx(margin, rel=1e-6)
+    assert report.checks["event_margin"] <= 1.0
+
+
 def test_certify_steady_long_horizon():
     p = P(1.5, 1, -2, a0=0.5)
     report = certify(p, classify(p), horizon=100.0)
@@ -372,3 +389,124 @@ def test_gamma2_quadratic_sign_consistency():
         root = _first_positive_root(c2, c1, c0)
         stays_positive = root is None
         assert (r.kind in ("global", "steady")) == stays_positive
+
+
+# ----------------------------------------------------------- blowup times
+
+def quad_blowup_time(p):
+    """Oracle: t* = int da / sqrt(2 (E0 - F_pot)) by scipy's quad, with the
+    potential written out here.  Next to a turning point a_t (brentq),
+    E0 - F_pot(a) = (a_t - a) D(a) with the divided difference D of F_pot
+    formed without cancellation, and the end (a_t - a)^(-1/2) goes to quad's
+    algebraic weight."""
+    g, xi, lam, a0, a1 = p.gamma, p.xi, p.lam, p.a0, p.a1
+    q = 2 * g - 2
+
+    def f_pot(a):
+        return xi * xi / (2 * a * a) + lam / (q * a ** q)
+
+    e0 = 0.5 * a1 * a1 + f_pot(a0)
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=500)
+    if a1 < 0.0:
+        return quad(lambda a: 1.0 / math.sqrt(2.0 * (e0 - f_pot(a))), 0.0, a0, **opts)[0]
+    a_t = a0
+    if a1 > 0.0:
+        a_barrier = (-lam / (xi * xi)) ** (1.0 / (2 * g - 4))
+        a_t = brentq(lambda a: f_pot(a) - e0, a0, a_barrier, xtol=1e-300,
+                     rtol=4 * np.finfo(float).eps)
+
+    def inv_sqrt_2d(a):
+        # D = (F_pot(a_t) - F_pot(a)) / (a_t - a), term by term; D -> inf at a = 0.
+        if a == 0.0:
+            return 0.0
+        h = a_t - a
+        d_xi = -xi * xi * (a + a_t) / (2 * a * a * a_t * a_t)
+        d_lam = (-lam * a ** (-q - 1) if h == 0.0 else
+                 lam / q * a ** -q * math.expm1(-q * math.log1p(h / a)) / h)
+        return 1.0 / math.sqrt(2.0 * (d_xi + d_lam))
+
+    alg = dict(weight="alg", wvar=(0.0, -0.5), **opts)
+    fall = quad(inv_sqrt_2d, 0.0, a_t, **alg)[0]
+    return fall + (quad(inv_sqrt_2d, a0, a_t, **alg)[0] if a1 > 0.0 else 0.0)
+
+
+SLOW_COLLAPSE = P(2.107981387180343, 0.21698705944058094, -3.5644659815860513,
+                  a0=1.859449678936598, a1=0.8905861841676552)
+
+
+@pytest.mark.parametrize("p,branch", [
+    (P(3, 1, -1, a0=0.5), "3bII-blowup"),                  # inward from rest
+    (P(3, 1, -1, a0=0.5, a1=-0.7), "3bII-blowup"),         # inward
+    (P(3, 1, -1, a0=0.5, a1=2.0), "3bII-blowup"),          # outward: climbs, then falls
+    (P(2.5, 1, -1, a0=3.0, a1=-2.0), "3bI-blowup"),        # falls over the barrier
+    (P(3.7, 0.8, -4.2, a0=2.5, a1=-0.5), "3bI-blowup"),    # steep collapse
+    (SLOW_COLLAPSE, "3bII-blowup"),                        # outward, t* = 346
+])
+def test_blowup_time_matches_quad(p, branch):
+    r = classify(p, locate_blowup=True)
+    assert r.branch == branch
+    t_ref = quad_blowup_time(p)
+    assert abs(r.blowup_time - t_ref) <= 1e-10 * t_ref
+    assert r.certificate["blowup_quad_error"] <= 1e-12 * max(1.0, t_ref)
+
+
+def test_slow_collapse_located_and_certified():
+    # t* = 346 lies past the horizons of an integrating classify (100) and of
+    # certify (20); the quadrature bracket sends certify's integration past it.
+    r = classify(SLOW_COLLAPSE, locate_blowup=True)
+    assert r.blowup_time == pytest.approx(346.2407364, rel=1e-9)
+    report = certify(SLOW_COLLAPSE, r)
+    assert report.checks["terminal"] == "collapsed"
+    assert report.checks["event_margin"] <= 1.0
+
+
+def test_unresolved_blowup_time_is_a_note():
+    # a1^2/2 lies below the rounding of E0, so the turning point a hair
+    # above a0 cannot be found: no time is reported, and certify still sees
+    # the collapse.
+    p = P(3, 1, -1, a0=0.5, a1=1e-9)
+    r = classify(p, locate_blowup=True)
+    assert r.branch == "3bII-blowup"
+    assert r.blowup_time is None and r.blowup_bracket is None
+    assert r.notes and "blowup_quad_error" not in r.certificate
+    assert certify(p, r).checks["terminal"] == "collapsed"
+
+
+def test_barrier_overflow_is_global():
+    # gamma just above 2 puts the barrier at a* = 9.3e-223, where the
+    # potential overflows to inf - inf; the closed-form height is inf, so
+    # E0 is below it and the orbit bounces off the barrier.
+    p = P(2.003023981063952, -2.868815479652806, -0.37374411219798986,
+          a0=0.6811112925563371, a1=-2.533426735489858)
+    r = classify(p, locate_blowup=True)
+    assert r.certificate["a_max_scale"] == pytest.approx(9.3e-223, rel=1e-2)
+    assert r.certificate["F_pot_at_max"] == math.inf
+    assert (r.kind, r.branch) == ("global", "3bI-global")
+    assert certify(p, r).passed
+
+
+def test_blowup_sweep_events_in_bracket():
+    """Seeded gamma > 2, lam < 0 blowups over the ranges of the totality
+    sweep, none screened out: every integration that collapses does so
+    inside the quadrature bracket.  The others end in step_failure (steep
+    collapses near gamma = 4 that reach the step floor first)."""
+    rng = np.random.default_rng(2024)
+    located = step_failures = 0
+    while located < 300:
+        g, xi, lam = rng.uniform(1.01, 4.0), rng.uniform(-3, 3), rng.uniform(-5, 5)
+        p = P(g, xi, lam, a0=rng.uniform(0.05, 3.0), a1=rng.uniform(-3, 3))
+        if not (g > 2.0 and lam < 0.0 and xi != 0.0):
+            continue
+        r = classify(p, locate_blowup=True)
+        if r.kind != "finite-time-blowup":
+            continue
+        located += 1
+        assert r.blowup_time is not None, r.notes
+        try:
+            report = certify(p, r)
+        except CertificationMismatch as exc:
+            assert exc.numeric == "step_failure", str(exc)
+            step_failures += 1
+            continue
+        assert report.checks["event_margin"] <= 1.0
+    assert step_failures <= 3
