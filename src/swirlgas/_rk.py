@@ -6,8 +6,8 @@ system (d = 6).  Features the callers rely on:
 * embedded 5(4) error estimate with the classic PI controller
   (h_new = h * safety * err^-0.17 * err_prev^0.04, clipped to [0.1, 5]),
 * quartic dense output per accepted step,
-* an optional state-dependent step bound (used to creep into a collapse
-  without overshooting the singular region),
+* an optional state-dependent step bound (used to approach a collapse
+  without stepping past it),
 * components that must stay positive at every stage, checked inline (a
   step whose stages leave that region, turn non-finite or raise
   ArithmeticError is rejected and retried smaller),

@@ -290,7 +290,7 @@ def cmd_classify(args, cfg):
     if cfg["certify"]:
         rep = regimes.certify(params, regime, horizon=cfg["horizon"])
         report["certification"] = {"passed": rep.passed, "checks": rep.checks,
-                                   "horizon": rep.horizon}
+                                   "horizon": rep.horizon, "diagnostics": rep.diagnostics}
     _emit(args, payload_json=report)
     return 0
 

@@ -10,11 +10,13 @@ which the integrator monitors node by node.  For gamma = 2 the equation
 collapses to addot = (xi^2 + lam)/a^3 and a^2(t) is an exact quadratic in t;
 ``closed_form_gamma2`` provides that closed form as an independent oracle.
 
-Integration is an adaptive embedded 5(4) pair with PI step control and dense
-output.  Near a collapse (a decreasing toward zero) the step is additionally
-bounded by 0.1 a/|adot| so the singular region is approached geometrically
-instead of overshot; the collapse event a = collapse_epsilon is then located
-by bisection on the dense output.
+``integrate`` steps q = a^2 instead (Levi-Civita's regularization in one
+degree of freedom): with E held at E(0), qddot = 4 E(0) + c q^(1 - gamma),
+c = 2 lam (gamma - 2)/(gamma - 1).  The centrifugal term drops out, a bounce
+is a smooth turn of q, and for gamma = 2 q is the quadratic itself, which the
+adaptive 5(4) pair of ``_rk`` reproduces to rounding.  Trajectories report
+a = sqrt(q), adot = qdot/(2 a) and E from those, so the drift of E checks the
+q system's first integral.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class TerminalEvent:
     """How an integration ended.
 
     kind: "reached_end" | "collapsed" | "step_failure".
-    For "collapsed", t is the bisected time of a = collapse_epsilon and
+    For "collapsed", t is the bisected time of the run's stop level and
     bracket is (t_lo, t_hi) with the last step size as its width scale.
     """
 
@@ -98,9 +100,7 @@ def potential(a, params: SolutionParams):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         val = (params.xi ** 2 / (2.0 * a_arr ** 2)
                + params.lam / (two_g_minus_2 * a_arr ** two_g_minus_2))
-    if a_arr.ndim == 0:
-        return float(val)
-    return val
+    return float(val) if a_arr.ndim == 0 else val
 
 
 def energy_of(a: float, adot: float, params: SolutionParams) -> EnergySplit:
@@ -134,7 +134,7 @@ class Trajectory:
     E, F_kin, F_pot : per-node energy split
     drift : per-node |E - E(0)| / max(1, |E(0)|)
     terminal : TerminalEvent
-    nfev, naccepted, nrejected : solver counters (read-only)
+    nfev, naccepted, nrejected, diagnostics : solver counters (read-only)
     """
 
     nfev = property(lambda self: self._sol.nfev, doc="right-hand-side evaluations")
@@ -145,8 +145,8 @@ class Trajectory:
         self.params = params
         self._sol = sol
         self.ts = sol.ts
-        self.a = sol.ys[:, 0]
-        self.adot = sol.ys[:, 1]
+        self.a = np.sqrt(sol.ys[:, 0])
+        self.adot = sol.ys[:, 1] / (2.0 * self.a)
         self.hs = sol.hs
         self.terminal = terminal
         self.F_kin = 0.5 * self.adot ** 2
@@ -160,13 +160,25 @@ class Trajectory:
 
     def state_at(self, t: float) -> ScaleState:
         """Dense-output state; node times reproduce node values exactly."""
-        y = self._sol.eval_dense(t)
-        return ScaleState(t=float(t), a=float(y[0]), adot=float(y[1]))
+        q, qdot = self._sol.eval_dense(t).tolist()
+        a = math.sqrt(q)
+        return ScaleState(t=float(t), a=a, adot=qdot / (2.0 * a))
 
     def sample(self, ts):
         """Vectorized dense evaluation; returns (a, adot) arrays."""
         ys = self._sol.eval_dense(np.asarray(ts, dtype=float))
-        return ys[:, 0], ys[:, 1]
+        a, adot = ys[:, 0], ys[:, 1]
+        np.sqrt(a, out=a)       # in place: (q, qdot) -> (a, adot), no temporaries
+        adot /= a
+        adot *= 0.5             # qdot / (2 a) exactly, as in state_at
+        return a, adot
+
+    @property
+    def diagnostics(self) -> dict:
+        """Solver counters, the smallest step and how the run ended."""
+        return {"nfev": self.nfev, "naccepted": self.naccepted, "nrejected": self.nrejected,
+                "min_step": float(self.hs[1:].min(initial=math.inf)),
+                "terminal": self.terminal.kind, "message": self.terminal.message}
 
     def covers(self, t_lo: float, t_hi: float) -> bool:
         lo, hi = self.t_span
@@ -181,75 +193,48 @@ class Trajectory:
 def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig()) -> Trajectory:
     """Integrate the scale equation from (a0, a1) at t = 0 to cfg.t_end.
 
-    Under the collapse rule of ``_integrate_scales``, a fall of a to
-    cfg.collapse_epsilon ends the run with a "collapsed" terminal event.
+    The run steps (q, qdot) = (a^2, 2 a adot) under qddot = 4 E(0) + c q^(1 - gamma),
+    at _Q_TOL times cfg's tolerances.  While q falls, a step is at most q/|qdot|,
+    the time to the root of its tangent.  The run ends "collapsed" when q falls
+    to cfg.collapse_epsilon^2, or to 16 eps a0^2 if that is larger (rounding
+    lifts the double root of a 2aII collapse up to about 7 eps a0^2), or when a
+    step fails at the step floor while q falls, with 2 q/|qdot| = a/|adot|
+    bounding the time left.
     """
-    xi2, lam, expo = params.xi ** 2, params.lam, 2.0 * params.gamma - 1.0
+    a0, eps, g = params.a0, cfg.collapse_epsilon, params.gamma
+    _check_start((a0,), cfg.t_end, eps)
+    four_e0 = 4.0 * energy_of(a0, params.a1, params).E
+    c, p = 2.0 * params.lam * (g - 2.0) / (g - 1.0), 1.0 - g
+    q_stop = max(eps * eps, 16.0 * math.ulp(1.0) * a0 * a0)
+    sol = _rk.solve(lambda t, y: (y[1], four_e0 + c * _fpow(y[0], p)),
+                    0.0, (a0 * a0, 2.0 * a0 * params.a1), cfg.t_end,
+                    rtol=_Q_TOL * cfg.rel_tol, atol=_Q_TOL * cfg.abs_tol, max_step=cfg.max_step,
+                    step_bound=lambda t, y: y[0] / -y[1] if y[1] < 0.0 else None,
+                    positive=(0,), stop=lambda y: y[0] - q_stop,
+                    near_stop=lambda t, y: 2.0 * y[0] / -y[1] if y[1] < 0.0 else None)
+    return Trajectory(params, sol, _terminal(sol))
 
-    def rhs(t, y):
-        a = y[0]
-        return y[1], xi2 / _fpow(a, 3) + lam / _fpow(a, expo)
 
-    return Trajectory(params, *_integrate_scales(rhs, (params.a0,), (params.a1,), cfg.t_end, cfg))
-
-
-def _integrate_scales(rhs, a_init, adot_init, t_end, cfg: IntegrationConfig):
-    """Integrate y = (a_1..a_n, adot_1..adot_n) under the collapse rule.
-
-    The rule, shared by the 2D (n = 1) and three-axis (n = 3) systems: every
-    scale stays positive; each contracting axis moves by at most 0.1 a/|adot|
-    per step; the run stops when the smallest scale reaches
-    cfg.collapse_epsilon, or at the step floor once the smallest axis is near
-    collapse.  Returns the RkSolution and its TerminalEvent.
-    """
+def _check_start(a_init, t_end, eps):
     if not t_end > 0.0:
         raise NonPositiveTime("t_end must be positive")
-    n, eps = len(a_init), cfg.collapse_epsilon
-    if min(a_init) <= eps:
+    if not min(a_init) > eps:
         raise CollapsedState(f"a_init = {tuple(a_init)!r} is not above collapse_epsilon = {eps!r}")
-    axes = tuple(range(n))  # plain loops over a tuple: these run at every step
 
-    def step_bound(t, y):
-        bound = None
-        for k in axes:
-            if y[n + k] < 0.0:
-                creep = 0.1 * y[k] / -y[n + k]
-                if bound is None or creep < bound:
-                    bound = creep
-        return bound
 
-    def stop(y):
-        a = y[0]
-        for k in axes:
-            if y[k] < a:
-                a = y[k]
-        return a - eps
-
-    def near_stop(t, y):
-        # Deep in a collapse the derivatives exceed what double precision
-        # resolves at the smallest step near t.  Once the remaining time to
-        # a = 0 (bounded by a/|adot| while the plunge accelerates) falls below
-        # that scale, the collapse is reported with it as the bracket width.
-        k = min(axes, key=y.__getitem__)
-        a, adot = y[k], y[n + k]
-        if adot < 0.0:
-            plunge = a / -adot
-            floor = 16.0 * math.ulp(1.0) * max(abs(t), 1.0)
-            if a <= max(20.0 * eps, 1e-7) or (a <= 1e-3 and plunge <= 1e4 * floor):
-                return plunge
-        return None
-
-    sol = _rk.solve(rhs, 0.0, tuple(a_init) + tuple(adot_init), t_end,
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
-                    step_bound=step_bound, positive=axes, stop=stop, near_stop=near_stop)
+def _terminal(sol: _rk.RkSolution) -> TerminalEvent:
+    """The TerminalEvent of a run; a collapse bracket is widened by the last step on both sides."""
     if sol.status != "stopped":
-        return sol, TerminalEvent(kind=sol.status, t=float(sol.ts[-1]), message=sol.message)
-    # The collapse bracket is widened by the last step on both sides of the event.
+        return TerminalEvent(kind=sol.status, t=float(sol.ts[-1]), message=sol.message)
     h_last = float(sol.hs[-1])
     lo, hi = sol.stop_bracket
     bracket = (min(lo, sol.stop_t - h_last), max(hi, sol.stop_t + h_last))
-    return sol, TerminalEvent(kind="collapsed", t=float(sol.stop_t), bracket=bracket,
-                              message=sol.message)
+    return TerminalEvent(kind="collapsed", t=float(sol.stop_t), bracket=bracket,
+                         message=sol.message)
+
+
+# rel_tol and abs_tol bound the error of (a, adot); the run asks this share of them of (q, qdot).
+_Q_TOL = 0.3
 
 
 def _fpow(x, p):
@@ -318,6 +303,4 @@ def _first_positive_root(c2, c1, c0):
 
 def energy_drift(traj: Trajectory) -> float:
     """Worst relative energy drift across the trajectory nodes."""
-    if traj.ts.size == 0:
-        raise ValueError("empty trajectory")
     return float(np.max(traj.drift))

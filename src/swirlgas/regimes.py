@@ -104,10 +104,13 @@ class PeriodResult:
 
 @dataclass(frozen=True)
 class CertificationReport:
+    """Checks of a certified regime; diagnostics are the solver's record of its one integration."""
+
     regime: Regime
     horizon: float
     checks: dict
     passed: bool = True
+    diagnostics: dict = field(default_factory=dict)
 
 
 def a_max_critical(params: SolutionParams) -> CriticalData:
@@ -402,10 +405,9 @@ def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
         cert["xi_squared"] = xi2
         cert["neg_lam"] = neg_lam
         if xi2 > neg_lam or (xi2 == neg_lam and params.a1 >= 0.0):
-            if _is_steady(params):
-                # xi^2 = -lam with a1 = 0: the scale never moves.
-                return Regime(kind="steady", branch="2aI", certificate=cert)
-            return Regime(kind="global", branch="2aI", certificate=cert)
+            # Steady when xi^2 = -lam with a1 = 0: the scale never moves.
+            kind = "steady" if _is_steady(params) else "global"
+            return Regime(kind=kind, branch="2aI", certificate=cert)
         if xi2 == neg_lam:  # a1 < 0: a(t) = a0 + a1 t is exactly linear
             t_star = -params.a0 / params.a1
             cert["linear_root"] = t_star
@@ -442,9 +444,8 @@ def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
         branch_stub = "3bII"
         is_global = e0 >= f_star and params.a1 > 0.0
     if is_global:
-        if _is_steady(params):
-            return Regime(kind="steady", branch=f"{branch_stub}-global", certificate=cert)
-        return Regime(kind="global", branch=f"{branch_stub}-global", certificate=cert)
+        kind = "steady" if _is_steady(params) else "global"
+        return Regime(kind=kind, branch=f"{branch_stub}-global", certificate=cert)
     branch = f"{branch_stub}-blowup"
     if not locate_blowup:
         return Regime(kind="finite-time-blowup", branch=branch, certificate=cert)
@@ -470,66 +471,49 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0,
                event_margin is its distance from the bracket centre over the
                half-width.
 
-    Raises CertificationMismatch on disagreement; never suppresses it, and
-    NonPositiveTime for a horizon that is not positive, whatever the regime.
+    All of them come from one integration, whose solver record is the
+    report's diagnostics.  Raises CertificationMismatch on disagreement; never
+    suppresses it, and NonPositiveTime for a horizon that is not positive,
+    whatever the regime.
     """
     if not horizon > 0:
         raise NonPositiveTime(f"certification horizon must be positive, got {horizon}")
-    checks = {}
-    cfg = cfg or IntegrationConfig()
-    if regime.kind == "global":
-        traj = integrate(params, replace(cfg, t_end=horizon))
-        checks["terminal"] = traj.terminal.kind
-        if traj.terminal.kind != "reached_end":
-            raise CertificationMismatch(regime.kind, traj.terminal.kind,
-                                        f"classified global but integration ended with "
-                                        f"{traj.terminal.kind} at t = {traj.terminal.t}")
-    elif regime.kind == "time-periodic":
-        t_ret = regime.period
-        if t_ret is None:
-            raise InvalidParams(["Missing:period"])
-        traj = integrate(params, replace(cfg, t_end=t_ret * 1.001))
-        if traj.terminal.kind != "reached_end":
-            raise CertificationMismatch(regime.kind, traj.terminal.kind,
-                                        "classified periodic but the orbit did not survive "
-                                        "one period")
-        st = traj.state_at(t_ret)
+    if regime.kind not in KINDS:
+        raise ValueError(f"unknown regime kind {regime.kind!r}")
+    if regime.kind == "time-periodic" and regime.period is None:
+        raise InvalidParams(["Missing:period"])
+    t_end = horizon
+    if regime.kind == "time-periodic":
+        t_end = regime.period * 1.001
+    elif regime.blowup_bracket is not None:
+        t_end = max(horizon, regime.blowup_bracket[1] * 1.5)
+    traj = integrate(params, replace(cfg or IntegrationConfig(), t_end=t_end))
+    end = traj.terminal
+    checks = {"terminal": end.kind}
+    if end.kind != ("collapsed" if regime.kind == "finite-time-blowup" else "reached_end"):
+        raise CertificationMismatch(regime.kind, end.kind, f"classified {regime.kind} but "
+                                    f"integration ended with {end.kind} at t = {end.t}")
+    if regime.kind == "time-periodic":
+        st = traj.state_at(regime.period)
         dist = max(abs(st.a - params.a0), abs(st.adot - params.a1))
-        tol = 1e-6 * max(1.0, abs(params.a0), abs(params.a1))
         checks["return_distance"] = dist
-        if dist > tol:
-            raise CertificationMismatch(regime.kind, f"return distance {dist}",
-                                        f"state after one period T = {t_ret} is off by {dist}")
+        if dist > 1e-6 * max(1.0, abs(params.a0), abs(params.a1)):
+            raise CertificationMismatch(regime.kind, f"return distance {dist}", f"state after "
+                                        f"one period T = {regime.period} is off by {dist}")
     elif regime.kind == "steady":
-        traj = integrate(params, replace(cfg, t_end=horizon))
-        checks["terminal"] = traj.terminal.kind
-        if traj.terminal.kind != "reached_end":
-            raise CertificationMismatch(regime.kind, traj.terminal.kind,
-                                        "classified steady but the orbit did not survive")
         wobble = float(np.max(np.abs(traj.a - params.a0)))
         checks["max_wobble"] = wobble
         if wobble > 1e-9:
             raise CertificationMismatch(regime.kind, f"wobble {wobble}",
                                         f"classified steady but |a - a0| reached {wobble}")
     elif regime.kind == "finite-time-blowup":
-        t_hi = horizon
-        if regime.blowup_bracket is not None:
-            t_hi = max(horizon, regime.blowup_bracket[1] * 1.5)
-        traj = integrate(params, replace(cfg, t_end=t_hi))
-        checks["terminal"] = traj.terminal.kind
-        if traj.terminal.kind != "collapsed":
-            raise CertificationMismatch(regime.kind, traj.terminal.kind,
-                                        f"classified blowup but integration ended with "
-                                        f"{traj.terminal.kind} at t = {traj.terminal.t}")
-        checks["event_time"] = traj.terminal.t
+        checks["event_time"] = end.t
         if regime.blowup_bracket is not None:
             lo, hi = regime.blowup_bracket
-            checks["event_margin"] = abs(traj.terminal.t - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
-            if not (lo <= traj.terminal.t <= hi):
+            checks["event_margin"] = abs(end.t - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+            if not lo <= end.t <= hi:
                 raise CertificationMismatch(
-                    regime.kind, f"event at {traj.terminal.t}",
-                    f"collapse at t = {traj.terminal.t} outside the reported "
-                    f"bracket [{lo}, {hi}]")
-    else:
-        raise ValueError(f"unknown regime kind {regime.kind!r}")
-    return CertificationReport(regime=regime, horizon=horizon, checks=checks)
+                    regime.kind, f"event at {end.t}",
+                    f"collapse at t = {end.t} outside the reported bracket [{lo}, {hi}]")
+    return CertificationReport(regime=regime, horizon=horizon, checks=checks,
+                               diagnostics=traj.diagnostics)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emden import IntegrationConfig, Trajectory, _fpow, _integrate_scales
+from . import _rk
+from .emden import IntegrationConfig, Trajectory, _check_start, _fpow, _terminal
 from .errors import (
     GridTouchesSupportBoundary,
     InvalidParams,
@@ -495,16 +496,48 @@ def _ordered_prod3(a):
     return s[0] * s[1] * s[2]
 
 
+_AXES = (0, 1, 2)
+
+
 def integrate_scales_3d(c3: ThreeAxisParams, t_end: float,
                         cfg: IntegrationConfig = IntegrationConfig()) -> Scales3Trajectory:
-    """Integrate the coupled three-axis scale system from t = 0."""
-    g, xi3 = c3.gamma, c3.xi3
+    """Integrate the coupled three-axis scale system from t = 0.
+
+    Every scale stays positive; each contracting axis moves by at most
+    0.1 a/|adot| per step; the run stops when the smallest scale reaches
+    cfg.collapse_epsilon, or at the step floor once the smallest axis is near
+    collapse.
+    """
+    g, xi3, eps = c3.gamma, c3.xi3, cfg.collapse_epsilon
+    _check_start(c3.a_init, t_end, eps)
 
     def rhs(t, y):
         c = _fpow(_ordered_prod3(y[:3]), g - 1.0)
         return y[3], y[4], y[5], xi3 / (y[0] * c), xi3 / (y[1] * c), xi3 / (y[2] * c)
 
-    return Scales3Trajectory(c3, *_integrate_scales(rhs, c3.a_init, c3.adot_init, t_end, cfg))
+    def step_bound(t, y):
+        creeps = [0.1 * y[k] / -y[k + 3] for k in _AXES if y[k + 3] < 0.0]
+        return min(creeps) if creeps else None
+
+    def near_stop(t, y):
+        # Deep in a collapse the derivatives exceed what double precision
+        # resolves at the smallest step near t.  Once the remaining time to
+        # a = 0 (bounded by a/|adot| while the plunge accelerates) falls below
+        # that scale, the collapse is reported with it as the bracket width.
+        k = min(_AXES, key=y.__getitem__)
+        a, adot = y[k], y[k + 3]
+        if adot < 0.0:
+            plunge = a / -adot
+            floor = 16.0 * math.ulp(1.0) * max(abs(t), 1.0)
+            if a <= max(20.0 * eps, 1e-7) or (a <= 1e-3 and plunge <= 1e4 * floor):
+                return plunge
+        return None
+
+    sol = _rk.solve(rhs, 0.0, tuple(c3.a_init) + tuple(c3.adot_init), t_end,
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
+                    step_bound=step_bound, positive=_AXES, stop=lambda y: min(y[:3]) - eps,
+                    near_stop=near_stop)
+    return Scales3Trajectory(c3, sol, _terminal(sol))
 
 
 def eval_flow_3d_arrays(c3: ThreeAxisParams, a, adot, t: float, x, y, z):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +75,16 @@ def test_classify_with_certification(capsys):
     rep = json.loads(out)
     assert rep["certification"]["passed"] is True
     assert abs(rep["certification"]["checks"]["event_time"] - 1.0) <= 1e-6
+
+
+def test_classify_certify_reports_diagnostics(capsys):
+    code, out, _ = run_cli(["classify", "--preset", "periodic-demo", "--certify"], capsys)
+    assert code == 0
+    diag = json.loads(out)["certification"]["diagnostics"]
+    assert set(diag) == {"nfev", "naccepted", "nrejected", "min_step", "terminal", "message"}
+    assert diag["terminal"] == "reached_end" and diag["naccepted"] > 0
+    assert diag["nfev"] == 2 + 6 * (diag["naccepted"] + diag["nrejected"])
+    assert 0.0 < diag["min_step"] < math.inf
 
 
 def test_period_report(capsys):

@@ -21,6 +21,7 @@ from swirlgas import (
     integrate_scales_3d,
 )
 from swirlgas import _rk
+from swirlgas.emden import _first_positive_root
 
 
 def P(gamma, xi, lam, a0=1.0, a1=0.0, K=1.0, alpha=1.0):
@@ -186,6 +187,53 @@ def test_collapse_monotonicity():
     assert going_down.size > 0
     k0 = going_down[0]
     assert np.all(np.diff(traj.a[k0:]) < 0)
+
+
+def test_gamma2_dip_through_zero_ends_at_the_closed_form_root():
+    # E0 > 0 and a1 < 0 with xi^2 < -lam: q = a^2 is convex and falls through
+    # a simple root.  A step longer than the time to its tangent's root could
+    # end beyond the dip, where q is positive again.
+    rng = np.random.default_rng(11)
+    tested = 0
+    while tested < 50:
+        p = P(2, rng.uniform(-3, 3), rng.uniform(-5, 5), a0=rng.uniform(0.05, 3.0),
+              a1=rng.uniform(-3, 0))
+        c0, c1, c2 = gamma2_scale_squared_coeffs(p)
+        if not (p.xi ** 2 < -p.lam and c2 > 0.0):
+            continue
+        tested += 1
+        t_star = _first_positive_root(c2, c1, c0)
+        traj = integrate(p, IntegrationConfig(t_end=2.0 * t_star + 1.0))
+        assert traj.terminal.kind == "collapsed"
+        assert abs(traj.terminal.t - t_star) <= 1e-10 * max(1.0, t_star)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12, 3e-13, 1e-13])
+def test_linear_collapse_double_root_ends_collapsed(tol):
+    # 2aII: q = (1 - 0.001 t)^2 touches zero at t = 1000.  Rounding lifts or
+    # lowers that double root by a few eps, more than collapse_epsilon^2.
+    traj = integrate(P(2, 1, -1, a1=-0.001),
+                     IntegrationConfig(rel_tol=tol, abs_tol=tol, t_end=3000.0))
+    assert traj.terminal.kind == "collapsed"
+    # The stop level is q = 16 eps a0^2, a = 6e-8, which is 6e-5 before the root.
+    assert 0.0 < 1000.0 - traj.terminal.t <= 1e-4
+
+
+def test_gamma2_global_orbit_takes_few_steps():
+    # In q the gamma = 2 equation is qddot = 4 E0: the 5(4) pair is exact
+    # on it, and the steps grow at the controller's largest factor.
+    traj = integrate(P(2, 1, -0.5, a1=0.3), IntegrationConfig(t_end=20.0))
+    assert traj.terminal.kind == "reached_end"
+    assert traj.naccepted <= 20
+
+
+def test_trajectory_diagnostics():
+    traj = integrate(P(2, 1, -2), IntegrationConfig(t_end=2.0))
+    d = traj.diagnostics
+    assert set(d) == {"nfev", "naccepted", "nrejected", "min_step", "terminal", "message"}
+    assert (d["nfev"], d["naccepted"], d["nrejected"]) == (traj.nfev, traj.naccepted,
+                                                           traj.nrejected)
+    assert d["min_step"] == float(np.min(traj.hs[1:])) and d["terminal"] == "collapsed"
 
 
 def test_integration_continues_where_a_force_power_passes_the_float_range():

@@ -325,6 +325,35 @@ def test_certify_reports_event_margins():
     assert report.checks["event_margin"] <= 1.0
 
 
+# Cases on which the integration in a (not q = a^2) failed certify, as
+# (gamma, xi, lam, a0, a1): the three regime-sweep faults and a periodic
+# orbit with a_max / a_min = 40.
+MENDED_BY_Q = {
+    # a_min = 3.08e-5: the return missed by 4.0e-3.
+    "deep-bounce": ((1.857604934988552, 0.4110078078837296, -2.791294969427409,
+                     0.8170976717480969, -0.724354448302734), "time-periodic"),
+    # a_max / a_min = 216, T = 1245: the return missed by 1.3e-6.
+    "wide-orbit": ((1.1081704393536216, 1.7869396909645534, -0.5339627048259352,
+                    1.1650893995745153, 0.9324657086172001), "time-periodic"),
+    # gamma = 3.88: the step floor was reached at a = 1.02e-3, a step failure.
+    "steep-collapse": ((3.8819809951524586, -0.3459854551904975, -1.723173265514836,
+                        2.478008649030398, -0.13936775499563137), "finite-time-blowup"),
+    # T = 8.66: the return missed by 2.06e-6.
+    "width-40": ((1.339644808248847, -0.616442057637931, -2.976491689815568,
+                  0.10584312751662779, 1.7220328902561803), "time-periodic"),
+}
+
+
+@pytest.mark.parametrize("case,kind", MENDED_BY_Q.values(), ids=MENDED_BY_Q)
+def test_classify_and_certify_agree_on_mended_faults(case, kind):
+    g, xi, lam, a0, a1 = case
+    p = P(g, xi, lam, a0=a0, a1=a1)
+    regime = classify(p, locate_blowup=True)
+    assert regime.kind == kind
+    report = certify(p, regime)
+    assert report.passed and report.diagnostics["terminal"] == report.checks["terminal"]
+
+
 def test_certify_steady_long_horizon():
     p = P(1.5, 1, -2, a0=0.5)
     report = certify(p, classify(p), horizon=100.0)
@@ -487,9 +516,9 @@ def test_barrier_overflow_is_global():
 
 def test_blowup_sweep_events_in_bracket():
     """Seeded gamma > 2, lam < 0 blowups over the ranges of the totality
-    sweep, none screened out: every integration that collapses does so
-    inside the quadrature bracket.  The others end in step_failure (steep
-    collapses near gamma = 4 that reach the step floor first)."""
+    sweep, none screened out: every integration collapses, inside the
+    quadrature bracket.  None ends in step_failure (steep collapses near
+    gamma = 4 used to reach the step floor first)."""
     rng = np.random.default_rng(2024)
     located = step_failures = 0
     while located < 300:
@@ -509,4 +538,4 @@ def test_blowup_sweep_events_in_bracket():
             step_failures += 1
             continue
         assert report.checks["event_margin"] <= 1.0
-    assert step_failures <= 3
+    assert step_failures == 0
