@@ -183,9 +183,7 @@ def _resolve(args) -> dict:
 
 def _fmt(v):
     """Full-precision scalar formatting (shortest round-trip repr)."""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
 def _emit(args, payload_json=None, csv_rows=None, csv_header=None):

@@ -171,10 +171,7 @@ def _summarize(residual, terms, coords, payloads):
     noise, and without the floor the normalization would divide noise by
     noise instead of reporting a machine-zero residual.
     """
-    scale = max(float(np.max(np.abs(t))) for t in terms)
-    for q in payloads:
-        scale = max(scale, float(np.max(np.abs(q))))
-    scale = max(scale, 1e-300)
+    scale = max([float(np.max(np.abs(v))) for v in (*terms, *payloads)] + [1e-300])
     normal = np.abs(residual) / scale
     k = int(np.argmax(normal))
     return {
@@ -373,8 +370,7 @@ def mass_residual_generic_g(fieldspec: GenericRotationField, t: float,
 
 def laplacian_fd(velocity, x, y, h: float):
     """5-point finite-difference vector Laplacian of velocity(x, y) -> (u1, u2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     c1, c2 = velocity(x, y)
     terms = [velocity(x + h, y), velocity(x - h, y), velocity(x, y + h), velocity(x, y - h)]
     lap1 = (sum(tt[0] for tt in terms) - 4.0 * c1) / (h * h)
@@ -453,9 +449,7 @@ class ThreeAxisParams:
 
     def support_s_bound(self) -> float:
         d = self.xi3 * (self.gamma - 1.0)
-        if d <= 0.0:
-            return math.inf
-        return 2.0 * self.K * self.gamma * self.alpha3 / d
+        return 2.0 * self.K * self.gamma * self.alpha3 / d if d > 0.0 else math.inf
 
 
 class Scales3Trajectory:
