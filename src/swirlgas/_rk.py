@@ -22,6 +22,15 @@ bitwise invariant under permutations of the components.  Accepted steps fill
 flat array('d') buffers with t, h, y and the seven stage derivatives; nodes
 and dense-output coefficients are built once at the end, by one matmul with
 _P.  No stage sum goes through BLAS gemv, so nodes don't depend on its kernel.
+
+There are two trial steps, chosen by the size of the state.  A 2-component
+state (the scale equation) takes _trial2, which holds each stage in two named
+floats: most of the generic step's cost is the interpreter's work on lists,
+zips and per-stage checks, not the arithmetic.  Every other size takes the
+generic _trial, the only step of the three-axis system (d = 6), and the
+reference that _trial2 is tested against: each component is computed by the
+same expression in the same order, so both steps give bitwise the same
+nodes, stages and error norms.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from math import isfinite
 
 import numpy as np
 
@@ -190,6 +200,59 @@ def _trial(f, positive, t, y, k1, h):
     return y7, err, (k1, k2, k3, k4, k5, k6, k7)
 
 
+def _trial2(f, pos0, pos1, rtol, atol, t, y, k1, h):
+    """_trial written out for a 2-component state: (y_new, err, k7, record).
+
+    Each stage component is _trial's expression for it, checked in _check's
+    order (finite, then pos0 / pos1: component 0 / 1 must stay > 0), so
+    y_new and the stages are bitwise _trial's.  err is the error norm, which
+    for two terms equals _error_norm's sorted sum bitwise; k7 is f's value
+    at the new point and record the seven stages flat, by component.
+    """
+    v0, v1 = y
+    a0, a1 = k1
+    u0 = v0 + h * (_A21 * a0)
+    u1 = v1 + h * (_A21 * a1)
+    if not (isfinite(u0) and isfinite(u1)) or (pos0 and not u0 > 0.0) or (pos1 and not u1 > 0.0):
+        raise _StageRejected
+    b0, b1 = f(t + _C2 * h, [u0, u1])
+    u0 = v0 + h * (_A31 * a0 + _A32 * b0)
+    u1 = v1 + h * (_A31 * a1 + _A32 * b1)
+    if not (isfinite(u0) and isfinite(u1)) or (pos0 and not u0 > 0.0) or (pos1 and not u1 > 0.0):
+        raise _StageRejected
+    c0, c1 = f(t + _C3 * h, [u0, u1])
+    u0 = v0 + h * (_A41 * a0 + _A42 * b0 + _A43 * c0)
+    u1 = v1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1)
+    if not (isfinite(u0) and isfinite(u1)) or (pos0 and not u0 > 0.0) or (pos1 and not u1 > 0.0):
+        raise _StageRejected
+    e0, e1 = f(t + _C4 * h, [u0, u1])
+    u0 = v0 + h * (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * e0)
+    u1 = v1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * e1)
+    if not (isfinite(u0) and isfinite(u1)) or (pos0 and not u0 > 0.0) or (pos1 and not u1 > 0.0):
+        raise _StageRejected
+    g0, g1 = f(t + _C5 * h, [u0, u1])
+    u0 = v0 + h * (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * e0 + _A65 * g0)
+    u1 = v1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * e1 + _A65 * g1)
+    if not (isfinite(u0) and isfinite(u1)) or (pos0 and not u0 > 0.0) or (pos1 and not u1 > 0.0):
+        raise _StageRejected
+    m0, m1 = f(t + h, [u0, u1])
+    w0 = v0 + h * (_A71 * a0 + _A73 * c0 + _A74 * e0 + _A75 * g0 + _A76 * m0)
+    w1 = v1 + h * (_A71 * a1 + _A73 * c1 + _A74 * e1 + _A75 * g1 + _A76 * m1)
+    if not (isfinite(w0) and isfinite(w1)) or (pos0 and not w0 > 0.0) or (pos1 and not w1 > 0.0):
+        raise _StageRejected
+    y7 = [w0, w1]
+    k7 = f(t + h, y7)
+    n0, n1 = k7
+    if not (isfinite(n0) and isfinite(n1)):
+        raise _StageRejected
+    x0 = (h * (_E1 * a0 + _E3 * c0 + _E4 * e0 + _E5 * g0 + _E6 * m0 + _E7 * n0)
+          / (atol + rtol * max(abs(v0), abs(w0))))
+    x1 = (h * (_E1 * a1 + _E3 * c1 + _E4 * e1 + _E5 * g1 + _E6 * m1 + _E7 * n1)
+          / (atol + rtol * max(abs(v1), abs(w1))))
+    return (y7, math.sqrt((x0 * x0 + x1 * x1) / 2), k7,
+            (a0, b0, c0, e0, g0, m0, n0, a1, b1, c1, e1, g1, m1, n1))
+
+
 def _initial_step(f, t0, y0, f0, rtol, atol, max_step, positive):
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
@@ -242,6 +305,8 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     status, message = "reached_end", ""
     stop_t = stop_bracket = crossing = None
 
+    floor_ulps = 16.0 * math.ulp(1.0)
+    pos0, pos1 = 0 in positive, 1 in positive
     steps = 0
     while t < t_end:
         if steps >= max_steps:
@@ -249,7 +314,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
             break
         steps += 1
 
-        h_floor = 16.0 * math.ulp(1.0) * max(abs(t), 1.0)
+        h_floor = floor_ulps * max(abs(t), 1.0)
         h = min(h, max_step, t_end - t)
         if step_bound is not None:
             b = step_bound(t, y)
@@ -260,8 +325,12 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
 
         nfev += 6
         try:
-            y_new, est, stages = _trial(f, positive, t, y, f_curr, h)
-            err = _error_norm(est, y, y_new, rtol, atol)
+            if d == 2:
+                y_new, err, f_new, record = _trial2(f, pos0, pos1, rtol, atol, t, y, f_curr, h)
+            else:
+                y_new, est, stages = _trial(f, positive, t, y, f_curr, h)
+                err = _error_norm(est, y, y_new, rtol, atol)
+                f_new, record = stages[6], chain.from_iterable(zip(*stages))
         except (_StageRejected, ArithmeticError):   # e.g. dividing by an underflowed power
             err = None
 
@@ -287,7 +356,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
         t_buf.append(t_new)
         h_buf.append(h)
         y_buf.extend(y_new)
-        k_buf.extend(chain.from_iterable(zip(*stages)))   # (d, 7) per step
+        k_buf.extend(record)   # (d, 7) per step
         naccepted += 1
 
         factor = _SAFETY * err ** -_PI_ALPHA * err_prev ** _PI_BETA if err > 0 else _MAX_FACTOR
@@ -297,7 +366,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
         if stop is not None and stop(y_new) <= 0.0:
             status, crossing = "stopped", (t, t_new)
             break
-        t, y, f_curr = t_new, y_new, stages[6]
+        t, y, f_curr = t_new, y_new, f_new
 
     sol = RkSolution(
         ts=np.frombuffer(t_buf), hs=np.frombuffer(h_buf), ys=np.frombuffer(y_buf).reshape(-1, d),

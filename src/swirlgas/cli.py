@@ -304,6 +304,8 @@ def cmd_period(args, cfg):
 def cmd_verify(args, cfg):
     params = SolutionParams(**cfg["params"])
     time_at, mu, tolerance = cfg["time"], cfg["mu"], cfg["tolerance"]
+    if not tolerance > 0.0:
+        raise InvalidParams(["NonPositive:tolerance"])
     grid = residuals.GridSpec(kind="annulus", **cfg["grid"])
     traj = integrate(params, IntegrationConfig(**cfg["integration"]))
     report = {"config": cfg}
@@ -376,6 +378,8 @@ def cmd_verify(args, cfg):
 
 def cmd_verify3d(args, cfg):
     mode, tol, h = (cfg["verify3d"][k] for k in ("mode", "tolerance", "h"))
+    if not tol > 0.0:
+        raise InvalidParams(["NonPositive:verify3d.tolerance"])
     report = {"config": cfg, "cases": {}}
     all_pass = True
     for name in THREE_AXIS_CASES if mode == "all" else (mode,):

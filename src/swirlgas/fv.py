@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emden import Trajectory
-from .errors import BoxOutsideSupport, InvalidParams, LadderTooShort, NonFiniteState
+from .errors import (BoxOutsideSupport, InvalidParams, LadderTooShort, NonFiniteState,
+                     NonPositiveTime)
 from .fields import SolutionParams, eval_flow_arrays, support_s_bound
 
 __all__ = ["FvConfig", "ConservativeField", "ErrorReport", "init_from_exact",
@@ -306,14 +307,17 @@ def run_and_compare(params: SolutionParams, traj: Trajectory, cfg: FvConfig,
                     resolutions, on_finest=None) -> ErrorReport:
     """Run every resolution and tabulate errors and observed L1 orders.
 
-    on_finest, when given, is called with the finest run's field; the report
-    does not keep any field.
+    The horizon cfg.t_end - cfg.t0 must be positive: at zero every error
+    vanishes and no order can be observed.  on_finest, when given, is called
+    with the finest run's field; the report does not keep any field.
     """
     resolutions = [int(n) for n in resolutions]
     if len(resolutions) < 2:
         raise LadderTooShort("need at least two resolutions for an order estimate")
     if any(fine <= coarse for coarse, fine in zip(resolutions, resolutions[1:])):
         raise InvalidParams(["ResolutionsNotIncreasing"])
+    if not cfg.t_end > cfg.t0:
+        raise NonPositiveTime(f"the horizon t_end - t0 = {cfg.t_end - cfg.t0!r} must be positive")
     l1r, lir, l1m, lim, floors, stats = [], [], [], [], [], []
     for n in resolutions:
         cfg_n = replace(cfg, nx=n, ny=n)

@@ -458,7 +458,8 @@ class Scales3Trajectory:
     The first integral monitored here,
         H = sum_i adot_i^2 / 2 + xi3 / ((gamma-1) (a1 a2 a3)^(gamma-1)),
     follows from multiplying each scale equation by adot_i and summing; it is
-    validated numerically by the test suite before being trusted.
+    validated numerically by the test suite before being trusted.  The
+    solver counters and diagnostics are those of Trajectory.
     """
 
     def __init__(self, c3: ThreeAxisParams, sol, terminal):
@@ -467,6 +468,7 @@ class Scales3Trajectory:
         self.ts = sol.ts
         self.a = sol.ys[:, :3]
         self.adot = sol.ys[:, 3:]
+        self.hs = sol.hs
         self.terminal = terminal
         g = c3.gamma
         prod = np.prod(np.sort(self.a, axis=1), axis=1)
@@ -477,6 +479,7 @@ class Scales3Trajectory:
     t_span = Trajectory.t_span
     covers = Trajectory.covers
     nfev, naccepted, nrejected = Trajectory.nfev, Trajectory.naccepted, Trajectory.nrejected
+    diagnostics = Trajectory.diagnostics
 
     def state_at(self, t: float):
         """(a[3], adot[3]) arrays from dense output."""
@@ -584,8 +587,11 @@ def euler_residual_3d(c3: ThreeAxisParams, scales: Scales3Trajectory, t: float,
 
     The report never presumes the family exact: with a tolerance given, the
     verdict states PASS (consistent at that tolerance) or FAIL with the
-    offending equation and sample location.
+    offending equation and sample location.  A given tolerance must be
+    positive.
     """
+    if tolerance is not None and not tolerance > 0.0:
+        raise InvalidParams(["NonPositive:tolerance"])
     h, h_t = grid.h, grid.h_t
     if not scales.covers(t - h_t, t + h_t):
         raise TrajectoryTooShort(f"need [{t - h_t}, {t + h_t}] inside {scales.t_span}")

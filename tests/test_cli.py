@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from swirlgas import cli
 from swirlgas.cli import main
 from swirlgas.fields import SolutionParams, ScaleState, eval_flow_arrays
 
@@ -329,6 +330,29 @@ def test_bad_values_are_domain_errors(args, capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("args, violation", [
+    (["verify", "--preset", "generic-smooth", "--tolerance", "0"], "NonPositive:tolerance"),
+    (["verify", "--preset", "generic-smooth", "--tolerance", "-1"], "NonPositive:tolerance"),
+    (["verify3d", "--tolerance", "-1"], "NonPositive:verify3d.tolerance"),
+])
+def test_non_positive_tolerance_is_rejected_before_any_work(args, violation, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("integrated before the tolerance was checked")
+    monkeypatch.setattr(cli, "integrate", no_work)
+    monkeypatch.setattr(cli.residuals, "integrate_scales_3d", no_work)
+    code, _, err = run_cli(args, capsys)
+    assert code == 1
+    assert json.loads(err) == {"error": "InvalidParams", "message": violation,
+                               "violations": [violation]}
+
+
+@pytest.mark.parametrize("horizon", ["0", "-0.1"])
+def test_non_positive_fv_horizon_is_rejected(horizon, capsys):
+    code, _, err = run_cli(["fvbench", "--preset", "generic-smooth", "--horizon", horizon], capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "NonPositiveTime"
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"{name} is not strict JSON")
@@ -345,14 +369,15 @@ def test_reports_and_configs_are_strict_json(tmp_path, capsys):
     assert "max_step" not in cfg["integration"]
     assert _strict_json(out)["config"] == cfg
     assert run_cli(["integrate", "--config", str(cfg_path), "--format", "json"], capsys)[1] == out
-    # A zero horizon leaves both errors 0, so the order is not finite: null.
-    code, out, _ = run_cli(["fvbench", "--preset", "generic-smooth", "--horizon", "0",
+    # A static state is stepped exactly, so both errors are 0 and the order
+    # is not finite: null.
+    code, out, _ = run_cli(["fvbench", "--gamma", "1.4", "--K", "1", "--xi", "0", "--lam", "0",
+                            "--alpha", "1", "--a0", "1", "--a1", "0", "--horizon", "0.05",
                             "--resolutions", "16,32", "--format", "json"], capsys)
     assert code == 0
     report = _strict_json(out)
+    assert report["l1_rho"] == [0.0, 0.0]
     assert report["orders_l1_rho"] == [None]
-    assert report["diagnostics"] == {"steps": [0, 0], "dt_min": [None, None],
-                                     "dt_max": [None, None], "max_wave_speed": [None, None]}
 
 
 @pytest.mark.parametrize("args, text, code, error", [

@@ -1,6 +1,7 @@
 """Scale-factor dynamics: right-hand side, energy, integration, oracles."""
 
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -381,6 +382,87 @@ def test_first_step_matches_a_numpy_reference(f, y0):
     _, err, stages = _rk._trial(f, None, 0.0, list(y0), list(K[0]), h)
     assert np.max(np.abs(np.array(stages) - K)) <= 1e-14 * np.max(np.abs(K))
     assert np.max(np.abs(np.array(err) - err_ref)) <= 1e-14 * h * np.max(np.abs(K))
+    if y0.size == 2:
+        _, _, _, record = _rk._trial2(f, False, False, 1e-8, 1e-8, 0.0, list(y0), list(K[0]), h)
+        stages = np.array(record).reshape(2, 7).T
+        assert np.max(np.abs(stages - K)) <= 1e-14 * np.max(np.abs(K))
+
+
+def _generic_step(f, pos0, pos1, rtol, atol, t, y, k1, h):
+    """The generic _trial, its error norm and stage record, in _trial2's form."""
+    positive = [k for k, on in enumerate((pos0, pos1)) if on]
+    y_new, est, stages = _rk._trial(f, positive, t, y, k1, h)
+    return (y_new, _rk._error_norm(est, y, y_new, rtol, atol), stages[6],
+            tuple(chain.from_iterable(zip(*stages))))
+
+
+def _outcome(step, f, positive, y, h):
+    """One trial step from t = 0 as bytes, or how it was rejected."""
+    try:
+        y_new, err, k7, record = step(f, 0 in positive, 1 in positive, 1e-8, 1e-8,
+                                      0.0, list(y), list(f(0.0, y)), h)
+    except _rk._StageRejected:
+        return "rejected"
+    except ArithmeticError as exc:
+        return type(exc)
+    return np.array([*y_new, err, *k7, *record]).tobytes()
+
+
+def _pendulum(t, y):
+    return y[1], -math.sin(y[0]) + 0.3 * t
+
+
+def _inf_at_the_new_point(y, h):
+    """_pendulum, but infinite at the endpoint of the step of size h from y."""
+    y_new = _rk._trial(_pendulum, (), 0.0, list(y), list(_pendulum(0.0, y)), h)[0]
+    return lambda t, u: (u[1], math.inf) if list(u) == y_new else _pendulum(t, u)
+
+
+def _raises_past(t_bad):
+    def f(t, y):
+        if t > t_bad:
+            raise ZeroDivisionError
+        return y[1], -y[0]
+    return f
+
+
+@pytest.mark.parametrize("f, y, h, expected", [
+    (_pendulum, (0.7, -0.2), 0.1, "accepted"),
+    (_inf_at_the_new_point((0.7, -0.2), 0.1), (0.7, -0.2), 0.1, "rejected"),
+    (lambda t, y: (y[1], math.inf if t > 0.0 else 1.0), (1.0, 0.5), 0.1, "rejected"),
+    (lambda t, y: (y[1], -y[0] * 1e306), (10.0, 0.0), 100.0, "rejected"),
+    (lambda t, y: (y[1], 0.0), (0.01, -1.0), 0.5, "not positive"),
+    (_raises_past(0.05), (1.0, 0.0), 0.1, ZeroDivisionError),
+], ids=["accepted", "inf-at-the-new-point", "inf-stage", "overflow", "non-positive",
+        "arithmetic-error"])
+@pytest.mark.parametrize("positive", [(), (0,)])
+def test_two_component_step_is_bitwise_the_generic_step(f, y, h, expected, positive):
+    out = _outcome(_rk._trial2, f, positive, y, h)
+    assert out == _outcome(_generic_step, f, positive, y, h)
+    if expected == "not positive":
+        expected = "rejected" if positive else "accepted"
+    if expected == "accepted":
+        assert isinstance(out, bytes)
+    else:
+        assert out == expected
+
+
+@pytest.mark.parametrize("p, t_end, message", [
+    (P(1.5, 1, -2), 30.0, ""),
+    (P(3, 1, -2), 20.0, "step floor reached inside the stop neighborhood"),
+    (P(2, 1, -1, a1=-0.001), 3000.0, ""),
+], ids=["periodic", "collapse-at-the-step-floor", "2aII-touch"])
+def test_solve_is_bitwise_the_same_through_either_step(p, t_end, message, monkeypatch):
+    cfg = IntegrationConfig(t_end=t_end)
+    written_out = integrate(p, cfg)._sol
+    monkeypatch.setattr(_rk, "_trial2", _generic_step)
+    generic = integrate(p, cfg)._sol
+    assert written_out.message == message
+    for name in ("ts", "ys", "hs", "dense_q"):
+        assert getattr(written_out, name).tobytes() == getattr(generic, name).tobytes()
+    for name in ("status", "stop_t", "stop_bracket", "message", "nfev", "naccepted",
+                 "nrejected"):
+        assert getattr(written_out, name) == getattr(generic, name)
 
 
 def test_trajectory_exposes_solver_counters():

@@ -10,6 +10,7 @@ from swirlgas import (
     FvConfig,
     IntegrationConfig,
     NonFiniteState,
+    NonPositiveTime,
     SolutionParams,
     init_from_exact,
     run_and_compare,
@@ -19,7 +20,7 @@ from swirlgas import (
 )
 from swirlgas.emden import Trajectory
 from swirlgas.fields import eval_flow_arrays, zhang_zheng_arrays
-from swirlgas.fv import run
+from swirlgas.fv import _errors_vs_exact, run
 
 GENERIC = SolutionParams(gamma=1.4, K=1, xi=0.7, lam=0.9, alpha=1, a0=1, a1=0.3)
 STATIC = SolutionParams(gamma=1.4, K=1, xi=0.0, lam=0.0, alpha=1, a0=1, a1=0)
@@ -140,10 +141,19 @@ def test_sod_tube_monotone_positive():
 
 
 def test_zero_horizon_errors_vanish(generic_traj):
-    cfg = FvConfig(x_lo=-1, x_hi=1, y_lo=-1, y_hi=1, t0=0.0, t_end=0.0)
-    report = run_and_compare(GENERIC, generic_traj, cfg, [16, 32])
-    assert report.l1_rho == (0.0, 0.0)
-    assert report.linf_rho == (0.0, 0.0)
+    # A run to its start time is the initial field, the exact one at the centres.
+    for n in (16, 32):
+        cfg = FvConfig(x_lo=-1, x_hi=1, y_lo=-1, y_hi=1, nx=n, ny=n, t0=0.0, t_end=0.0)
+        field = run(GENERIC, generic_traj, cfg)
+        assert _errors_vs_exact(field, GENERIC, generic_traj)[:2] == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("t_end", [0.0, -0.1])
+def test_non_positive_horizon_is_rejected(generic_traj, t_end):
+    # At a zero horizon every error vanishes, so no order can be observed.
+    cfg = FvConfig(x_lo=-1, x_hi=1, y_lo=-1, y_hi=1, t0=0.0, t_end=t_end)
+    with pytest.raises(NonPositiveTime):
+        run_and_compare(GENERIC, generic_traj, cfg, [16, 32])
 
 
 def test_convergence_orders(generic_traj):

@@ -294,6 +294,26 @@ def test_3d_integration_needs_a_positive_t_end_like_2d():
         integrate_scales_3d(ThreeAxisParams(gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0), 0.0)
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0])
+def test_3d_residual_rejects_a_non_positive_tolerance(tolerance):
+    c3 = ThreeAxisParams(gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0)
+    sc = integrate_scales_3d(c3, 1.0)
+    with pytest.raises(InvalidParams) as exc:
+        euler_residual_3d(c3, sc, 0.5, Grid3Spec(half_width=0.4, n=7, h=1e-3, h_t=5e-4),
+                          tolerance=tolerance)
+    assert exc.value.violations == ["NonPositive:tolerance"]
+
+
+def test_3d_trajectory_diagnostics_have_the_2d_keys():
+    traj = integrate(GENERIC, IntegrationConfig(t_end=1.0))
+    sc = integrate_scales_3d(ThreeAxisParams(gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0), 1.0)
+    d = sc.diagnostics
+    assert set(d) == set(traj.diagnostics) == {"nfev", "naccepted", "nrejected", "min_step",
+                                               "terminal", "message"}
+    assert (d["nfev"], d["naccepted"], d["nrejected"]) == (sc.nfev, sc.naccepted, sc.nrejected)
+    assert d["min_step"] == float(np.min(sc._sol.hs[1:])) and d["terminal"] == "reached_end"
+
+
 def test_3d_params_validation():
     with pytest.raises(InvalidParams):
         ThreeAxisParams(gamma=1.0, K=1.0, xi3=1.0, alpha3=1.0)
