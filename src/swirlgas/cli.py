@@ -409,6 +409,7 @@ def cmd_fvbench(args, cfg):
     box, resolutions = bcfg["box_half_width"], bcfg["resolutions"]
     fv_cfg = fv.FvConfig(x_lo=-box, x_hi=box, y_lo=-box, y_hi=box,
                          cfl=bcfg["cfl"], t0=0.0, t_end=bcfg["horizon"])
+    fv.check_horizon(fv_cfg)  # before integrating to the derived horizon + 0.1
     traj = integrate(params, IntegrationConfig(**cfg["integration"]))
     dump = (lambda field: _dump_cells(args.dump_cells, field)) if args.dump_cells else None
     report = fv.run_and_compare(params, traj, fv_cfg, resolutions, on_finest=dump)

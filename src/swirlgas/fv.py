@@ -303,12 +303,17 @@ def _errors_vs_exact(field: ConservativeField, params, traj):
             float(np.sum(d_m) * cell), float(np.max(d_m)))
 
 
+def check_horizon(cfg: FvConfig):
+    """NonPositiveTime unless cfg.t_end > cfg.t0: at zero horizon no order shows."""
+    if not cfg.t_end > cfg.t0:
+        raise NonPositiveTime(f"the horizon t_end - t0 = {cfg.t_end - cfg.t0!r} must be positive")
+
+
 def run_and_compare(params: SolutionParams, traj: Trajectory, cfg: FvConfig,
                     resolutions, on_finest=None) -> ErrorReport:
     """Run every resolution and tabulate errors and observed L1 orders.
 
-    The horizon cfg.t_end - cfg.t0 must be positive: at zero every error
-    vanishes and no order can be observed.  on_finest, when given, is called
+    The horizon must pass check_horizon.  on_finest, when given, is called
     with the finest run's field; the report does not keep any field.
     """
     resolutions = [int(n) for n in resolutions]
@@ -316,8 +321,7 @@ def run_and_compare(params: SolutionParams, traj: Trajectory, cfg: FvConfig,
         raise LadderTooShort("need at least two resolutions for an order estimate")
     if any(fine <= coarse for coarse, fine in zip(resolutions, resolutions[1:])):
         raise InvalidParams(["ResolutionsNotIncreasing"])
-    if not cfg.t_end > cfg.t0:
-        raise NonPositiveTime(f"the horizon t_end - t0 = {cfg.t_end - cfg.t0!r} must be positive")
+    check_horizon(cfg)
     l1r, lir, l1m, lim, floors, stats = [], [], [], [], [], []
     for n in resolutions:
         cfg_n = replace(cfg, nx=n, ny=n)

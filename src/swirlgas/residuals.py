@@ -2,10 +2,11 @@
 
 Every field evaluated by this package is pushed back through the governing
 equations with finite differences.  One balance routine, ``_balance``, does
-it in any dimension: it evaluates the field once on the sample points
-stacked with all their stencil neighbours and builds the mass and momentum
-terms with central space stencils.  The public checks add only their
-guards, their field and their time derivative:
+it in any dimension and in a few array passes: one field evaluation on the
+sample points (built once per grid geometry) and all their stencil neighbours,
+each space stencil applied once across all axes, every equation summed at
+once.  The public checks add only their guards, their field and their time
+derivative:
 
 * ``euler_residual_2d`` (2D family) and ``euler_residual_3d`` (three-axis
   family, whose consistency is MEASURED: with a tolerance the report
@@ -30,6 +31,7 @@ measures that order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,6 +72,18 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=8)
+def _points(polar, axes):
+    """Read-only flat meshgrid of np.linspace(*axis) per axis; (r, theta) -> (x, y) if polar."""
+    grids = np.meshgrid(*(np.linspace(*axis) for axis in axes), indexing="ij")
+    if polar:
+        grids = [grids[0] * np.cos(grids[1]), grids[0] * np.sin(grids[1])]
+    flat = tuple(g.ravel() for g in grids)
+    for g in flat:
+        g.flags.writeable = False
+    return flat
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling region and stencil steps for 2D residual evaluation.
@@ -104,16 +118,11 @@ class GridSpec:
             raise InvalidParams(violations)
 
     def points(self):
-        """Flattened (x, y) sample arrays."""
+        """Flattened (x, y) sample arrays, read-only and shared by equal geometries."""
         if self.kind == "annulus":
-            radii = np.linspace(self.r_lo, self.r_hi, self.n_r)
-            thetas = np.linspace(0.0, 2.0 * math.pi, self.n_theta, endpoint=False)
-            r, th = np.meshgrid(radii, thetas, indexing="ij")
-            return (r * np.cos(th)).ravel(), (r * np.sin(th)).ravel()
-        xs = np.linspace(self.x_lo, self.x_hi, self.nx)
-        ys = np.linspace(self.y_lo, self.y_hi, self.ny)
-        xg, yg = np.meshgrid(xs, ys, indexing="ij")
-        return xg.ravel(), yg.ravel()
+            return _points(True, ((self.r_lo, self.r_hi, self.n_r),
+                                  (0.0, 2.0 * math.pi, self.n_theta, False)))
+        return _points(False, ((self.x_lo, self.x_hi, self.nx), (self.y_lo, self.y_hi, self.ny)))
 
     def max_radius(self) -> float:
         if self.kind == "annulus":
@@ -153,35 +162,6 @@ class ResidualReport:
         return out
 
 
-def _d1_central4(fm2, fm1, fp1, fp2, h):
-    """4th-order first derivative from the 5-point stencil."""
-    return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-
-
-def _d1_central2(fm1, fp1, h):
-    return (fp1 - fm1) / (2.0 * h)
-
-
-def _summarize(residual, terms, coords, payloads):
-    """Normalized residual statistics for one equation.
-
-    The scale is the largest constituent-term magnitude on the grid.  The
-    undifferentiated flux payloads provide a floor for that scale: for
-    uniform fields every derivative term degenerates to stencil rounding
-    noise, and without the floor the normalization would divide noise by
-    noise instead of reporting a machine-zero residual.
-    """
-    scale = max([float(np.max(np.abs(v))) for v in (*terms, *payloads)] + [1e-300])
-    normal = np.abs(residual) / scale
-    k = int(np.argmax(normal))
-    return {
-        "max": float(normal[k]),
-        "mean": float(np.mean(normal)),
-        "scale": scale,
-        "worst_point": tuple(float(c[k]) for c in coords),
-    }
-
-
 def _balance(field, X, h, order, time_derivative, mu=0.0):
     """Mass and momentum residual summaries of a field at the points X.
 
@@ -189,51 +169,64 @@ def _balance(field, X, h, order, time_derivative, mu=0.0):
     d-tuple of coordinate arrays, with U a d-tuple of velocity components.
     A field with p = None (no pressure law) is checked against the mass
     equation only.  time_derivative(rho, U) -> (rho_t, U_t) gives the time
-    derivatives at X; rho and U are the field's values there.
+    derivatives at X; rho and U (a (d, n) array) are the field's values there.
 
     Space derivatives are central differences of the given order (4: 5-point,
     2: 3-point stencil) with step h.  With mu != 0 the momentum equations
-    gain the term -mu Laplacian(u_i).  The flux payloads that floor the
-    normalization are rho and rho u_j for mass, and rho u_i, rho u_j u_i for
-    every axis j and p for momentum i.
+    gain the term -mu Laplacian(u_i).  Each equation is one row of a block
+    holding its terms (summed in the order time, axes 0..d-1, pressure,
+    viscous) and its undifferentiated flux payloads: rho and rho u_j for mass,
+    and rho u_i, rho u_j u_i for every axis j and p for momentum i.  The
+    scale is the largest magnitude in the row.  The payloads floor it: for
+    uniform fields every derivative term is stencil rounding noise, and the
+    normalization would otherwise divide noise by noise instead of reporting
+    a machine-zero residual.
     """
     d, n = len(X), X[0].size
     offsets = (-2, -1, 1, 2) if order == 4 else (-1, 1)
     m = len(offsets)
-    rho_s, U_s, p_s = field(tuple(
-        np.concatenate([X[i]] + [X[i] + k * h if i == j else X[i]
-                                 for j in range(d) for k in offsets])
-        for i in range(d)))
-
-    def rows(q):
-        """Row 0: q at X; row 1 + j m + k: q at X shifted by offsets[k] h along axis j."""
-        return q.reshape(1 + d * m, n)
-
-    def along(q, j):
-        return rows(q)[1 + j * m:1 + (j + 1) * m]
+    # Row 0 of pts[i] and of each field value is at X, row 1 + j m + k shifted offsets[k] h along j.
+    pts = np.repeat(np.stack(X)[:, None], 1 + d * m, axis=1)
+    for j in range(d):
+        pts[j, 1 + j * m:1 + (j + 1) * m] += np.multiply(offsets, h)[:, None]
+    rho_s, U_s, p_s = field(tuple(pts.reshape(d, -1)))
 
     def diff(s):
-        return _d1_central4(*s, h) if order == 4 else _d1_central2(*s, h)
+        if order == 4:
+            return (s[..., 0, :] - 8.0 * s[..., 1, :] + 8.0 * s[..., 2, :] - s[..., 3, :]) / (12.0 * h)
+        return (s[..., 1, :] - s[..., 0, :]) / (2.0 * h)
 
-    rho = rows(rho_s)[0]
-    U = [rows(u)[0] for u in U_s]
+    R, V = rho_s.reshape(1 + d * m, n), np.reshape(U_s, (d, 1 + d * m, n))
+    rho, U, Vs = R[0], V[:, 0], V[:, 1:].reshape(d, d, m, n)  # Vs[i, j]: u_i along axis j
     rho_t, U_t = time_derivative(rho, U)
-
-    terms = [rho_t] + [diff(along(rho_s, j) * along(U_s[j], j)) for j in range(d)]
-    eqs = {"mass": _summarize(sum(terms), terms, X, [rho] + [rho * u for u in U])}
-    if p_s is None:
-        return eqs
-    neighbours = [1 + j * m + offsets.index(k) for j in range(d) for k in (1, -1)]
-    for i in range(d):
-        terms = ([rho * U_t[i]] + [rho * U[j] * diff(along(U_s[i], j)) for j in range(d)]
-                 + [diff(along(p_s, i))])
+    rhoU = rho * U
+    n_eq, n_terms = (1, d + 1) if p_s is None else (d + 1, d + 2 + (mu != 0.0))
+    blocks = np.zeros((n_eq, n_terms + d + 2, n))  # per equation: terms, then payloads
+    terms, payloads = blocks[:, :n_terms], blocks[:, n_terms:]
+    terms[0, 0] = rho_t
+    terms[0, 1:d + 1] = diff(R[1:].reshape(d, m, n) * Vs[range(d), range(d)])
+    payloads[0, :d + 1] = (rho, *rhoU)
+    if p_s is not None:
+        P = p_s.reshape(1 + d * m, n)
+        terms[1:, 0] = rho * U_t
+        terms[1:, 1:d + 1] = rhoU * diff(Vs)
+        terms[1:, d + 1] = diff(P[1:].reshape(d, m, n))
         if mu != 0.0:
-            ui = rows(U_s[i])
-            lap = (sum(ui[r] for r in neighbours) - 2.0 * d * ui[0]) / (h * h)
-            terms.append(-mu * lap)
-        payloads = [rho * U[i]] + [rho * U[j] * U[i] for j in range(d)] + [rows(p_s)[0]]
-        eqs[f"momentum-{'xyz'[i]}"] = _summarize(sum(terms), terms, X, payloads)
-    return eqs
+            lap = sum(Vs[:, j, offsets.index(k)] for j in range(d) for k in (1, -1))
+            terms[1:, d + 2] = -mu * ((lap - 2.0 * d * U) / (h * h))
+        payloads[1:, 0] = rhoU
+        payloads[1:, 1:d + 1] = rhoU * U[:, None]
+        payloads[1:, d + 1] = P[0]
+
+    residual = sum(terms[:, k] for k in range(n_terms))
+    scale = np.maximum(np.abs(blocks).max(axis=(1, 2)), 1e-300)
+    normal = np.abs(residual) / scale[:, None]
+    worst = normal.argmax(axis=1)
+    peak, mean, where = normal[range(n_eq), worst], normal.mean(axis=1), pts[:, 0, worst]
+    names = ["mass"] + [f"momentum-{'xyz'[i]}" for i in range(d)]
+    return {names[e]: {"max": float(peak[e]), "mean": float(mean[e]), "scale": float(scale[e]),
+                       "worst_point": tuple(float(c) for c in where[:, e])}
+            for e in range(n_eq)}
 
 
 def _central_in_time(before, after, X, h_t):
@@ -242,8 +235,7 @@ def _central_in_time(before, after, X, h_t):
 
     def time_derivative(rho, U):
         (rho_m, U_m, _), (rho_p, U_p, _) = before(X), after(X)
-        return (_d1_central2(rho_m, rho_p, h_t),
-                [_d1_central2(um, up, h_t) for um, up in zip(U_m, U_p)])
+        return (rho_p - rho_m) / (2.0 * h_t), (np.array(U_p) - np.array(U_m)) / (2.0 * h_t)
 
     return time_derivative
 
@@ -317,7 +309,7 @@ def zz_direct_residual(t: float, K: float, grid: GridSpec) -> ResidualReport:
         return rho, (u1, u2), p
 
     eqs = _balance(field, X, grid.h, 2,
-                   lambda rho, U: (-2.0 * rho / t, [-u / t for u in U]))
+                   lambda rho, U: (-2.0 * rho / t, -U / t))
     return ResidualReport(equations=eqs, h=grid.h, h_t=0.0, n_points=X[0].size)
 
 
@@ -493,6 +485,12 @@ def _ordered_prod3(a):
     return s[0] * s[1] * s[2]
 
 
+def _order3(q0, q1, q2):
+    """Elementwise (min, median, max) by a min/max network: np.sort's rows unless -0.0 ties 0.0."""
+    lo01, hi01 = np.minimum(q0, q1), np.maximum(q0, q1)
+    return np.minimum(lo01, q2), np.maximum(lo01, np.minimum(hi01, q2)), np.maximum(hi01, q2)
+
+
 _AXES = (0, 1, 2)
 
 
@@ -543,8 +541,8 @@ def eval_flow_3d_arrays(c3: ThreeAxisParams, a, adot, t: float, x, y, z):
     adot = np.asarray(adot, dtype=float)
     d = c3.drift_at(t)
     xr, yr, zr = x - d[0], y - d[1], z - d[2]
-    sq = np.sort(np.stack([(xr / a[0]) ** 2, (yr / a[1]) ** 2, (zr / a[2]) ** 2]), axis=0)
-    s = sq[0] + sq[1] + sq[2]
+    lo, mid, hi = _order3((xr / a[0]) ** 2, (yr / a[1]) ** 2, (zr / a[2]) ** 2)
+    s = lo + mid + hi
     slope = -c3.xi3 * (c3.gamma - 1.0) / (2.0 * c3.K * c3.gamma)
     base = np.maximum(slope * s + c3.alpha3, 0.0)
     f = base ** (1.0 / (c3.gamma - 1.0))
@@ -574,11 +572,9 @@ class Grid3Spec:
             raise InvalidParams(violations)
 
     def points(self, center):
-        xs = np.linspace(center[0] - self.half_width, center[0] + self.half_width, self.n)
-        ys = np.linspace(center[1] - self.half_width, center[1] + self.half_width, self.n)
-        zs = np.linspace(center[2] - self.half_width, center[2] + self.half_width, self.n)
-        xg, yg, zg = np.meshgrid(xs, ys, zs, indexing="ij")
-        return xg.ravel(), yg.ravel(), zg.ravel()
+        """Flattened (x, y, z) sample arrays, read-only and shared like GridSpec's."""
+        return _points(False, tuple((c - self.half_width, c + self.half_width, self.n)
+                                    for c in center))
 
 
 def euler_residual_3d(c3: ThreeAxisParams, scales: Scales3Trajectory, t: float,
@@ -599,7 +595,6 @@ def euler_residual_3d(c3: ThreeAxisParams, scales: Scales3Trajectory, t: float,
     states = {dt: scales.state_at(t + dt) for dt in (-h_t, 0.0, h_t)}
     if not math.isinf(s_b):
         a_min = min(float(np.min(st[0])) for st in states.values())
-        center = np.array(c3.drift_at(t))
         max_rate = max(abs(r) for r in c3.drift_rate)
         reach = math.sqrt(3.0) * (grid.half_width + 2.0 * h) + h_t * max_rate
         if (reach / a_min) ** 2 > grid.support_margin * s_b:

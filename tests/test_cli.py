@@ -346,11 +346,17 @@ def test_non_positive_tolerance_is_rejected_before_any_work(args, violation, cap
                                "violations": [violation]}
 
 
-@pytest.mark.parametrize("horizon", ["0", "-0.1"])
-def test_non_positive_fv_horizon_is_rejected(horizon, capsys):
+@pytest.mark.parametrize("horizon", ["0", "-0.05", "-0.1", "-0.5"])
+def test_non_positive_fv_horizon_is_rejected(horizon, capsys, monkeypatch):
+    # The scale equation is integrated to the derived horizon + 0.1, so a
+    # horizon <= -0.1 used to fail there first, with a message about t_end.
+    def no_work(*args, **kwargs):
+        raise AssertionError("integrated before the horizon was checked")
+    monkeypatch.setattr(cli, "integrate", no_work)
     code, _, err = run_cli(["fvbench", "--preset", "generic-smooth", "--horizon", horizon], capsys)
     assert code == 1
-    assert json.loads(err)["error"] == "NonPositiveTime"
+    assert json.loads(err) == {"error": "NonPositiveTime",
+                               "message": f"the horizon t_end - t0 = {float(horizon)!r} must be positive"}
 
 
 def _strict_json(text):

@@ -1,7 +1,10 @@
 """Residual verification lab: 2D family, fixture, swirl identity, 3D family."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swirlgas import (
     CollapsedState,
@@ -26,8 +29,14 @@ from swirlgas import (
     zhang_zheng_embedding,
     zz_direct_residual,
 )
-from swirlgas.residuals import eval_flow_3d_arrays, laplacian_fd, ns_viscous_term, viscous_norm
-from swirlgas import _rk
+from swirlgas.residuals import (
+    _order3,
+    eval_flow_3d_arrays,
+    laplacian_fd,
+    ns_viscous_term,
+    viscous_norm,
+)
+from swirlgas import _rk, residuals
 
 GENERIC = SolutionParams(gamma=1.4, K=1, xi=0.7, lam=0.9, alpha=1, a0=1, a1=0.3)
 
@@ -429,3 +438,158 @@ def test_convergence_ladder_validation(generic_traj):
         residual_convergence(run, [1e-3, 5e-4])
     with pytest.raises(ValueError):
         residual_convergence(run, [1e-3, 2e-3, 5e-4])
+
+
+# ----------------------------------------------------------- vectorized balance
+
+def _reference_summary(residual, terms, coords, payloads):
+    scale = max([float(np.max(np.abs(v))) for v in (*terms, *payloads)] + [1e-300])
+    normal = np.abs(residual) / scale
+    k = int(np.argmax(normal))
+    return {"max": float(normal[k]), "mean": float(np.mean(normal)), "scale": scale,
+            "worst_point": tuple(float(c[k]) for c in coords)}
+
+
+def _reference_balance(field, X, h, order, time_derivative, mu=0.0):
+    """The per-equation, per-axis balance that residuals._balance vectorizes.
+
+    Kept as the reference the vectorized form must match bitwise.  The only
+    change is that time_derivative receives U as one (d, n) array, as it
+    does from _balance.
+    """
+    d, n = len(X), X[0].size
+    offsets = (-2, -1, 1, 2) if order == 4 else (-1, 1)
+    m = len(offsets)
+    rho_s, U_s, p_s = field(tuple(
+        np.concatenate([X[i]] + [X[i] + k * h if i == j else X[i]
+                                 for j in range(d) for k in offsets])
+        for i in range(d)))
+
+    def rows(q):
+        return q.reshape(1 + d * m, n)
+
+    def along(q, j):
+        return rows(q)[1 + j * m:1 + (j + 1) * m]
+
+    def diff(s):
+        if order == 4:
+            fm2, fm1, fp1, fp2 = s
+            return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+        fm1, fp1 = s
+        return (fp1 - fm1) / (2.0 * h)
+
+    rho = rows(rho_s)[0]
+    U = [rows(u)[0] for u in U_s]
+    rho_t, U_t = time_derivative(rho, np.array(U))
+
+    terms = [rho_t] + [diff(along(rho_s, j) * along(U_s[j], j)) for j in range(d)]
+    eqs = {"mass": _reference_summary(sum(terms), terms, X, [rho] + [rho * u for u in U])}
+    if p_s is None:
+        return eqs
+    neighbours = [1 + j * m + offsets.index(k) for j in range(d) for k in (1, -1)]
+    for i in range(d):
+        terms = ([rho * U_t[i]] + [rho * U[j] * diff(along(U_s[i], j)) for j in range(d)]
+                 + [diff(along(p_s, i))])
+        if mu != 0.0:
+            ui = rows(U_s[i])
+            lap = (sum(ui[r] for r in neighbours) - 2.0 * d * ui[0]) / (h * h)
+            terms.append(-mu * lap)
+        payloads = [rho * U[i]] + [rho * U[j] * U[i] for j in range(d)] + [rows(p_s)[0]]
+        eqs[f"momentum-{'xyz'[i]}"] = _reference_summary(sum(terms), terms, X, payloads)
+    return eqs
+
+
+BOX = dict(kind="box", x_lo=-1.0, x_hi=0.9, y_lo=-0.8, y_hi=1.0, nx=9, ny=11)
+WEIRD_SWIRL = GenericRotationField(f=lambda eta: np.exp(-eta ** 2),
+                                   G=lambda t, r: (1 + t) * r ** 2 * np.sin(r),
+                                   a=lambda t: 1.0 + t, adot=lambda t: 1.0)
+BALANCE_CASES = {
+    "annulus": lambda traj: euler_residual_2d(GENERIC, traj, 0.5, grid_2d(1e-3)),
+    "annulus-viscous": lambda traj: euler_residual_2d(GENERIC, traj, 0.5,
+                                                      grid_2d(1e-2, h_t=5e-4), mu=3.7),
+    "box": lambda traj: euler_residual_2d(GENERIC, traj, 0.5, GridSpec(**BOX, h=1e-3, h_t=5e-4)),
+    "box-viscous": lambda traj: euler_residual_2d(GENERIC, traj, 0.5,
+                                                  GridSpec(**BOX, h=1e-2, h_t=5e-4), mu=1.0),
+    "density-control": lambda traj: euler_residual_2d(GENERIC, traj, 0.5, grid_2d(2e-3),
+                                                      density_factor=1.01),
+    "three-axis-drift": lambda traj: euler_residual_3d(
+        ANISO, integrate_scales_3d(ANISO, 1.0), 0.5,
+        Grid3Spec(half_width=0.4, n=5, h=1e-3, h_t=5e-4), tolerance=1e-6),
+    "generic-swirl-mass": lambda traj: mass_residual_generic_g(WEIRD_SWIRL, 0.5,
+                                                               annulus_for_mass(1e-3)),
+    "fixture-order-2": lambda traj: zz_direct_residual(
+        1.7, 1.3, GridSpec(kind="annulus", r_lo=0.1, r_hi=2.0, n_r=20, n_theta=24, h=5e-4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BALANCE_CASES))
+def test_balance_matches_the_per_equation_reference(case, generic_traj, monkeypatch):
+    # Every _balance call the public check makes is repeated by the reference
+    # on the same field and time derivative; the summaries must be equal floats.
+    pairs = []
+    vectorized = residuals._balance
+
+    def both(*args, **kwargs):
+        got = vectorized(*args, **kwargs)
+        pairs.append((got, _reference_balance(*args, **kwargs)))
+        return got
+
+    monkeypatch.setattr(residuals, "_balance", both)
+    BALANCE_CASES[case](generic_traj)
+    assert len(pairs) == 1
+    got, ref = pairs[0]
+    assert list(got) == list(ref)
+    for name in ref:
+        assert got[name] == ref[name], name
+
+
+# Ties come from triples drawn out of a small pool.  +-0.0 ties are compared
+# by value only: np.minimum settles them by argument order, while np.sort may
+# leave them in either order.  eval_flow_3d_arrays orders squares, which are
+# never -0.0, and there the rows are bitwise np.sort's.
+_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                          math.inf, -math.inf, 1.0])
+_VALUES = st.one_of(st.floats(allow_nan=False), _EDGES)
+_TRIPLES = st.one_of(
+    st.tuples(_VALUES, _VALUES, _VALUES),
+    st.lists(_VALUES, min_size=1, max_size=2).flatmap(
+        lambda pool: st.tuples(*[st.sampled_from(pool)] * 3)))
+
+
+@settings(deadline=None)
+@given(st.lists(_TRIPLES, min_size=1, max_size=40))
+def test_order3_returns_the_sorted_rows(triples):
+    q = np.array(triples).T
+    rows, ref = np.stack(_order3(*q)), np.sort(q, axis=0)
+    assert np.array_equal(rows, ref)
+    if not np.any((q == 0.0) & np.signbit(q)):
+        assert rows.tobytes() == ref.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):  # huge sums, inf + -inf
+            assert (rows[0] + rows[1] + rows[2]).tobytes() == (ref[0] + ref[1] + ref[2]).tobytes()
+
+
+# ----------------------------------------------------------- shared sample points
+
+def test_points_are_read_only_and_shared_by_geometry():
+    fine, coarse = grid_2d(1e-3), grid_2d(4e-3, h_t=1e-3)
+    assert all(a is b for a, b in zip(fine.points(), coarse.points()))
+    g3 = Grid3Spec(half_width=0.4, n=5, h=1e-3, h_t=5e-4)
+    g3_coarse = Grid3Spec(half_width=0.4, n=5, h=4e-3, h_t=2e-3)
+    assert all(a is b for a, b in zip(g3.points((0.0, 0.0, 0.0)), g3_coarse.points((0.0, 0.0, 0.0))))
+    for arr in (*fine.points(), *g3.points((0.0, 0.0, 0.0))):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_points_of_different_geometries_are_apart():
+    # A box with the annulus's (r, theta) ranges holds the unmapped grid.
+    annulus = GridSpec(kind="annulus", r_lo=0.3, r_hi=1.5, n_r=6, n_theta=8)
+    box = GridSpec(kind="box", x_lo=0.3, x_hi=1.5, nx=6, y_lo=0.0, y_hi=1.75 * math.pi, ny=8)
+    (x, y), (r, th) = annulus.points(), box.points()
+    assert x is not r and y is not th
+    assert np.array_equal(x, r * np.cos(th)) and np.array_equal(y, r * np.sin(th))
+    g3 = Grid3Spec(half_width=0.4, n=5)
+    here, there = g3.points((0.0, 0.0, 0.0)), g3.points((0.1, 0.0, -0.2))
+    assert all(a is not b for a, b in zip(here, there))
+    assert np.array_equal(there[1], here[1])
+    assert not np.array_equal(there[0], here[0]) and not np.array_equal(there[2], here[2])
