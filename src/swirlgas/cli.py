@@ -29,7 +29,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -325,9 +325,7 @@ def cmd_verify(args, cfg):
     emb = zhang_zheng_embedding(params.K)
     if params == emb.params:
         t_fix = 1.0 + time_at  # family clock starts at the fixture time 1
-        gz = residuals.GridSpec(kind="annulus", r_lo=max(grid.r_lo, 3 * grid.h),
-                                r_hi=grid.r_hi, n_r=grid.n_r, n_theta=grid.n_theta,
-                                h=grid.h / 2.0)
+        gz = replace(grid, r_lo=max(grid.r_lo, 3 * grid.h), h=grid.h / 2.0)
         zz = residuals.zz_direct_residual(t_fix, params.K, gz)
         report["fixture_direct"] = zz.as_dict()
         worst = max(worst, zz.max_normalized)
@@ -345,6 +343,7 @@ def cmd_verify(args, cfg):
 
     if cfg["mass_sweep"]:
         rng = np.random.default_rng(7)
+        grid_m = replace(grid, r_lo=max(grid.r_lo, 3 * grid.h), h_t=1e-4)
         sweep = []
         for _ in range(cfg["mass_sweep"]):
             coef = rng.uniform(-1.0, 1.0, 5)
@@ -354,11 +353,7 @@ def cmd_verify(args, cfg):
                 a=lambda t: 1.0 + 0.5 * t,
                 adot=lambda t: 0.5,
             )
-            sweep.append(residuals.mass_residual_generic_g(
-                fieldspec, time_at,
-                residuals.GridSpec(kind="annulus", r_lo=max(grid.r_lo, 3 * grid.h),
-                                   r_hi=grid.r_hi, n_r=grid.n_r, n_theta=grid.n_theta,
-                                   h=grid.h, h_t=1e-4)))
+            sweep.append(residuals.mass_residual_generic_g(fieldspec, time_at, grid_m))
         report["mass_sweep"] = {"max": max(sweep), "values": sweep}
         worst = max(worst, max(sweep))
 

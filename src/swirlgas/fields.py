@@ -167,6 +167,20 @@ def support_s_bound(params: SolutionParams) -> float:
     return 2.0 * params.K * params.gamma * params.alpha / d
 
 
+# Share of the support bound s_b that sample points may reach: the profile's
+# fractional power is not smooth at the support edge.
+SUPPORT_MARGIN = 0.9
+
+
+def check_support_reach(s_b: float, reach: float, a_min: float, error, what: str):
+    """Raise error unless points within radius reach of the support centre,
+    at scales down to a_min, keep s = (reach/a_min)^2 <= SUPPORT_MARGIN * s_b."""
+    s_reach = (reach / a_min) ** 2
+    if s_reach > SUPPORT_MARGIN * s_b:
+        raise error(f"{what} reaches s = {s_reach:.4g}, beyond "
+                    f"{SUPPORT_MARGIN:g} * s_b = {SUPPORT_MARGIN:g} * {s_b:.4g}")
+
+
 def support_radius(params: SolutionParams, state: ScaleState) -> float:
     """Radius where the density reaches zero (inf for full support)."""
     s_b = support_s_bound(params)

@@ -34,7 +34,7 @@ import numpy as np
 from .emden import Trajectory
 from .errors import (BoxOutsideSupport, InvalidParams, LadderTooShort, NonFiniteState,
                      NonPositiveTime)
-from .fields import SolutionParams, eval_flow_arrays, support_s_bound
+from .fields import SolutionParams, check_support_reach, eval_flow_arrays, support_s_bound
 
 __all__ = ["FvConfig", "ConservativeField", "ErrorReport", "init_from_exact",
            "step", "run", "run_and_compare"]
@@ -55,7 +55,6 @@ class FvConfig:
     t0: float = 0.0
     t_end: float = 0.2
     boundary: str = "exact"   # "exact" (Dirichlet from the exact field) | "outflow"
-    support_margin: float = 0.9
 
     def __post_init__(self):
         violations = []
@@ -158,8 +157,8 @@ def init_from_exact(params: SolutionParams, traj: Trajectory, t0: float,
     """Sample the exact field at cell centers (ghost ring included).
 
     The box, enlarged by the ghost ring, must stay strictly inside the
-    density support with the configured similarity margin for the whole run
-    window [t0, t_end].
+    density support, within fields.SUPPORT_MARGIN of its bound on s, for the
+    whole run window [t0, t_end].
     """
     s_b = support_s_bound(params)
     if not math.isinf(s_b):
@@ -167,11 +166,8 @@ def init_from_exact(params: SolutionParams, traj: Trajectory, t0: float,
         a_min = float(np.min(traj.sample(ts)[0]))
         r_corner = math.hypot(max(abs(cfg.x_lo - cfg.dx), abs(cfg.x_hi + cfg.dx)),
                               max(abs(cfg.y_lo - cfg.dy), abs(cfg.y_hi + cfg.dy)))
-        s_reach = (r_corner / a_min) ** 2
-        if s_reach > cfg.support_margin * s_b:
-            raise BoxOutsideSupport(
-                f"box corner reaches s = {s_reach:.4g} over the run window, "
-                f"margin allows {cfg.support_margin:.3g} * {s_b:.4g}")
+        check_support_reach(s_b, r_corner, a_min, BoxOutsideSupport,
+                            "the box corner over the run window")
     xg, yg = cfg.centers()
     state = traj.state_at(t0)
     rho, u1, u2, _ = eval_flow_arrays(params, state, xg, yg)

@@ -28,7 +28,7 @@ stay silent on a mismatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -449,8 +449,7 @@ def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
                   blowup_bracket=(t_star - w, t_star + w), certificate=cert)
 
 
-def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0,
-            cfg: IntegrationConfig | None = None) -> CertificationReport:
+def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0) -> CertificationReport:
     """Cross-check a classification by direct integration.
 
     global   : no collapse up to the horizon.
@@ -476,7 +475,7 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0,
         t_end = regime.period * 1.001
     elif regime.blowup_bracket is not None:
         t_end = max(horizon, regime.blowup_bracket[1] * 1.5)
-    traj = integrate(params, replace(cfg or IntegrationConfig(), t_end=t_end))
+    traj = integrate(params, IntegrationConfig(t_end=t_end))
     end = traj.terminal
     checks = {"terminal": end.kind}
     if end.kind != ("collapsed" if regime.kind == "finite-time-blowup" else "reached_end"):

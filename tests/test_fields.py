@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from swirlgas import (
+    BoxOutsideSupport,
     CollapsedState,
+    GridTouchesSupportBoundary,
     InvalidParams,
     NonPositiveTime,
     QueryPoint,
@@ -24,6 +26,7 @@ from swirlgas import (
     zhang_zheng_embedding,
     zhang_zheng_field,
 )
+from swirlgas.fields import SUPPORT_MARGIN, check_support_reach
 
 
 # ----------------------------------------------------------- validation
@@ -124,6 +127,17 @@ def test_support_radius_infinite_for_negative_lam():
 def test_support_radius_zero_for_zero_alpha():
     p = SolutionParams(gamma=1.4, K=1, xi=0.7, lam=0.9, alpha=0.0, a0=1, a1=0)
     assert support_radius(p, ScaleState(0, 1.0, 0.0)) == 0.0
+
+
+def test_support_reach_check_allows_up_to_the_margin():
+    # s = (reach/a_min)^2 may reach SUPPORT_MARGIN * s_b and no further;
+    # full support (s_b = inf) passes any reach.
+    s_b = 10.0
+    edge = math.sqrt(SUPPORT_MARGIN * s_b)
+    check_support_reach(s_b, edge, 1.0, GridTouchesSupportBoundary, "stencil")
+    check_support_reach(math.inf, 1e300, 1e-300, GridTouchesSupportBoundary, "stencil")
+    with pytest.raises(BoxOutsideSupport, match=r"^the box reaches s = 9\.61, beyond 0\.9 \* s_b"):
+        check_support_reach(s_b, 3.1, 1.0, BoxOutsideSupport, "the box")
 
 
 # ----------------------------------------------------------- field evaluation

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from swirlgas import (
     CollapsedState,
@@ -330,7 +331,94 @@ def test_3d_params_validation():
         ThreeAxisParams(gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0, a_init=(1.0, -1.0, 1.0))
 
 
+@pytest.mark.parametrize("kwargs, violations", [
+    (dict(K=math.inf), ["NonFinite:K"]),
+    (dict(xi3=math.nan), ["NonFinite:xi3"]),
+    (dict(alpha3=math.inf), ["NonFinite:alpha3"]),
+    (dict(adot_init=(0.0, 0.0)), ["WrongLength:adot_init"]),
+    (dict(drift_rate=(0.1, 0.2)), ["WrongLength:drift_rate"]),
+    (dict(a_init=(1.0, 1.0, 1.0, 1.0)), ["WrongLength:a_init"]),
+    (dict(drift0=(0.0, math.inf, 0.0)), ["NonFinite:drift0"]),
+    (dict(adot_init=(math.nan, 0.0, 0.0), drift_rate=(0.0,)),
+     ["NonFinite:adot_init", "WrongLength:drift_rate"]),
+    (dict(a_init=(1.0, math.inf, 1.0)), ["NonFinite:a_init"]),
+])
+def test_3d_params_reject_non_finite_values_and_wrong_lengths(kwargs, violations):
+    with pytest.raises(InvalidParams) as exc:
+        ThreeAxisParams(**{**dict(gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0), **kwargs})
+    assert exc.value.violations == violations
+
+
+def test_3d_params_accept_tuples_of_numpy_floats():
+    rng = np.random.default_rng(0)
+    c3 = ThreeAxisParams(gamma=np.float64(1.4), K=1.0, xi3=np.float64(-1.0), alpha3=1.0,
+                         a_init=tuple(rng.uniform(0.8, 1.2, 3)),
+                         adot_init=tuple(rng.uniform(-0.1, 0.1, 3)),
+                         drift0=tuple(rng.uniform(-0.1, 0.1, 3)),
+                         drift_rate=tuple(rng.uniform(-0.1, 0.1, 3)))
+    assert integrate_scales_3d(c3, 0.5).terminal.kind == "reached_end"
+
+
+def isotropic_collapse_time(g, xi3, a0, adot0, a_end):
+    """Oracle: the time for an isotropic run, addot = xi3 a^(2 - 3 g), to fall
+    from a0 to a_end: int da / sqrt(2 (E - U(a))) over [a_end, a0] by scipy's
+    quad, with U = xi3 a^(3 - 3 g) / (3 (g - 1)) and E = adot0^2/2 + U(a0).
+    quad runs in x = ln(a0/a), since [a_end, a0] spans decades, and
+    U(a0) - U(a) is formed with expm1, so g near 1 loses no digits to it."""
+    p = 3.0 - 3.0 * g
+
+    def dt_dx(x):
+        a = a0 * math.exp(-x)
+        e_minus_u = 0.5 * adot0 * adot0 + xi3 / (3.0 * (g - 1.0)) * a ** p * math.expm1(p * x)
+        return a / math.sqrt(2.0 * e_minus_u)
+
+    return quad(dt_dx, 0.0, math.log(a0 / a_end), epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+
+@pytest.mark.parametrize("g", [1.0005, 1.4, 3.4, 5.0, 8.0, 12.0])
+@pytest.mark.parametrize("xi3, a0, adot0", [(-1.0, 1.0, -1.0), (-5.0, 0.7, -2.0)])
+def test_3d_collapse_time_matches_the_isotropic_quadrature(g, xi3, a0, adot0):
+    # The event is where the smallest scale reaches collapse_epsilon (or the
+    # step floor, a rounding-sized time before it), so the oracle ends there:
+    # for g = 1.0005 the fall from 1e-8 to 0 still takes about 1.6e-9.
+    c3 = ThreeAxisParams(gamma=g, K=1.0, xi3=xi3, alpha3=1.0,
+                         a_init=(a0,) * 3, adot_init=(adot0,) * 3)
+    t_star = isotropic_collapse_time(g, xi3, a0, adot0, IntegrationConfig().collapse_epsilon)
+    end = integrate_scales_3d(c3, 2.0 * t_star + 1.0).terminal
+    assert end.kind == "collapsed", end.message
+    assert abs(end.t - t_star) <= 1e-9 * max(1.0, t_star)
+
+
+def test_3d_steep_anisotropic_collapses_end_collapsed():
+    # A seeded draw of contracting runs; case 24 used to stop at a = 1e-3
+    # with "tolerance unmet at the step floor" instead of a collapse.
+    rng = np.random.default_rng(17)
+    for case in range(25):
+        g, xi3 = rng.uniform(2.5, 6.0), -10.0 ** rng.uniform(-1.0, 0.7)
+        a_init, adot_init = tuple(rng.uniform(0.5, 1.5, 3)), tuple(rng.uniform(-2.0, 0.2, 3))
+        c3 = ThreeAxisParams(gamma=g, K=1.0, xi3=xi3, alpha3=1.0,
+                             a_init=a_init, adot_init=adot_init)
+        end = integrate_scales_3d(c3, 100.0).terminal
+        assert end.kind == "collapsed", (case, end.message)
+
+
+def test_3d_step_floor_under_an_outward_force_is_no_collapse():
+    # xi3 > 0 pushes every axis out, so a/|adot| does not bound the time to
+    # a = 0: a start too stiff for the step floor is a step failure.
+    c3 = ThreeAxisParams(gamma=3.0, K=1.0, xi3=1.0, alpha3=1.0,
+                         a_init=(1e-4,) * 3, adot_init=(-10.0,) * 3)
+    assert integrate_scales_3d(c3, 1.0).terminal.kind == "step_failure"
+
+
 # ----------------------------------------------------------- 3D residuals
+
+def test_3d_residual_rejects_a_grid_past_the_support_margin():
+    # xi3 > 0 gives finite support, s_b = 2 K gamma alpha3 / (xi3 (gamma - 1)) = 7.
+    c3 = ThreeAxisParams(gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0)
+    sc = integrate_scales_3d(c3, 1.0)
+    with pytest.raises(GridTouchesSupportBoundary, match="^stencil reaches s = "):
+        euler_residual_3d(c3, sc, 0.5, Grid3Spec(half_width=2.0, n=3, h=1e-3, h_t=5e-4))
+
 
 def test_3d_isotropic_residual_and_radial_crosscheck():
     c3 = ThreeAxisParams(gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0)
