@@ -25,12 +25,9 @@ from .errors import (
     ZeroRotation,
 )
 from .fields import (
-    FlowSample,
-    QueryPoint,
     ScaleState,
     SolutionParams,
     ZhangZhengEmbedding,
-    eval_flow,
     eval_flow_arrays,
     profile_f,
     support_radius,
@@ -38,7 +35,6 @@ from .fields import (
     validate_params,
     zhang_zheng_arrays,
     zhang_zheng_embedding,
-    zhang_zheng_field,
 )
 from .emden import (
     EnergySplit,
@@ -47,7 +43,6 @@ from .emden import (
     Trajectory,
     closed_form_gamma2,
     emden_rhs,
-    energy,
     energy_drift,
     energy_of,
     gamma2_scale_squared_coeffs,
@@ -76,7 +71,6 @@ from .residuals import (
     euler_residual_3d,
     integrate_scales_3d,
     mass_residual_generic_g,
-    ns_viscous_term,
     residual_convergence,
     zz_direct_residual,
 )

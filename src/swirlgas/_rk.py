@@ -23,14 +23,15 @@ flat array('d') buffers with t, h, y and the seven stage derivatives; nodes
 and dense-output coefficients are built once at the end, by one matmul with
 _P.  No stage sum goes through BLAS gemv, so nodes don't depend on its kernel.
 
-There are two trial steps, chosen by the size of the state.  A 2-component
-state (the scale equation) takes _trial2, which holds each stage in two named
-floats: most of the generic step's cost is the interpreter's work on lists,
-zips and per-stage checks, not the arithmetic.  Every other size takes the
-generic _trial, the only step of the three-axis system (d = 6), and the
-reference that _trial2 is tested against: each component is computed by the
-same expression in the same order, so both steps give bitwise the same
-nodes, stages and error norms.
+There are two trial steps with one protocol, (f, pos, rtol, atol, t, y, k1,
+h) -> (y_new, err, k7, record), and solve picks one by the size of the state
+before its loop.  A 2-component state (the scale equation) takes _trial2,
+which holds each stage in two named floats: most of the generic step's cost
+is the interpreter's work on lists, zips and per-stage checks, not the
+arithmetic.  Every other size takes the generic _trial, the only step of
+the three-axis system (d = 6), and the reference that _trial2 is tested
+against: each component is computed by the same expression in the same
+order, so both steps give bitwise the same nodes, stages and error norms.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from math import isfinite
 
 import numpy as np
@@ -144,13 +145,9 @@ class RkSolution:
         return out
 
 
-def _error_norm(err, y0, y1, rtol, atol):
+def _rms(v):
     # Summed in sorted order so the norm is bitwise invariant under any
     # permutation of the state components.
-    return _rms([e / (atol + rtol * max(abs(a), abs(b))) for e, a, b in zip(err, y0, y1)])
-
-
-def _rms(v):
     sq = sorted(x * x for x in v)
     return math.sqrt(sum(sq) / len(sq))
 
@@ -160,19 +157,25 @@ class _StageRejected(Exception):
 
 
 def _check(y, positive):
-    if not all(map(math.isfinite, y)):
+    if not all(map(isfinite, y)):
         raise _StageRejected
-    for k in positive or ():
+    for k in positive:
         if not y[k] > 0.0:
             raise _StageRejected
 
 
-def _trial(f, positive, t, y, k1, h):
-    """One trial step from (t, y) with first stage k1: (y_new, err, stages).
+def _trial(f, pos, rtol, atol, t, y, k1, h):
+    """One trial step from (t, y) with first stage k1: (y_new, err, k7, record).
 
-    err is the embedded error estimate.  Raises _StageRejected when a stage
-    leaves the admissible region or turns non-finite.
+    pos flags the components that must stay > 0 at every stage.  err is the
+    norm of the embedded error estimate, k7 is f's value at the new point and
+    record the seven stages flat, by component (an iterator here, a tuple from
+    _trial2).  Raises _StageRejected when a stage leaves the admissible region
+    or turns non-finite.
     """
+    # Indexing the flagged components costs less than iterating the flags at
+    # each of the seven checks.
+    positive = list(compress(range(len(y)), pos))
     y2 = [v + h * (_A21 * a) for v, a in zip(y, k1)]
     _check(y2, positive)
     k2 = f(t + _C2 * h, y2)
@@ -194,21 +197,23 @@ def _trial(f, positive, t, y, k1, h):
           for v, a, c, e, g, m in zip(y, k1, k3, k4, k5, k6)]
     _check(y7, positive)
     k7 = f(t + h, y7)
-    _check(k7, None)
-    err = [h * (_E1 * a + _E3 * c + _E4 * e + _E5 * g + _E6 * m + _E7 * n)
-           for a, c, e, g, m, n in zip(k1, k3, k4, k5, k6, k7)]
-    return y7, err, (k1, k2, k3, k4, k5, k6, k7)
+    if not all(map(isfinite, k7)):
+        raise _StageRejected
+    err = _rms([h * (_E1 * a + _E3 * c + _E4 * e + _E5 * g + _E6 * m + _E7 * n)
+                / (atol + rtol * max(abs(v), abs(w)))
+                for a, c, e, g, m, n, v, w in zip(k1, k3, k4, k5, k6, k7, y, y7)])
+    return y7, err, k7, chain.from_iterable(zip(k1, k2, k3, k4, k5, k6, k7))
 
 
-def _trial2(f, pos0, pos1, rtol, atol, t, y, k1, h):
-    """_trial written out for a 2-component state: (y_new, err, k7, record).
+def _trial2(f, pos, rtol, atol, t, y, k1, h):
+    """_trial written out for a 2-component state.
 
     Each stage component is _trial's expression for it, checked in _check's
     order (finite, then pos0 / pos1: component 0 / 1 must stay > 0), so
-    y_new and the stages are bitwise _trial's.  err is the error norm, which
-    for two terms equals _error_norm's sorted sum bitwise; k7 is f's value
-    at the new point and record the seven stages flat, by component.
+    y_new and the stages are bitwise _trial's, and the error norm, a sum of
+    two terms, equals _rms's sorted sum bitwise.
     """
+    pos0, pos1 = pos
     v0, v1 = y
     a0, a1 = k1
     u0 = v0 + h * (_A21 * a0)
@@ -293,6 +298,8 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     """
     y = [float(v) for v in y0]
     d = len(y)
+    pos = tuple(k in positive for k in range(d))
+    trial = _trial2 if d == 2 else _trial
 
     t = float(t0)
     f_curr = f(t, y)
@@ -306,7 +313,6 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     stop_t = stop_bracket = crossing = None
 
     floor_ulps = 16.0 * math.ulp(1.0)
-    pos0, pos1 = 0 in positive, 1 in positive
     steps = 0
     while t < t_end:
         if steps >= max_steps:
@@ -325,12 +331,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
 
         nfev += 6
         try:
-            if d == 2:
-                y_new, err, f_new, record = _trial2(f, pos0, pos1, rtol, atol, t, y, f_curr, h)
-            else:
-                y_new, est, stages = _trial(f, positive, t, y, f_curr, h)
-                err = _error_norm(est, y, y_new, rtol, atol)
-                f_new, record = stages[6], chain.from_iterable(zip(*stages))
+            y_new, err, f_new, record = trial(f, pos, rtol, atol, t, y, f_curr, h)
         except (_StageRejected, ArithmeticError):   # e.g. dividing by an underflowed power
             err = None
 

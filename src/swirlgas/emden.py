@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rk
-from .errors import CollapsedAtOrBefore, CollapsedState, InvalidParams, NonPositiveTime
+from .errors import (CollapsedAtOrBefore, CollapsedState, InvalidParams, NonPositiveTime,
+                     TrajectoryTooShort)
 from .fields import ScaleState, SolutionParams
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "TerminalEvent",
     "Trajectory",
     "emden_rhs",
-    "energy",
     "energy_of",
     "potential",
     "integrate",
@@ -113,10 +113,6 @@ def energy_of(a: float, adot: float, params: SolutionParams) -> EnergySplit:
     return EnergySplit(E=f_kin + f_pot, F_kin=f_kin, F_pot=f_pot)
 
 
-def energy(state: ScaleState, params: SolutionParams) -> EnergySplit:
-    return energy_of(state.a, state.adot, params)
-
-
 def emden_rhs(state: ScaleState, params: SolutionParams):
     """Right-hand side (adot, addot) of the scale equation."""
     a = state.a
@@ -166,8 +162,9 @@ class Trajectory:
         return ScaleState(t=float(t), a=a, adot=qdot / (2.0 * a))
 
     def sample(self, ts):
-        """Vectorized dense evaluation; returns (a, adot) arrays."""
-        ys = self._sol.eval_dense(np.asarray(ts, dtype=float))
+        """Vectorized dense evaluation; returns (a, adot) arrays, of one
+        element for a scalar time."""
+        ys = self._sol.eval_dense(np.asarray(ts, dtype=float).reshape(-1))
         a, adot = ys[:, 0], ys[:, 1]
         np.sqrt(a, out=a)       # in place: (q, qdot) -> (a, adot), no temporaries
         adot /= a
@@ -239,6 +236,12 @@ def _check_start(a_init, t_end, eps):
         raise NonPositiveTime("t_end must be positive")
     if not min(a_init) > eps:
         raise CollapsedState(f"a_init = {tuple(a_init)!r} is not above collapse_epsilon = {eps!r}")
+
+
+def _check_span(traj, t_lo: float, t_hi: float):
+    """TrajectoryTooShort unless traj (a Trajectory or Scales3Trajectory) covers [t_lo, t_hi]."""
+    if not traj.covers(t_lo, t_hi):
+        raise TrajectoryTooShort(f"need [{t_lo}, {t_hi}] inside {traj.t_span}")
 
 
 def _terminal(sol: _rk.RkSolution) -> TerminalEvent:

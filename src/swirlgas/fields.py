@@ -17,7 +17,7 @@ when lam (gamma-1) > 0 and positive everywhere otherwise.
 
 A classical gamma = 2 fixture (density r^2/(8 K t^2), dilation + clockwise
 swirl both of speed r/(2t)) is provided as an independent code path for
-cross-checks; see ``zhang_zheng_field``.
+cross-checks; see ``zhang_zheng_arrays``.
 """
 
 from __future__ import annotations
@@ -32,16 +32,12 @@ from .errors import CollapsedState, InvalidParams, NonPositiveTime
 __all__ = [
     "SolutionParams",
     "ScaleState",
-    "QueryPoint",
-    "FlowSample",
     "ZhangZhengEmbedding",
     "validate_params",
     "profile_f",
     "support_s_bound",
     "support_radius",
-    "eval_flow",
     "eval_flow_arrays",
-    "zhang_zheng_field",
     "zhang_zheng_arrays",
     "zhang_zheng_embedding",
 ]
@@ -115,45 +111,32 @@ class ScaleState:
     adot: float
 
 
-@dataclass(frozen=True)
-class QueryPoint:
-    """A spatial sample point."""
+def profile_law(s, gamma, K, c, alpha):
+    """max(-c (gamma-1)/(2 K gamma) s + alpha, 0)^(1/(gamma-1)) on an array s.
 
-    x: float
-    y: float
-
-    @property
-    def r(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def s(self, state: ScaleState) -> float:
-        """Similarity coordinate (x^2+y^2)/a^2 for the given scale state."""
-        return (self.x * self.x + self.y * self.y) / (state.a * state.a)
+    The density profile of both families: c is lam in 2D and xi3 in 3D.  The
+    base is clamped at zero before exponentiation so a fractional power never
+    sees a negative argument.
+    """
+    slope = -c * (gamma - 1.0) / (2.0 * K * gamma)
+    return np.maximum(slope * s + alpha, 0.0) ** (1.0 / (gamma - 1.0))
 
 
-@dataclass(frozen=True)
-class FlowSample:
-    """Primitive flow variables at one space-time point; p = K rho^gamma."""
-
-    rho: float
-    u1: float
-    u2: float
-    p: float
+def profile_support(gamma, K, c, alpha) -> float:
+    """Largest s where profile_law is positive; inf when it never vanishes."""
+    d = c * (gamma - 1.0)
+    return 2.0 * K * gamma * alpha / d if d > 0.0 else math.inf
 
 
 def profile_f(s, params: SolutionParams):
-    """Self-similar density profile f(s) = max(base(s), 0)^(1/(gamma-1)).
+    """Self-similar density profile f(s) = profile_law(s) with (lam, alpha).
 
-    base(s) = -lam (gamma-1)/(2 K gamma) s + alpha.  The base is clamped at
-    zero before exponentiation so a fractional power never sees a negative
-    argument.  Accepts a scalar or an array; s must be >= 0.
+    Accepts a scalar or an array; s must be >= 0.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0.0):
         raise ValueError("similarity coordinate s must be >= 0")
-    slope = -params.lam * (params.gamma - 1.0) / (2.0 * params.K * params.gamma)
-    base = np.maximum(slope * s_arr + params.alpha, 0.0)
-    f = base ** (1.0 / (params.gamma - 1.0))
+    f = profile_law(s_arr, params.gamma, params.K, params.lam, params.alpha)
     if s_arr.ndim == 0:
         return float(f)
     return f
@@ -161,10 +144,7 @@ def profile_f(s, params: SolutionParams):
 
 def support_s_bound(params: SolutionParams) -> float:
     """Largest s with positive profile; inf when the profile never vanishes."""
-    d = params.lam * (params.gamma - 1.0)
-    if d <= 0.0:
-        return math.inf
-    return 2.0 * params.K * params.gamma * params.alpha / d
+    return profile_support(params.gamma, params.K, params.lam, params.alpha)
 
 
 # Share of the support bound s_b that sample points may reach: the profile's
@@ -206,12 +186,6 @@ def eval_flow_arrays(params: SolutionParams, state: ScaleState, x, y):
     return rho, u1, u2, p
 
 
-def eval_flow(params: SolutionParams, state: ScaleState, q: QueryPoint) -> FlowSample:
-    """Evaluate density, velocity and pressure at one point."""
-    rho, u1, u2, p = eval_flow_arrays(params, state, q.x, q.y)
-    return FlowSample(rho=float(rho), u1=float(u1), u2=float(u2), p=float(p))
-
-
 def zhang_zheng_arrays(t: float, x, y, K: float = 1.0):
     """Vectorized gamma = 2 fixture field; returns (rho, u1, u2, p).
 
@@ -232,12 +206,6 @@ def zhang_zheng_arrays(t: float, x, y, K: float = 1.0):
     u2 = (y - x) / (2.0 * t)
     p = K * rho * rho
     return rho, u1, u2, p
-
-
-def zhang_zheng_field(t: float, q: QueryPoint, K: float = 1.0) -> FlowSample:
-    """The gamma = 2 fixture at one point (independent of eval_flow)."""
-    rho, u1, u2, p = zhang_zheng_arrays(t, q.x, q.y, K)
-    return FlowSample(rho=float(rho), u1=float(u1), u2=float(u2), p=float(p))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emden import Trajectory
+from .emden import Trajectory, _check_span
 from .errors import (BoxOutsideSupport, InvalidParams, LadderTooShort, NonFiniteState,
                      NonPositiveTime)
 from .fields import SolutionParams, check_support_reach, eval_flow_arrays, support_s_bound
@@ -107,11 +107,6 @@ class ConservativeField:
     m1 = property(lambda self: self.U[1])
     m2 = property(lambda self: self.U[2])
 
-    @classmethod
-    def from_primitive(cls, cfg: FvConfig, rho, u1, u2, t: float = 0.0):
-        rho = np.asarray(rho, dtype=float)
-        return cls(cfg, rho, rho * np.asarray(u1, float), rho * np.asarray(u2, float), t)
-
     def interior(self):
         """Views of the interior cells (no ghosts)."""
         sl = (slice(1, -1), slice(1, -1))
@@ -156,13 +151,16 @@ def init_from_exact(params: SolutionParams, traj: Trajectory, t0: float,
                     cfg: FvConfig) -> ConservativeField:
     """Sample the exact field at cell centers (ghost ring included).
 
-    The box, enlarged by the ghost ring, must stay strictly inside the
-    density support, within fields.SUPPORT_MARGIN of its bound on s, for the
-    whole run window [t0, t_end].
+    The trajectory must cover the run window [t0, t_end] (TrajectoryTooShort
+    otherwise), and the box, enlarged by the ghost ring, must stay strictly
+    inside the density support, within fields.SUPPORT_MARGIN of its bound on
+    s, over the whole window.
     """
+    t_end = max(t0, cfg.t_end)
+    _check_span(traj, t0, t_end)
     s_b = support_s_bound(params)
     if not math.isinf(s_b):
-        ts = np.linspace(t0, max(t0, cfg.t_end), 33)
+        ts = np.linspace(t0, t_end, 33)
         a_min = float(np.min(traj.sample(ts)[0]))
         r_corner = math.hypot(max(abs(cfg.x_lo - cfg.dx), abs(cfg.x_hi + cfg.dx)),
                               max(abs(cfg.y_lo - cfg.dy), abs(cfg.y_hi + cfg.dy)))

@@ -38,18 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rk
-from .emden import IntegrationConfig, Trajectory, _check_start, _fpow, _terminal
-from .errors import (
-    GridTouchesSupportBoundary,
-    InvalidParams,
-    LadderTooShort,
-    TrajectoryTooShort,
-)
+from .emden import IntegrationConfig, Trajectory, _check_span, _check_start, _fpow, _terminal
+from .errors import GridTouchesSupportBoundary, InvalidParams, LadderTooShort
 from .fields import (
     ScaleState,
     SolutionParams,
     check_support_reach,
     eval_flow_arrays,
+    profile_law,
+    profile_support,
     support_s_bound,
     zhang_zheng_arrays,
 )
@@ -64,7 +61,6 @@ __all__ = [
     "euler_residual_2d",
     "zz_direct_residual",
     "mass_residual_generic_g",
-    "ns_viscous_term",
     "laplacian_fd",
     "integrate_scales_3d",
     "eval_flow_3d_arrays",
@@ -259,9 +255,7 @@ def euler_residual_2d(params: SolutionParams, traj: Trajectory, t: float,
     deliberately broken field as a negative control for convergence studies.
     """
     h_t = grid.h_t
-    if not traj.covers(t - h_t, t + h_t):
-        raise TrajectoryTooShort(
-            f"need [{t - h_t}, {t + h_t}] inside {traj.t_span}")
+    _check_span(traj, t - h_t, t + h_t)
     st_m, st_0, st_p = (traj.state_at(t - h_t), traj.state_at(t), traj.state_at(t + h_t))
     check_support_reach(support_s_bound(params), grid.max_radius() + 2.0 * grid.h,
                         min(st_m.a, st_0.a, st_p.a), GridTouchesSupportBoundary, "stencil")
@@ -357,13 +351,14 @@ def laplacian_fd(velocity, x, y, h: float):
     return lap1, lap2
 
 
-def ns_viscous_term(params: SolutionParams, state: ScaleState, x, y,
-                    mu: float = 1.0, h: float = 1e-3):
-    """mu * Laplacian(u) of the family velocity, by finite differences.
+def viscous_norm(params: SolutionParams, state: ScaleState, x, y,
+                 mu: float = 1.0, h: float = 1e-3) -> float:
+    """max |mu Lap(u)| of the family velocity, by finite differences,
+    normalized by the velocity-gradient scale / h.
 
-    The family velocity is affine in (x, y), so the exact value is zero and
-    the finite-difference result is pure rounding noise with floor
-    ~ eps * |u| / h^2.  Returned as (mu lap_u1, mu lap_u2).
+    The family velocity is affine in (x, y), so the exact Laplacian is zero
+    and the finite-difference result is pure rounding noise with floor
+    ~ eps * |u| / h^2.
     """
 
     def vel(xs, ys):
@@ -371,13 +366,7 @@ def ns_viscous_term(params: SolutionParams, state: ScaleState, x, y,
         return u1, u2
 
     lap1, lap2 = laplacian_fd(vel, x, y, h)
-    return mu * lap1, mu * lap2
-
-
-def viscous_norm(params: SolutionParams, state: ScaleState, x, y,
-                 mu: float = 1.0, h: float = 1e-3) -> float:
-    """max |mu Lap(u)| normalized by the velocity-gradient scale / h."""
-    l1, l2 = ns_viscous_term(params, state, x, y, mu=mu, h=h)
+    l1, l2 = mu * lap1, mu * lap2
     grad_scale = abs(state.adot / state.a) + abs(params.xi) / state.a ** 2
     floor_scale = max(grad_scale, 1e-300) / h
     return float(max(np.max(np.abs(l1)), np.max(np.abs(l2))) / floor_scale)
@@ -394,7 +383,8 @@ class ThreeAxisParams:
     rho = f(s) / (a1 a2 a3),  u_i = (adot_i/a_i)(x_i - d_i) + ddot-free drift
     rate d1_i, with d_i(t) = d0_i + t d1_i,
     s = sum_k ((x_k - d_k)/a_k)^2 and
-    f(s) = max(-xi3 (gamma-1)/(2 K gamma) s + alpha3, 0)^(1/(gamma-1)).
+    f(s) = max(-xi3 (gamma-1)/(2 K gamma) s + alpha3, 0)^(1/(gamma-1)), the
+    2D profile law (fields.profile_law) with (xi3, alpha3) for (lam, alpha).
 
     The scales satisfy the coupled system addot_i = xi3 / (a_i (a1 a2 a3)^(gamma-1)).
     xi3 plays the role the scale-equation constant lam plays in 2D; it is a
@@ -434,8 +424,7 @@ class ThreeAxisParams:
         return tuple(d0 + t * d1 for d0, d1 in zip(self.drift0, self.drift_rate))
 
     def support_s_bound(self) -> float:
-        d = self.xi3 * (self.gamma - 1.0)
-        return 2.0 * self.K * self.gamma * self.alpha3 / d if d > 0.0 else math.inf
+        return profile_support(self.gamma, self.K, self.xi3, self.alpha3)
 
 
 class Scales3Trajectory:
@@ -490,7 +479,10 @@ _AXES = (0, 1, 2)
 
 def integrate_scales_3d(c3: ThreeAxisParams, t_end: float,
                         cfg: IntegrationConfig = IntegrationConfig()) -> Scales3Trajectory:
-    """Integrate the coupled three-axis scale system from t = 0.
+    """Integrate the coupled three-axis scale system from t = 0 to t_end.
+
+    The t_end argument sets the horizon; cfg.t_end is not read, and cfg
+    supplies only the tolerances, max_step and collapse_epsilon.
 
     Every scale stays positive; each contracting axis moves by at most
     0.1 a/|adot| per step; the run stops when the smallest scale reaches
@@ -530,12 +522,8 @@ def eval_flow_3d_arrays(c3: ThreeAxisParams, a, adot, t: float, x, y, z):
     d = c3.drift_at(t)
     xr, yr, zr = x - d[0], y - d[1], z - d[2]
     lo, mid, hi = _order3((xr / a[0]) ** 2, (yr / a[1]) ** 2, (zr / a[2]) ** 2)
-    s = lo + mid + hi
-    slope = -c3.xi3 * (c3.gamma - 1.0) / (2.0 * c3.K * c3.gamma)
-    base = np.maximum(slope * s + c3.alpha3, 0.0)
-    f = base ** (1.0 / (c3.gamma - 1.0))
-    prod = _ordered_prod3(a)
-    rho = f / prod
+    f = profile_law(lo + mid + hi, c3.gamma, c3.K, c3.xi3, c3.alpha3)
+    rho = f / _ordered_prod3(a)
     u1 = (adot[0] / a[0]) * xr + c3.drift_rate[0]
     u2 = (adot[1] / a[1]) * yr + c3.drift_rate[1]
     u3 = (adot[2] / a[2]) * zr + c3.drift_rate[2]
@@ -576,8 +564,7 @@ def euler_residual_3d(c3: ThreeAxisParams, scales: Scales3Trajectory, t: float,
     if tolerance is not None and not tolerance > 0.0:
         raise InvalidParams(["NonPositive:tolerance"])
     h, h_t = grid.h, grid.h_t
-    if not scales.covers(t - h_t, t + h_t):
-        raise TrajectoryTooShort(f"need [{t - h_t}, {t + h_t}] inside {scales.t_span}")
+    _check_span(scales, t - h_t, t + h_t)
     states = {dt: scales.state_at(t + dt) for dt in (-h_t, 0.0, h_t)}
     reach = math.sqrt(3.0) * (grid.half_width + 2.0 * h) + h_t * max(map(abs, c3.drift_rate))
     check_support_reach(c3.support_s_bound(), reach, min(min(st[0]) for st in states.values()),

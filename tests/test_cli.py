@@ -359,6 +359,15 @@ def test_non_positive_fv_horizon_is_rejected(horizon, capsys, monkeypatch):
                                "message": f"the horizon t_end - t0 = {float(horizon)!r} must be positive"}
 
 
+@pytest.mark.parametrize("preset", ["generic-smooth", "gamma3-critical"])
+def test_fv_run_past_the_trajectory_is_a_domain_error(preset, capsys):
+    code, _, err = run_cli(["fvbench", "--preset", preset, "--t-end", "0.2",
+                            "--horizon", "0.5"], capsys)
+    assert code == 1
+    assert json.loads(err) == {"error": "TrajectoryTooShort",
+                               "message": "need [0.0, 0.5] inside (0.0, 0.2)"}
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"{name} is not strict JSON")

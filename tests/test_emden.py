@@ -1,7 +1,6 @@
 """Scale-factor dynamics: right-hand side, energy, integration, oracles."""
 
 import math
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -15,8 +14,8 @@ from swirlgas import (
     ThreeAxisParams,
     closed_form_gamma2,
     emden_rhs,
-    energy,
     energy_drift,
+    energy_of,
     gamma2_scale_squared_coeffs,
     integrate,
     integrate_scales_3d,
@@ -54,11 +53,11 @@ def test_rhs_collapsed():
 # ----------------------------------------------------------- energy
 
 def test_energy_values():
-    e = energy(ScaleState(0, 1.0, 0.0), P(1.5, 1, -2))
+    e = energy_of(1.0, 0.0, P(1.5, 1, -2))
     assert e.E == pytest.approx(0.5 - 2.0, abs=1e-15)      # 2g-2 = 1
-    e = energy(ScaleState(0, 1.0, 0.0), P(2, 1, 0))
+    e = energy_of(1.0, 0.0, P(2, 1, 0))
     assert e.E == pytest.approx(0.5, abs=1e-15)
-    e = energy(ScaleState(0, 1.0, 0.0), P(3, 1, -1))
+    e = energy_of(1.0, 0.0, P(3, 1, -1))
     assert e.E == pytest.approx(0.5 - 0.25, abs=1e-15)     # 2g-2 = 4
     assert e.E == e.F_kin + e.F_pot
 
@@ -92,7 +91,7 @@ def test_closed_form_satisfies_the_equation():
 
 def test_closed_form_scale_squared_second_difference_is_4E():
     p = P(2, 1, 0)
-    e0 = energy(ScaleState(0, p.a0, p.a1), p).E
+    e0 = energy_of(p.a0, p.a1, p).E
     h = 1e-4
     for t in (0.3, 0.9, 1.7):
         sq = [closed_form_gamma2(p, tt).a ** 2 for tt in (t - h, t, t + h)]
@@ -160,6 +159,15 @@ def test_dense_output_reproduces_nodes_exactly():
         st = traj.state_at(float(traj.ts[k]))
         assert st.a == traj.a[k]
         assert st.adot == traj.adot[k]
+
+
+@pytest.mark.parametrize("t", [0.5, np.float64(0.5), np.array(0.5)], ids=["float", "float64", "0-d"])
+def test_sample_at_a_scalar_time_is_the_one_element_sample(t):
+    traj = integrate(P(1.5, 1, -2), IntegrationConfig(t_end=3.0))
+    a, adot = traj.sample(t)
+    ref_a, ref_adot = traj.sample([0.5])
+    assert a.shape == adot.shape == (1,)
+    assert a.tobytes() == ref_a.tobytes() and adot.tobytes() == ref_adot.tobytes()
 
 
 def test_gamma2_oracle_sweep():
@@ -379,27 +387,19 @@ def test_first_step_matches_a_numpy_reference(f, y0):
     y_ref, err_ref, K = _reference_step(f, 0.0, y0, h)
     assert np.max(np.abs(sol.ys[1] - y_ref)) <= 1e-14 * np.max(np.abs(y_ref))
     assert np.max(np.abs(sol.dense_q[0] - K.T @ _rk._P)) <= 1e-14 * np.max(np.abs(K))
-    _, err, stages = _rk._trial(f, None, 0.0, list(y0), list(K[0]), h)
-    assert np.max(np.abs(np.array(stages) - K)) <= 1e-14 * np.max(np.abs(K))
-    assert np.max(np.abs(np.array(err) - err_ref)) <= 1e-14 * h * np.max(np.abs(K))
-    if y0.size == 2:
-        _, _, _, record = _rk._trial2(f, False, False, 1e-8, 1e-8, 0.0, list(y0), list(K[0]), h)
-        stages = np.array(record).reshape(2, 7).T
+    scale = 1e-8 + 1e-8 * np.maximum(np.abs(y0), np.abs(y_ref))
+    norm_ref = np.sqrt(np.mean((err_ref / scale) ** 2))
+    for trial in (_rk._trial, _rk._trial2) if y0.size == 2 else (_rk._trial,):
+        _, err, _, record = trial(f, (False,) * y0.size, 1e-8, 1e-8, 0.0, list(y0), list(K[0]), h)
+        stages = np.array(list(record)).reshape(y0.size, 7).T
         assert np.max(np.abs(stages - K)) <= 1e-14 * np.max(np.abs(K))
-
-
-def _generic_step(f, pos0, pos1, rtol, atol, t, y, k1, h):
-    """The generic _trial, its error norm and stage record, in _trial2's form."""
-    positive = [k for k, on in enumerate((pos0, pos1)) if on]
-    y_new, est, stages = _rk._trial(f, positive, t, y, k1, h)
-    return (y_new, _rk._error_norm(est, y, y_new, rtol, atol), stages[6],
-            tuple(chain.from_iterable(zip(*stages))))
+        assert abs(err - norm_ref) <= 1e-14 * h * np.max(np.abs(K / scale))
 
 
 def _outcome(step, f, positive, y, h):
     """One trial step from t = 0 as bytes, or how it was rejected."""
     try:
-        y_new, err, k7, record = step(f, 0 in positive, 1 in positive, 1e-8, 1e-8,
+        y_new, err, k7, record = step(f, (0 in positive, 1 in positive), 1e-8, 1e-8,
                                       0.0, list(y), list(f(0.0, y)), h)
     except _rk._StageRejected:
         return "rejected"
@@ -414,7 +414,8 @@ def _pendulum(t, y):
 
 def _inf_at_the_new_point(y, h):
     """_pendulum, but infinite at the endpoint of the step of size h from y."""
-    y_new = _rk._trial(_pendulum, (), 0.0, list(y), list(_pendulum(0.0, y)), h)[0]
+    y_new = _rk._trial(_pendulum, (False, False), 1.0, 1.0, 0.0, list(y),
+                       list(_pendulum(0.0, y)), h)[0]
     return lambda t, u: (u[1], math.inf) if list(u) == y_new else _pendulum(t, u)
 
 
@@ -438,7 +439,7 @@ def _raises_past(t_bad):
 @pytest.mark.parametrize("positive", [(), (0,)])
 def test_two_component_step_is_bitwise_the_generic_step(f, y, h, expected, positive):
     out = _outcome(_rk._trial2, f, positive, y, h)
-    assert out == _outcome(_generic_step, f, positive, y, h)
+    assert out == _outcome(_rk._trial, f, positive, y, h)
     if expected == "not positive":
         expected = "rejected" if positive else "accepted"
     if expected == "accepted":
@@ -455,7 +456,7 @@ def test_two_component_step_is_bitwise_the_generic_step(f, y, h, expected, posit
 def test_solve_is_bitwise_the_same_through_either_step(p, t_end, message, monkeypatch):
     cfg = IntegrationConfig(t_end=t_end)
     written_out = integrate(p, cfg)._sol
-    monkeypatch.setattr(_rk, "_trial2", _generic_step)
+    monkeypatch.setattr(_rk, "_trial2", _rk._trial)
     generic = integrate(p, cfg)._sol
     assert written_out.message == message
     for name in ("ts", "ys", "hs", "dense_q"):

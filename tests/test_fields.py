@@ -12,11 +12,9 @@ from swirlgas import (
     GridTouchesSupportBoundary,
     InvalidParams,
     NonPositiveTime,
-    QueryPoint,
     ScaleState,
     SolutionParams,
     closed_form_gamma2,
-    eval_flow,
     eval_flow_arrays,
     profile_f,
     support_radius,
@@ -24,7 +22,6 @@ from swirlgas import (
     validate_params,
     zhang_zheng_arrays,
     zhang_zheng_embedding,
-    zhang_zheng_field,
 )
 from swirlgas.fields import SUPPORT_MARGIN, check_support_reach
 
@@ -145,16 +142,16 @@ def test_support_reach_check_allows_up_to_the_margin():
 def test_eval_flow_origin():
     p = SolutionParams(gamma=1.4, K=1, xi=0.7, lam=0.9, alpha=1, a0=2.0, a1=0.3)
     st = ScaleState(t=0, a=2.0, adot=0.3)
-    s = eval_flow(p, st, QueryPoint(0.0, 0.0))
-    assert s.u1 == 0.0 and s.u2 == 0.0
-    assert s.rho == pytest.approx(1.0 / 4.0, rel=1e-15)
+    rho, u1, u2, _ = eval_flow_arrays(p, st, 0.0, 0.0)
+    assert u1 == 0.0 and u2 == 0.0
+    assert rho == pytest.approx(1.0 / 4.0, rel=1e-15)
 
 
 def test_eval_flow_fixture_density_point():
     # Embedded fixture member: rho at (2, 0), t = 1 equals r^2/(8 K t^2) = 0.5.
     emb = zhang_zheng_embedding(1.0)
-    s = eval_flow(emb.params, emb.state, QueryPoint(2.0, 0.0))
-    assert s.rho == pytest.approx(0.5, abs=1e-15)
+    rho = eval_flow_arrays(emb.params, emb.state, 2.0, 0.0)[0]
+    assert rho == pytest.approx(0.5, abs=1e-15)
 
 
 def test_eval_flow_matches_extended_precision():
@@ -163,7 +160,7 @@ def test_eval_flow_matches_extended_precision():
     p = SolutionParams(gamma=1.4, K=1, xi=0.7, lam=0.9, alpha=1, a0=1, a1=0.3)
     st = ScaleState(t=0.25, a=1.1, adot=0.45)
     for (x, y) in [(0.3, -0.4), (0.55, 0.2), (-0.1, 0.9)]:
-        got = eval_flow(p, st, QueryPoint(x, y))
+        rho, u1, u2, _ = eval_flow_arrays(p, st, x, y)
         xd, yd, ad = Decimal(x), Decimal(y), Decimal(st.a)
         s_d = (xd * xd + yd * yd) / (ad * ad)
         slope_d = (-Decimal(p.lam) * (Decimal(p.gamma) - 1)
@@ -173,17 +170,17 @@ def test_eval_flow_matches_extended_precision():
         rho_d = (base_d.ln() * expo_d).exp() / (ad * ad)
         u1_d = Decimal(st.adot) / ad * xd - Decimal(p.xi) / (ad * ad) * yd
         u2_d = Decimal(p.xi) / (ad * ad) * xd + Decimal(st.adot) / ad * yd
-        assert got.rho == pytest.approx(float(rho_d), rel=4e-15)
-        assert got.u1 == pytest.approx(float(u1_d), rel=4e-15, abs=1e-17)
-        assert got.u2 == pytest.approx(float(u2_d), rel=4e-15, abs=1e-17)
+        assert rho == pytest.approx(float(rho_d), rel=4e-15)
+        assert u1 == pytest.approx(float(u1_d), rel=4e-15, abs=1e-17)
+        assert u2 == pytest.approx(float(u2_d), rel=4e-15, abs=1e-17)
 
 
 def test_eval_flow_collapsed_state():
     p = SolutionParams(gamma=1.4, K=1, xi=0.7, lam=0.9, alpha=1, a0=1, a1=0)
     with pytest.raises(CollapsedState):
-        eval_flow(p, ScaleState(t=1.0, a=0.0, adot=-1.0), QueryPoint(1.0, 0.0))
+        eval_flow_arrays(p, ScaleState(t=1.0, a=0.0, adot=-1.0), 1.0, 0.0)
     with pytest.raises(CollapsedState):
-        eval_flow(p, ScaleState(t=1.0, a=-0.5, adot=-1.0), QueryPoint(1.0, 0.0))
+        eval_flow_arrays(p, ScaleState(t=1.0, a=-0.5, adot=-1.0), 1.0, 0.0)
 
 
 # ----------------------------------------------------------- gamma=2 fixture
@@ -192,22 +189,19 @@ def test_fixture_point_values():
     # Note the swirl sign: u2 = (y - x)/(2t).  The mirrored variant
     # ((x - y)/(2t)) does not satisfy the governing equations (see the
     # residual tests), so the clockwise convention is the fixture.
-    s = zhang_zheng_field(1.0, QueryPoint(2.0, 0.0), 1.0)
-    assert (s.rho, s.u1, s.u2) == (0.5, 1.0, -1.0)
-    s = zhang_zheng_field(2.0, QueryPoint(0.0, 2.0), 1.0)
-    assert (s.rho, s.u1, s.u2) == (0.125, 0.5, 0.5)
+    assert zhang_zheng_arrays(1.0, 2.0, 0.0, 1.0)[:3] == (0.5, 1.0, -1.0)
+    assert zhang_zheng_arrays(2.0, 0.0, 2.0, 1.0)[:3] == (0.125, 0.5, 0.5)
 
 
 def test_fixture_origin():
-    s = zhang_zheng_field(1.0, QueryPoint(0.0, 0.0), 1.0)
-    assert s.rho == 0.0 and s.u1 == 0.0 and s.u2 == 0.0
+    assert zhang_zheng_arrays(1.0, 0.0, 0.0, 1.0)[:3] == (0.0, 0.0, 0.0)
 
 
 def test_fixture_requires_positive_time():
     with pytest.raises(NonPositiveTime):
-        zhang_zheng_field(0.0, QueryPoint(1.0, 0.0), 1.0)
+        zhang_zheng_arrays(0.0, 1.0, 0.0, 1.0)
     with pytest.raises(NonPositiveTime):
-        zhang_zheng_field(-1.0, QueryPoint(1.0, 0.0), 1.0)
+        zhang_zheng_arrays(-1.0, 1.0, 0.0, 1.0)
 
 
 def test_embedding_matches_fixture_everywhere():
@@ -261,11 +255,11 @@ def test_density_is_radial():
     rng = np.random.default_rng(5)
     x0, y0 = rng.uniform(0.1, 1.5, 2)
     r = math.hypot(x0, y0)
-    base = eval_flow(p, st, QueryPoint(x0, y0)).rho
+    base = eval_flow_arrays(p, st, x0, y0)[0]
     for k in range(16):
         th = 2 * math.pi * k / 16
-        s = eval_flow(p, st, QueryPoint(r * math.cos(th), r * math.sin(th)))
-        assert abs(s.rho - base) <= 1e-13
+        rho = eval_flow_arrays(p, st, r * math.cos(th), r * math.sin(th))[0]
+        assert abs(rho - base) <= 1e-13
 
 
 def test_velocity_decomposition():
@@ -277,9 +271,9 @@ def test_velocity_decomposition():
         r = math.hypot(x, y)
         if r < 1e-3:
             continue
-        s = eval_flow(p, st, QueryPoint(x, y))
-        radial = (s.u1 * x + s.u2 * y) / r
-        tangential = (-s.u1 * y + s.u2 * x) / r
+        _, u1, u2, _ = eval_flow_arrays(p, st, x, y)
+        radial = (u1 * x + u2 * y) / r
+        tangential = (-u1 * y + u2 * x) / r
         assert abs(radial - st.adot / st.a * r) <= 1e-13
         assert abs(tangential - p.xi / st.a ** 2 * r) <= 1e-13
 
@@ -307,8 +301,3 @@ def test_profile_continuous_at_support_boundary():
     right = profile_f(s_b * (1 + 1e-8), p)
     assert abs(left - right) <= 1e-10
 
-
-def test_query_point_geometry():
-    q = QueryPoint(3.0, 4.0)
-    assert q.r == 5.0
-    assert q.s(ScaleState(t=0, a=2.0, adot=0.0)) == pytest.approx(25.0 / 4.0, rel=1e-15)

@@ -12,6 +12,7 @@ from swirlgas import (
     NonFiniteState,
     NonPositiveTime,
     SolutionParams,
+    TrajectoryTooShort,
     init_from_exact,
     run_and_compare,
     step,
@@ -88,6 +89,18 @@ def test_init_box_outside_support(generic_traj):
     cfg = FvConfig(x_lo=-3.0, x_hi=3.0, y_lo=-3.0, y_hi=3.0, nx=16, ny=16, t_end=0.1)
     with pytest.raises(BoxOutsideSupport):
         init_from_exact(GENERIC, generic_traj, 0.0, cfg)
+
+
+def test_init_rejects_a_trajectory_that_ends_before_the_run():
+    # The orbit collapses at t = 1 and the density has full support, so no
+    # support check stops a run to t = 2 from chasing the collapse.
+    blowup = SolutionParams(gamma=2.0, K=1.0, xi=1.0, lam=-2.0, alpha=1.0, a0=1.0, a1=0.0)
+    traj = integrate(blowup, IntegrationConfig(t_end=2.0))
+    assert traj.terminal.kind == "collapsed"
+    cfg = FvConfig(nx=16, ny=16, t_end=2.0)
+    with pytest.raises(TrajectoryTooShort) as exc:
+        init_from_exact(blowup, traj, 0.0, cfg)
+    assert str(exc.value) == f"need [0.0, 2.0] inside {traj.t_span}"
 
 
 def test_step_uniform_static_is_exact(static_traj):
@@ -274,14 +287,14 @@ def _sod_field(cfg):
     xg, _ = cfg.centers()
     rho0 = np.where(xg <= 0.5 * (cfg.x_lo + cfg.x_hi), 1.0, 0.125)
     zeros = np.zeros_like(rho0)
-    return ConservativeField.from_primitive(cfg, rho0, zeros, zeros)
+    return ConservativeField(cfg, rho0, zeros, zeros, 0.0)
 
 
 def _pocket_field(cfg):
     # A low-density pocket flowing apart: the floor at 0.3 clips it every step.
     xg, yg = cfg.centers()
     rho0 = 1.0 - 0.8 * np.exp(-8.0 * (xg ** 2 + yg ** 2))
-    return ConservativeField.from_primitive(cfg, rho0, 0.5 * xg, -0.3 * yg)
+    return ConservativeField(cfg, rho0, rho0 * (0.5 * xg), rho0 * (-0.3 * yg), 0.0)
 
 
 @pytest.mark.parametrize("case", ["generic-40x24", "generic-24x40", "sod-128x16", "floor"])
