@@ -43,7 +43,6 @@ from .emden import (
     Trajectory,
     closed_form_gamma2,
     emden_rhs,
-    energy_drift,
     energy_of,
     gamma2_scale_squared_coeffs,
     integrate,

@@ -25,7 +25,7 @@ JSON is strict: a number that is not finite is written as null.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import json
 import math
 import sys
@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fv, regimes, residuals
-from .emden import IntegrationConfig, energy_drift, integrate
+from .emden import IntegrationConfig, integrate
 from .errors import InvalidParams, SwirlgasError
 from .fields import (
     ScaleState,
@@ -186,27 +186,20 @@ def _fmt(v):
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
-def _emit(args, payload_json=None, csv_rows=None, csv_header=None):
-    """Write the report in the requested format to --out or stdout."""
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and csv_rows is not None:
-        target = open(args.out, "w", newline="") if args.out else sys.stdout
-        try:
-            w = csv.writer(target)
-            if csv_header:
-                w.writerow(csv_header)
-            for row in csv_rows:
-                w.writerow([_fmt(v) for v in row])
-        finally:
-            if args.out:
-                target.close()
-    else:
-        text = _dumps(payload_json)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+def _emit(args, report, csv_header=None, csv_rows=None):
+    """Write the report, or its CSV table in --format csv, to --out or stdout."""
+    target = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with target as fh:
+        if args.format == "csv" and csv_rows is not None:
+            _write_csv(fh, csv_header, ([_fmt(v) for v in row] for row in csv_rows))
         else:
-            print(text)
+            fh.write(_dumps(report) + "\n")
+
+
+def _write_csv(fh, header, rows):
+    """Rows of strings joined as csv.writer would: no field needs quoting."""
+    fh.write(",".join(header) + "\r\n")
+    fh.writelines(line + "\r\n" for line in map(",".join, rows))
 
 
 def _dumps(obj) -> str:
@@ -250,54 +243,34 @@ def cmd_eval(args, cfg):
     xg, yg = np.meshgrid(xs, xs, indexing="ij")
     rho, u1, u2, p = eval_flow_arrays(params, state, xg.ravel(), yg.ravel())
     rows = np.column_stack([xg.ravel(), yg.ravel(), rho, u1, u2, p])
-    _emit(args, payload_json={"config": cfg, "state": {
-        "t": state.t, "a": state.a, "adot": state.adot},
-        "samples": rows.tolist()},
-        csv_rows=rows, csv_header=("x", "y", "rho", "u1", "u2", "p"))
+    _emit(args, {"config": cfg, "state": asdict(state), "samples": rows.tolist()},
+          ("x", "y", "rho", "u1", "u2", "p"), rows)
     return 0
 
 
 def cmd_integrate(args, cfg):
     traj = integrate(SolutionParams(**cfg["params"]), IntegrationConfig(**cfg["integration"]))
-    summary = {
-        "config": cfg,
-        "terminal": {"kind": traj.terminal.kind, "t": traj.terminal.t,
-                     "bracket": traj.terminal.bracket, "message": traj.terminal.message},
-        "nodes": int(traj.ts.size),
-        "energy_drift": energy_drift(traj),
-        "E0": float(traj.E[0]),
-    }
-    _emit(args, payload_json=summary, csv_rows=traj.csv_rows(),
-          csv_header=("t", "a", "adot", "E", "F_kin", "F_pot"))
+    summary = {"config": cfg, "terminal": asdict(traj.terminal), "nodes": int(traj.ts.size),
+               "energy_drift": float(traj.drift.max()), "E0": float(traj.E[0])}
+    _emit(args, summary, ("t", "a", "adot", "E", "F_kin", "F_pot"), traj.csv_rows())
     return 0
 
 
 def cmd_classify(args, cfg):
     params = SolutionParams(**cfg["params"])
     regime = regimes.classify(params, locate_blowup=cfg["locate_blowup"])
-    report = {
-        "config": cfg,
-        "kind": regime.kind,
-        "branch": regime.branch,
-        "period": regime.period,
-        "blowup_time": regime.blowup_time,
-        "blowup_bracket": regime.blowup_bracket,
-        "certificate": regime.certificate,
-        "notes": list(regime.notes),
-    }
+    report = {"config": cfg, **asdict(regime)}
     if cfg["certify"]:
         rep = regimes.certify(params, regime, horizon=cfg["horizon"])
         report["certification"] = {"passed": rep.passed, "checks": rep.checks,
                                    "horizon": rep.horizon, "diagnostics": rep.diagnostics}
-    _emit(args, payload_json=report)
+    _emit(args, report)
     return 0
 
 
 def cmd_period(args, cfg):
     pr = regimes.period_quadrature(SolutionParams(**cfg["params"]))
-    _emit(args, payload_json={
-        "config": cfg, "period": pr.period, "quad_error": pr.quad_error,
-        "a_min": pr.a_min, "a_max": pr.a_max, "nodes": pr.nodes})
+    _emit(args, {"config": cfg, **asdict(pr)})
     return 0
 
 
@@ -361,13 +334,11 @@ def cmd_verify(args, cfg):
     report["max_normalized"] = worst
     report["tolerance"] = tolerance
     report["verdict"] = "PASS" if passed else "FAIL"
-    csv_rows = [("family", eq, v["max"], v["mean"], v["scale"])
-                for eq, v in report["family"]["equations"].items()]
-    if "fixture_direct" in report:
-        csv_rows += [("fixture-direct", eq, v["max"], v["mean"], v["scale"])
-                     for eq, v in report["fixture_direct"]["equations"].items()]
-    _emit(args, payload_json=report, csv_rows=csv_rows,
-          csv_header=("check", "equation", "max_normalized", "mean_normalized", "scale"))
+    csv_rows = [(check.replace("_", "-"), eq, v["max"], v["mean"], v["scale"])
+                for check in ("family", "fixture_direct") if check in report
+                for eq, v in report[check]["equations"].items()]
+    _emit(args, report, ("check", "equation", "max_normalized", "mean_normalized", "scale"),
+          csv_rows)
     return 0 if passed else 1
 
 
@@ -394,7 +365,7 @@ def cmd_verify3d(args, cfg):
         }
         all_pass = all_pass and rep.verdict == "PASS"
     report["verdict"] = "PASS" if all_pass else "FAIL"
-    _emit(args, payload_json=report)
+    _emit(args, report)
     return 0 if all_pass else 1
 
 
@@ -408,9 +379,7 @@ def cmd_fvbench(args, cfg):
     traj = integrate(params, IntegrationConfig(**cfg["integration"]))
     dump = (lambda field: _dump_cells(args.dump_cells, field)) if args.dump_cells else None
     report = fv.run_and_compare(params, traj, fv_cfg, resolutions, on_finest=dump)
-    hdr, body = report.rows()
-    _emit(args, payload_json={"config": cfg, **report.as_dict()},
-          csv_rows=body, csv_header=hdr)
+    _emit(args, {"config": cfg, **asdict(report)}, *report.rows())
     return 0
 
 
@@ -420,11 +389,9 @@ def _dump_cells(path, field):
     sl = (slice(1, -1), slice(1, -1))
     cols = [xg[sl].ravel(), yg[sl].ravel(), field.rho[sl].ravel(),
             field.m1[sl].ravel(), field.m2[sl].ravel()]
-    # Shortest round-trip reprs, joined as csv.writer would: no field needs quoting.
-    lines = map(",".join, zip(*(map(repr, col.tolist()) for col in cols)))
+    rows = zip(*(map(repr, col.tolist()) for col in cols))  # shortest round-trip reprs
     with open(path, "w", newline="") as fh:
-        fh.write("x,y,rho,m1,m2\r\n")
-        fh.writelines(line + "\r\n" for line in lines)
+        _write_csv(fh, ("x", "y", "rho", "m1", "m2"), rows)
 
 
 class Command(NamedTuple):

@@ -42,7 +42,6 @@ __all__ = [
     "integrate",
     "closed_form_gamma2",
     "gamma2_scale_squared_coeffs",
-    "energy_drift",
 ]
 
 
@@ -105,12 +104,18 @@ def potential(a, params: SolutionParams):
 
 
 def energy_of(a: float, adot: float, params: SolutionParams) -> EnergySplit:
-    """Energy split for a raw (a, adot) pair."""
+    """Energy split for a raw (a, adot) pair; InvalidParams unless E is finite."""
     if not a > 0.0:
         raise CollapsedState(f"scale a = {a!r} is not positive")
     f_kin = 0.5 * adot * adot
-    f_pot = potential(a, params)
-    return EnergySplit(E=f_kin + f_pot, F_kin=f_kin, F_pot=f_pot)
+    try:
+        f_pot = potential(a, params)
+    except OverflowError:  # xi^2 beyond the float range
+        f_pot = math.inf
+    e = f_kin + f_pot
+    if not math.isfinite(e):
+        raise InvalidParams(["NonFiniteEnergy"])
+    return EnergySplit(E=e, F_kin=f_kin, F_pot=f_pot)
 
 
 def emden_rhs(state: ScaleState, params: SolutionParams):
@@ -321,7 +326,3 @@ def _first_positive_root(c2, c1, c0):
     pos = [r for r in ((q / c2, c0 / q) if q != 0.0 else ()) if r > 0.0]
     return min(pos) if pos else None
 
-
-def energy_drift(traj: Trajectory) -> float:
-    """Worst relative energy drift across the trajectory nodes."""
-    return float(np.max(traj.drift))

@@ -270,18 +270,6 @@ class ErrorReport:
                          self.linf_mom[k], order))
         return hdr, body
 
-    def as_dict(self):
-        return {
-            "resolutions": list(self.resolutions),
-            "l1_rho": list(self.l1_rho),
-            "linf_rho": list(self.linf_rho),
-            "l1_mom": list(self.l1_mom),
-            "linf_mom": list(self.linf_mom),
-            "orders_l1_rho": list(self.orders_l1_rho),
-            "floor_events": list(self.floor_events),
-            "diagnostics": {k: list(v) for k, v in self.diagnostics.items()},
-        }
-
 
 def _errors_vs_exact(field: ConservativeField, params, traj):
     cfg = field.cfg
@@ -316,25 +304,18 @@ def run_and_compare(params: SolutionParams, traj: Trajectory, cfg: FvConfig,
     if any(fine <= coarse for coarse, fine in zip(resolutions, resolutions[1:])):
         raise InvalidParams(["ResolutionsNotIncreasing"])
     check_horizon(cfg)
-    l1r, lir, l1m, lim, floors, stats = [], [], [], [], [], []
+    rows = []
     for n in resolutions:
-        cfg_n = replace(cfg, nx=n, ny=n)
-        field = run(params, traj, cfg_n)
-        e = _errors_vs_exact(field, params, traj)
-        l1r.append(e[0])
-        lir.append(e[1])
-        l1m.append(e[2])
-        lim.append(e[3])
-        floors.append(field.floor_events)
-        stats.append(field.stats)
+        field = run(params, traj, replace(cfg, nx=n, ny=n))
+        rows.append((*_errors_vs_exact(field, params, traj), field.floor_events, field.stats))
         if on_finest is not None and n == resolutions[-1]:
             on_finest(field)
+    l1r, lir, l1m, lim, floors, stats = zip(*rows)
     orders = tuple(
         math.log2(l1r[k] / l1r[k + 1]) / math.log2(resolutions[k + 1] / resolutions[k])
         if l1r[k + 1] > 0 else math.inf
         for k in range(len(resolutions) - 1)
     )
-    return ErrorReport(resolutions=tuple(resolutions), l1_rho=tuple(l1r),
-                       linf_rho=tuple(lir), l1_mom=tuple(l1m), linf_mom=tuple(lim),
-                       orders_l1_rho=orders, floor_events=tuple(floors),
+    return ErrorReport(resolutions=tuple(resolutions), l1_rho=l1r, linf_rho=lir, l1_mom=l1m,
+                       linf_mom=lim, orders_l1_rho=orders, floor_events=floors,
                        diagnostics={k: tuple(st[k] for st in stats) for k in stats[0]})

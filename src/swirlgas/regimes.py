@@ -114,7 +114,7 @@ class CertificationReport:
 
 
 def a_max_critical(params: SolutionParams) -> CriticalData:
-    """Barrier location and height for gamma > 2, lam < 0, xi != 0.
+    """Barrier location and height for gamma > 2, lam < 0, xi^2 != 0 in floats.
 
     At the barrier a*, lam a*^(4 - 2 gamma) = -xi^2, so its height is
     F* = xi^2 (gamma - 2) / ((2 gamma - 2) a*^2), formed in log space.  Near
@@ -123,9 +123,9 @@ def a_max_critical(params: SolutionParams) -> CriticalData:
     0 (not the nan of inf - inf that the potential gives there), so that
     E(0) still compares with it exactly.
     """
-    if not (params.gamma > 2.0 and params.lam < 0.0 and params.xi != 0.0):
+    if not (params.gamma > 2.0 and params.lam < 0.0 and params.xi * params.xi != 0.0):
         raise UndefinedCritical(
-            f"needs gamma > 2, lam < 0, xi != 0; got gamma={params.gamma}, "
+            f"needs gamma > 2, lam < 0, xi^2 != 0; got gamma={params.gamma}, "
             f"lam={params.lam}, xi={params.xi}"
         )
     g = params.gamma
@@ -146,7 +146,7 @@ def _stationary_scale(params: SolutionParams) -> float | None:
     Computed in log space; returns 0.0 / inf when outside the representable
     range (exponent blows up as gamma -> 2).
     """
-    if params.lam >= 0.0 or params.xi == 0.0 or params.gamma == 2.0:
+    if params.lam >= 0.0 or params.xi * params.xi == 0.0 or params.gamma == 2.0:
         return None
     log_a = _log_stationary_scale(params)
     return 0.0 if log_a < -700.0 else math.inf if log_a > 700.0 else math.exp(log_a)

@@ -137,23 +137,17 @@ class ResidualReport:
     verdict: str | None = None       # "PASS"/"FAIL" when a tolerance was given
     tolerance: float | None = None
     worst_equation: str | None = None
-    notes: tuple = ()
 
     @property
     def max_normalized(self) -> float:
         return max(eq["max"] for eq in self.equations.values())
 
     def as_dict(self):
-        out = {
-            "h": self.h, "h_t": self.h_t, "n_points": self.n_points,
-            "max_normalized": self.max_normalized,
-            "equations": {k: dict(v) for k, v in self.equations.items()},
-        }
+        out = {"h": self.h, "h_t": self.h_t, "n_points": self.n_points,
+               "max_normalized": self.max_normalized, "equations": self.equations}
         if self.verdict is not None:
             out.update(verdict=self.verdict, tolerance=self.tolerance,
                        worst_equation=self.worst_equation)
-        if self.notes:
-            out["notes"] = list(self.notes)
         return out
 
 

@@ -1,13 +1,15 @@
 """Command-line interface: outputs, presets, exit codes, config round-trip."""
 
 import csv
+import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from swirlgas import cli
+from swirlgas import ErrorReport, PeriodResult, Regime, TerminalEvent, cli
 from swirlgas.cli import main
 from swirlgas.fields import SolutionParams, ScaleState, eval_flow_arrays
 
@@ -253,6 +255,48 @@ def test_fvbench_small(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
+    ["eval", "--preset", "periodic-demo", "--time", "0.3"],
+    ["integrate", "--preset", "periodic-demo"],
+    ["verify", "--preset", "zhang-zheng", "--format", "csv"],
+    ["fvbench", "--preset", "generic-smooth", "--resolutions", "16,32", "--horizon", "0.05",
+     "--format", "csv"],
+], ids=["eval", "integrate", "verify-zhang-zheng", "fvbench"])
+def test_csv_is_what_csv_writer_writes(args, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    if args[0] == "verify":
+        assert {r[0] for r in rows[1:]} == {"family", "fixture-direct"}
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    assert buf.getvalue() == out
+
+
+def _report(args, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    return json.loads(out)
+
+
+def names(cls):
+    return [f.name for f in fields(cls)]
+
+
+def test_json_sections_list_their_result_fields_in_order(capsys):
+    rep = _report(["classify", "--preset", "periodic-demo", "--certify"], capsys)
+    assert list(rep) == ["config", *names(Regime), "certification"]
+    rep = _report(["period", "--preset", "periodic-demo"], capsys)
+    assert list(rep) == ["config", *names(PeriodResult)]
+    rep = _report(["integrate", "--preset", "blowup-demo", "--format", "json"], capsys)
+    assert list(rep["terminal"]) == names(TerminalEvent)
+    rep = _report(["eval", "--preset", "periodic-demo", "--time", "0.3", "--format", "json"], capsys)
+    assert list(rep["state"]) == names(ScaleState)
+    rep = _report(["fvbench", "--preset", "generic-smooth", "--resolutions", "16,32",
+                   "--horizon", "0.05", "--format", "json"], capsys)
+    assert list(rep) == ["config", *names(ErrorReport)]
+
+
+@pytest.mark.parametrize("args", [
     pytest.param(["classify", "--preset", "gamma3-critical"], id="classify-preset"),
     pytest.param(["eval", "--preset", "periodic-demo", "--time", "0.5", "--grid-n", "3"],
                  id="eval"),
@@ -302,6 +346,10 @@ def test_invalid_params_error_payload(capsys):
     assert "NonPositiveGammaMargin" in payload["violations"]
 
 
+HUGE_XI = ["--gamma", "1.5", "--K", "1", "--xi", "1e200", "--lam", "-1",
+           "--alpha", "1", "--a0", "1", "--a1", "0"]
+
+
 @pytest.mark.parametrize("args", [
     ["integrate", "--preset", "periodic-demo", "--t-end", "-1"],
     ["integrate", "--preset", "periodic-demo", "--rel-tol", "-1"],
@@ -323,11 +371,37 @@ def test_invalid_params_error_payload(capsys):
     ["classify", "--preset", "periodic-demo", "--certify", "--horizon", "-1"],
     ["verify", "--preset", "generic-smooth", "--tolerance", "nan"],
     ["fvbench", "--preset", "generic-smooth", "--horizon", "inf"],
+    # xi^2 overflows, so E(0) is not finite.
+    *([cmd, *HUGE_XI] for cmd in ("classify", "integrate", "period", "verify", "fvbench")),
+    ["eval", *HUGE_XI, "--time", "0.1"],
+    # xi^2 underflows to 0: the gamma > 2 barrier is not computable.
+    ["classify", "--gamma", "3", "--K", "1", "--xi", "1e-200", "--lam", "-1",
+     "--alpha", "1", "--a0", "1", "--a1", "0"],
+    # a1^2 overflows, so E(0) is not finite.
+    ["classify", "--gamma", "3", "--K", "1", "--xi", "1", "--lam", "-1",
+     "--alpha", "1", "--a0", "1", "--a1", "1e200", "--locate-blowup", "--certify"],
+    # q = a0^2 underflows to 0, so E(0) is not finite.
+    ["integrate", "--gamma", "1.5", "--K", "1", "--xi", "1", "--lam", "-2",
+     "--alpha", "1", "--a0", "1e-300", "--a1", "0", "--collapse-epsilon", "1e-310"],
+    # The trajectory collapses at t = 1, before the requested time.
+    ["eval", "--preset", "blowup-demo", "--time", "2"],
 ])
 def test_bad_values_are_domain_errors(args, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 1
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("gamma, kind, branch", [
+    ("1.5", "time-periodic", "1"),  # trapped, inner turning point below float range
+    ("2", "finite-time-blowup", "2b-blowup"),
+])
+def test_swirl_whose_square_underflows_is_classified(gamma, kind, branch, capsys):
+    code, out, _ = run_cli(["classify", "--gamma", gamma, "--K", "1", "--xi", "1e-200",
+                            "--lam", "-1", "--alpha", "1", "--a0", "1", "--a1", "0"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["kind"], rep["branch"]) == (kind, branch)
 
 
 @pytest.mark.parametrize("args, violation", [

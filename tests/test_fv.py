@@ -335,7 +335,7 @@ def test_run_statistics_of_the_default_table():
     traj = integrate(GENERIC, IntegrationConfig(t_end=0.3))
     cfg = FvConfig(x_lo=-1.2, x_hi=1.2, y_lo=-1.2, y_hi=1.2, t0=0.0, t_end=0.2)
     report = run_and_compare(GENERIC, traj, cfg, [64, 128, 256])
-    diag = report.as_dict()["diagnostics"]
+    diag = {k: list(v) for k, v in report.diagnostics.items()}
     assert list(diag) == ["steps", "dt_min", "dt_max", "max_wave_speed"]
     assert diag["steps"] == [30, 60, 119]
     for k in range(3):
