@@ -1,13 +1,20 @@
 """Adaptive Dormand-Prince 5(4) stepping with dense output and stop events.
 
-Shared by the scale-factor integrator (d = 2) and the coupled three-axis
-system (d = 6).  Features the callers rely on:
+Two loops take the same steps, with the same controller and exits:
+
+* solve_scale integrates the scale equation, y = (q, qdot) under
+  qddot = A + C q^P, with the force given as the three numbers (A, C, P);
+* solve integrates any y' = f(t, y) through a callback; it is the stepper of
+  the coupled three-axis system (d = 6) and the reference that solve_scale
+  is tested against.
+
+Features the callers rely on:
 
 * embedded 5(4) error estimate with the classic PI controller
   (h_new = h * safety * err^-0.17 * err_prev^0.04, clipped to [0.1, 5]),
 * quartic dense output per accepted step,
-* an optional state-dependent step bound (used to approach a collapse
-  without stepping past it),
+* a state-dependent step bound (used to approach a collapse without
+  stepping past it; solve_scale's is q/|qdot| while q falls),
 * components that must stay positive at every stage, checked inline (a
   step whose stages leave that region, turn non-finite or raise
   ArithmeticError is rejected and retried smaller),
@@ -16,22 +23,25 @@ system (d = 6).  Features the callers rely on:
   on the dense output.
 
 Steps run on plain Python floats, since on states this small a numpy call
-costs more than its arithmetic: callbacks get the state as a list, stage sums
-are written out from the tableau tuples, and the error norm is a sorted sum,
-bitwise invariant under permutations of the components.  Accepted steps fill
-flat array('d') buffers with t, h, y and the seven stage derivatives; nodes
-and dense-output coefficients are built once at the end, by one matmul with
-_P.  No stage sum goes through BLAS gemv, so nodes don't depend on its kernel.
+costs more than its arithmetic.  Accepted steps fill flat array('d') buffers
+with t, h, y and the seven stage derivatives; nodes and dense-output
+coefficients are built once at the end, by one matmul with _P.  No stage sum
+goes through BLAS gemv, so nodes don't depend on its kernel.
 
-There are two trial steps with one protocol, (f, pos, rtol, atol, t, y, k1,
-h) -> (y_new, err, k7, record), and solve picks one by the size of the state
-before its loop.  A 2-component state (the scale equation) takes _trial2,
-which holds each stage in two named floats: most of the generic step's cost
-is the interpreter's work on lists, zips and per-stage checks, not the
-arithmetic.  Every other size takes the generic _trial, the only step of
-the three-axis system (d = 6), and the reference that _trial2 is tested
-against: each component is computed by the same expression in the same
-order, so both steps give bitwise the same nodes, stages and error norms.
+solve's trial step, _trial, works on lists: callbacks get the state as a
+list, stage sums are written out from the tableau tuples, and the error norm
+is a sorted sum, bitwise invariant under permutations of the components.
+On two components most of that step's cost is the interpreter's work on
+lists, calls and per-stage checks, not the arithmetic.  So solve_scale
+writes the whole step out in one function on named floats: the stages, the
+force, the error norm, the controller and the buffer appends.  It calls
+back only to stop, near the stop level, and to near_stop, at the step floor.
+Each component is computed by _trial's expression for it, in the same
+order, and the loop makes the same decisions as solve with the equivalent
+callbacks (scale_rhs, the q/|qdot| bound, positive q), so both give bitwise
+the same nodes, stages, counters and events.  The initial step, the
+step-floor exits, the stop bisection and the assembly of the RkSolution are
+helpers that both loops call.
 """
 
 from __future__ import annotations
@@ -80,6 +90,8 @@ _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.17   # err exponent (0.2 - 0.75*beta)
 _PI_BETA = 0.04    # previous-err exponent
 _CHUNK = 2048      # query times per dense-output batch (bounds the temporaries)
+_FLOOR_ULPS = 16.0 * math.ulp(1.0)   # the step floor, per unit of max(|t|, 1)
+_MAX_STEPS = 1_000_000                # loop passes (accepted or rejected) before a run gives up
 
 
 @dataclass
@@ -169,9 +181,8 @@ def _trial(f, pos, rtol, atol, t, y, k1, h):
 
     pos flags the components that must stay > 0 at every stage.  err is the
     norm of the embedded error estimate, k7 is f's value at the new point and
-    record the seven stages flat, by component (an iterator here, a tuple from
-    _trial2).  Raises _StageRejected when a stage leaves the admissible region
-    or turns non-finite.
+    record the seven stages flat, by component.  Raises _StageRejected when a
+    stage leaves the admissible region or turns non-finite.
     """
     # Indexing the flagged components costs less than iterating the flags at
     # each of the seven checks.
@@ -205,59 +216,6 @@ def _trial(f, pos, rtol, atol, t, y, k1, h):
     return y7, err, k7, chain.from_iterable(zip(k1, k2, k3, k4, k5, k6, k7))
 
 
-def _trial2(f, pos, rtol, atol, t, y, k1, h):
-    """_trial written out for a 2-component state.
-
-    Each stage component is _trial's expression for it, checked in _check's
-    order (finite, then pos0 / pos1: component 0 / 1 must stay > 0), so
-    y_new and the stages are bitwise _trial's, and the error norm, a sum of
-    two terms, equals _rms's sorted sum bitwise.
-    """
-    pos0, pos1 = pos
-    v0, v1 = y
-    a0, a1 = k1
-    u0 = v0 + h * (_A21 * a0)
-    u1 = v1 + h * (_A21 * a1)
-    if not (isfinite(u0) and isfinite(u1)) or (pos0 and not u0 > 0.0) or (pos1 and not u1 > 0.0):
-        raise _StageRejected
-    b0, b1 = f(t + _C2 * h, [u0, u1])
-    u0 = v0 + h * (_A31 * a0 + _A32 * b0)
-    u1 = v1 + h * (_A31 * a1 + _A32 * b1)
-    if not (isfinite(u0) and isfinite(u1)) or (pos0 and not u0 > 0.0) or (pos1 and not u1 > 0.0):
-        raise _StageRejected
-    c0, c1 = f(t + _C3 * h, [u0, u1])
-    u0 = v0 + h * (_A41 * a0 + _A42 * b0 + _A43 * c0)
-    u1 = v1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1)
-    if not (isfinite(u0) and isfinite(u1)) or (pos0 and not u0 > 0.0) or (pos1 and not u1 > 0.0):
-        raise _StageRejected
-    e0, e1 = f(t + _C4 * h, [u0, u1])
-    u0 = v0 + h * (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * e0)
-    u1 = v1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * e1)
-    if not (isfinite(u0) and isfinite(u1)) or (pos0 and not u0 > 0.0) or (pos1 and not u1 > 0.0):
-        raise _StageRejected
-    g0, g1 = f(t + _C5 * h, [u0, u1])
-    u0 = v0 + h * (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * e0 + _A65 * g0)
-    u1 = v1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * e1 + _A65 * g1)
-    if not (isfinite(u0) and isfinite(u1)) or (pos0 and not u0 > 0.0) or (pos1 and not u1 > 0.0):
-        raise _StageRejected
-    m0, m1 = f(t + h, [u0, u1])
-    w0 = v0 + h * (_A71 * a0 + _A73 * c0 + _A74 * e0 + _A75 * g0 + _A76 * m0)
-    w1 = v1 + h * (_A71 * a1 + _A73 * c1 + _A74 * e1 + _A75 * g1 + _A76 * m1)
-    if not (isfinite(w0) and isfinite(w1)) or (pos0 and not w0 > 0.0) or (pos1 and not w1 > 0.0):
-        raise _StageRejected
-    y7 = [w0, w1]
-    k7 = f(t + h, y7)
-    n0, n1 = k7
-    if not (isfinite(n0) and isfinite(n1)):
-        raise _StageRejected
-    x0 = (h * (_E1 * a0 + _E3 * c0 + _E4 * e0 + _E5 * g0 + _E6 * m0 + _E7 * n0)
-          / (atol + rtol * max(abs(v0), abs(w0))))
-    x1 = (h * (_E1 * a1 + _E3 * c1 + _E4 * e1 + _E5 * g1 + _E6 * m1 + _E7 * n1)
-          / (atol + rtol * max(abs(v1), abs(w1))))
-    return (y7, math.sqrt((x0 * x0 + x1 * x1) / 2), k7,
-            (a0, b0, c0, e0, g0, m0, n0, a1, b1, c1, e1, g1, m1, n1))
-
-
 def _initial_step(f, t0, y0, f0, rtol, atol, max_step, positive):
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
@@ -281,7 +239,7 @@ def _initial_step(f, t0, y0, f0, rtol, atol, max_step, positive):
 
 def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
           step_bound=None, positive=(), stop=None, near_stop=None,
-          max_steps=1_000_000):
+          max_steps=_MAX_STEPS):
     """Integrate y' = f(t, y) from t0 to t_end.
 
     f(t, y)          -> derivative as a float sequence; y is a list of floats.
@@ -299,7 +257,6 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     y = [float(v) for v in y0]
     d = len(y)
     pos = tuple(k in positive for k in range(d))
-    trial = _trial2 if d == 2 else _trial
 
     t = float(t0)
     f_curr = f(t, y)
@@ -312,7 +269,6 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     status, message = "reached_end", ""
     stop_t = stop_bracket = crossing = None
 
-    floor_ulps = 16.0 * math.ulp(1.0)
     steps = 0
     while t < t_end:
         if steps >= max_steps:
@@ -320,7 +276,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
             break
         steps += 1
 
-        h_floor = floor_ulps * max(abs(t), 1.0)
+        h_floor = _FLOOR_ULPS * max(abs(t), 1.0)
         h = min(h, max_step, t_end - t)
         if step_bound is not None:
             b = step_bound(t, y)
@@ -331,21 +287,14 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
 
         nfev += 6
         try:
-            y_new, err, f_new, record = trial(f, pos, rtol, atol, t, y, f_curr, h)
+            y_new, err, f_new, record = _trial(f, pos, rtol, atol, t, y, f_curr, h)
         except (_StageRejected, ArithmeticError):   # e.g. dividing by an underflowed power
             err = None
 
         if err is None or err > 1.0:
             nrejected += 1
             if pinned:
-                remain = near_stop(t, y) if near_stop is not None else None
-                if remain is not None:
-                    status, stop_t, stop_bracket = "stopped", t, (t, t + max(h, remain))
-                    message = "step floor reached inside the stop neighborhood"
-                elif err is None:
-                    status, message = "step_failure", "inadmissible stages at the step floor"
-                else:
-                    status, message = "step_failure", f"tolerance unmet at the step floor (err={err:.3g})"
+                status, stop_t, stop_bracket, message = _floor_exit(near_stop, t, y, h, err)
                 break
             h *= 0.5 if err is None else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             continue
@@ -369,12 +318,178 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
             break
         t, y, f_curr = t_new, y_new, f_new
 
-    sol = RkSolution(
-        ts=np.frombuffer(t_buf), hs=np.frombuffer(h_buf), ys=np.frombuffer(y_buf).reshape(-1, d),
-        dense_q=(np.frombuffer(k_buf).reshape(-1, 7) @ _P).reshape(-1, d, 4),
-        status=status, stop_t=stop_t, stop_bracket=stop_bracket,
-        message=message, nfev=nfev, naccepted=naccepted, nrejected=nrejected,
-    )
+    return _solution(d, t_buf, h_buf, y_buf, k_buf, stop, crossing, rtol, status=status,
+                     stop_t=stop_t, stop_bracket=stop_bracket, message=message, nfev=nfev,
+                     naccepted=naccepted, nrejected=nrejected)
+
+
+def _fpow(x, p):
+    """x ** p on floats, overflowing to inf as numpy does instead of raising.
+
+    Far out on an expanding orbit a ** p can pass the float range; its force
+    term is then c / inf = 0, not a failed step.
+    """
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
+def scale_rhs(A, C, P):
+    """The right-hand side (t, (q, qdot)) -> (qdot, A + C q^P) as a callback for solve.
+
+    solve_scale takes its initial derivative and initial step size from it.
+    solve with this callback, the step bound q/|qdot| while qdot < 0 and
+    positive=(0,) makes bitwise solve_scale's run.
+    """
+    def rhs(t, y):
+        return y[1], A + C * _fpow(y[0], P)
+    return rhs
+
+
+def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
+                stop=None, stop_below=-math.inf, near_stop=None):
+    """Integrate y = (q, qdot) under qddot = A + C q^P from t = 0 to t_end.
+
+    q must stay > 0 at every stage, and while q falls a step is at most
+    q/|qdot|, the time to the root of its tangent.  stop(y) is called only at
+    accepted endpoints with q <= stop_below (by default at none), so it must
+    be > 0 wherever q > stop_below; near_stop is as in solve, and max_steps
+    is solve's default.  A stage whose force q^P overflows is rejected: its
+    inf would reject the step anyway.
+    """
+    inf, sqrt = math.inf, math.sqrt
+    rhs = scale_rhs(A, C, P)
+    t = 0.0
+    v0, v1 = float(y0[0]), float(y0[1])
+    k1 = rhs(t, [v0, v1])
+    g1 = k1[1]
+    h = _initial_step(rhs, t, [v0, v1], k1, rtol, atol, max_step, (0,))
+    nfev = 2
+
+    t_buf, h_buf, k_buf = array("d", [t]), array("d", [0.0]), array("d")
+    y_buf = array("d", (v0, v1))
+    err_prev = 1e-4
+    naccepted = nrejected = 0
+    status, message = "reached_end", ""
+    stop_t = stop_bracket = crossing = None
+
+    steps = 0
+    while t < t_end:
+        if steps >= _MAX_STEPS:
+            status, message = "step_failure", f"exceeded {_MAX_STEPS} steps"
+            break
+        steps += 1
+
+        # solve's bounds, with max(abs(t), 1) for t >= 0 and min / max as comparisons.
+        h_floor = _FLOOR_ULPS * (t if t > 1.0 else 1.0)
+        if max_step < h:
+            h = max_step
+        if t_end - t < h:
+            h = t_end - t
+        if v1 < 0.0:
+            b = v0 / -v1
+            if b < h:
+                h = b
+        pinned = h <= h_floor
+        if pinned:
+            h = h_floor
+
+        # _trial's step for (q, qdot): stage k is (qk, sk) with force gk, so
+        # its derivative is (sk, gk); s1 = v1 and the endpoint is (w0, w1).
+        nfev += 6
+        try:
+            q2 = v0 + h * (_A21 * v1)
+            s2 = v1 + h * (_A21 * g1)
+            if not (0.0 < q2 < inf and -inf < s2 < inf):
+                raise _StageRejected
+            g2 = A + C * q2 ** P
+            q3 = v0 + h * (_A31 * v1 + _A32 * s2)
+            s3 = v1 + h * (_A31 * g1 + _A32 * g2)
+            if not (0.0 < q3 < inf and -inf < s3 < inf):
+                raise _StageRejected
+            g3 = A + C * q3 ** P
+            q4 = v0 + h * (_A41 * v1 + _A42 * s2 + _A43 * s3)
+            s4 = v1 + h * (_A41 * g1 + _A42 * g2 + _A43 * g3)
+            if not (0.0 < q4 < inf and -inf < s4 < inf):
+                raise _StageRejected
+            g4 = A + C * q4 ** P
+            q5 = v0 + h * (_A51 * v1 + _A52 * s2 + _A53 * s3 + _A54 * s4)
+            s5 = v1 + h * (_A51 * g1 + _A52 * g2 + _A53 * g3 + _A54 * g4)
+            if not (0.0 < q5 < inf and -inf < s5 < inf):
+                raise _StageRejected
+            g5 = A + C * q5 ** P
+            q6 = v0 + h * (_A61 * v1 + _A62 * s2 + _A63 * s3 + _A64 * s4 + _A65 * s5)
+            s6 = v1 + h * (_A61 * g1 + _A62 * g2 + _A63 * g3 + _A64 * g4 + _A65 * g5)
+            if not (0.0 < q6 < inf and -inf < s6 < inf):
+                raise _StageRejected
+            g6 = A + C * q6 ** P
+            w0 = v0 + h * (_A71 * v1 + _A73 * s3 + _A74 * s4 + _A75 * s5 + _A76 * s6)
+            w1 = v1 + h * (_A71 * g1 + _A73 * g3 + _A74 * g4 + _A75 * g5 + _A76 * g6)
+            if not (0.0 < w0 < inf and -inf < w1 < inf):
+                raise _StageRejected
+            g7 = A + C * w0 ** P
+            if not -inf < g7 < inf:
+                raise _StageRejected
+            x0 = (h * (_E1 * v1 + _E3 * s3 + _E4 * s4 + _E5 * s5 + _E6 * s6 + _E7 * w1)
+                  / (atol + rtol * (w0 if w0 > v0 else v0)))
+            m1, n1 = abs(v1), abs(w1)
+            x1 = (h * (_E1 * g1 + _E3 * g3 + _E4 * g4 + _E5 * g5 + _E6 * g6 + _E7 * g7)
+                  / (atol + rtol * (n1 if n1 > m1 else m1)))
+            err = sqrt((x0 * x0 + x1 * x1) / 2)     # _rms of two terms
+        except (_StageRejected, ArithmeticError):
+            err = None
+
+        if err is None or err > 1.0:
+            nrejected += 1
+            if pinned:
+                status, stop_t, stop_bracket, message = _floor_exit(near_stop, t, [v0, v1], h, err)
+                break
+            h *= 0.5 if err is None else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            continue
+
+        t_new = t + h
+        if t_end - t_new < h_floor:
+            t_new = min(t_new, t_end)
+        t_buf.append(t_new)
+        h_buf.append(h)
+        y_buf.append(w0)
+        y_buf.append(w1)
+        k_buf.extend((v1, s2, s3, s4, s5, s6, w1, g1, g2, g3, g4, g5, g6, g7))
+        naccepted += 1
+
+        factor = _SAFETY * err ** -_PI_ALPHA * err_prev ** _PI_BETA if err > 0 else _MAX_FACTOR
+        h *= ((factor if factor < _MAX_FACTOR else _MAX_FACTOR) if factor > _MIN_FACTOR
+              else _MIN_FACTOR)
+        err_prev = 1e-4 if err < 1e-4 else err
+
+        if w0 <= stop_below and stop([w0, w1]) <= 0.0:
+            status, crossing = "stopped", (t, t_new)
+            break
+        t, v0, v1, g1 = t_new, w0, w1, g7
+
+    return _solution(2, t_buf, h_buf, y_buf, k_buf, stop, crossing, rtol, status=status,
+                     stop_t=stop_t, stop_bracket=stop_bracket, message=message, nfev=nfev,
+                     naccepted=naccepted, nrejected=nrejected)
+
+
+def _floor_exit(near_stop, t, y, h, err):
+    """(status, stop_t, stop_bracket, message) of a step that failed at the step floor."""
+    remain = near_stop(t, y) if near_stop is not None else None
+    if remain is not None:
+        return ("stopped", t, (t, t + max(h, remain)),
+                "step floor reached inside the stop neighborhood")
+    if err is None:
+        return "step_failure", None, None, "inadmissible stages at the step floor"
+    return "step_failure", None, None, f"tolerance unmet at the step floor (err={err:.3g})"
+
+
+def _solution(d, t_buf, h_buf, y_buf, k_buf, stop, crossing, rtol, **fields):
+    """The RkSolution of a run's buffers; a stop crossing (t_lo, t_hi) is bisected."""
+    sol = RkSolution(ts=np.frombuffer(t_buf), hs=np.frombuffer(h_buf),
+                     ys=np.frombuffer(y_buf).reshape(-1, d),
+                     dense_q=(np.frombuffer(k_buf).reshape(-1, 7) @ _P).reshape(-1, d, 4),
+                     **fields)
     if crossing is not None:
         sol.stop_t, sol.stop_bracket = _bisect_stop(sol, stop, *crossing, rtol)
     return sol

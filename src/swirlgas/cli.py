@@ -251,7 +251,8 @@ def cmd_eval(args, cfg):
 def cmd_integrate(args, cfg):
     traj = integrate(SolutionParams(**cfg["params"]), IntegrationConfig(**cfg["integration"]))
     summary = {"config": cfg, "terminal": asdict(traj.terminal), "nodes": int(traj.ts.size),
-               "energy_drift": float(traj.drift.max()), "E0": float(traj.E[0])}
+               "energy_drift": float(traj.drift.max()), "E0": float(traj.E[0]),
+               "diagnostics": traj.diagnostics}
     _emit(args, summary, ("t", "a", "adot", "E", "F_kin", "F_pot"), traj.csv_rows())
     return 0
 

@@ -212,8 +212,7 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     c, p = 2.0 * params.lam * (g - 2.0) / (g - 1.0), 1.0 - g
     q_eps, q_touch = eps * eps, _TOUCH_ULPS * math.ulp(1.0) * a0 * a0
 
-    def rhs(t, y):
-        return y[1], four_e0 + c * _fpow(y[0], p)
+    rhs = _rk.scale_rhs(four_e0, c, p)
 
     def turn_in(t, y):
         """Time to the turn of q's local parabola if it turns within rounding of zero."""
@@ -225,10 +224,10 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     def stop(y):
         return y[0] - (q_touch if y[0] <= q_touch and turn_in(0.0, y) is not None else q_eps)
 
-    sol = _rk.solve(rhs, 0.0, (a0 * a0, 2.0 * a0 * params.a1), cfg.t_end,
-                    rtol=_Q_TOL * cfg.rel_tol, atol=_Q_TOL * cfg.abs_tol, max_step=cfg.max_step,
-                    step_bound=lambda t, y: y[0] / -y[1] if y[1] < 0.0 else None, positive=(0,),
-                    stop=stop, near_stop=lambda t, y: 2.0 * y[0] / -y[1] if y[1] < 0.0 else None)
+    sol = _rk.solve_scale(four_e0, c, p, (a0 * a0, 2.0 * a0 * params.a1), cfg.t_end,
+                          rtol=_Q_TOL * cfg.rel_tol, atol=_Q_TOL * cfg.abs_tol,
+                          max_step=cfg.max_step, stop=stop, stop_below=max(q_eps, q_touch),
+                          near_stop=lambda t, y: 2.0 * y[0] / -y[1] if y[1] < 0.0 else None)
     if sol.status == "stopped":
         dt = turn_in(sol.stop_t, sol.eval_dense(sol.stop_t).tolist())
         if dt is not None:      # a touch of zero: the event is the turn (in _terminal's bracket)
@@ -265,18 +264,6 @@ _Q_TOL = 0.3
 # q_touch in units of eps a0^2: rounding moved the double root of a 2aII
 # collapse by at most 6.5 of them over 3,000 seeded runs, below half of it.
 _TOUCH_ULPS = 16.0
-
-
-def _fpow(x, p):
-    """x ** p on floats, overflowing to inf as numpy does instead of raising.
-
-    Far out on an expanding orbit a ** p can pass the float range; its force
-    term is then c / inf = 0, not a failed step.
-    """
-    try:
-        return x ** p
-    except OverflowError:
-        return math.inf
 
 
 def gamma2_scale_squared_coeffs(params: SolutionParams):

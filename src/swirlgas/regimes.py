@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._rk import _fpow
 from .emden import (
     IntegrationConfig,
     _first_positive_root,
-    _fpow,
     emden_rhs,
     energy_of,
     gamma2_scale_squared_coeffs,
@@ -114,7 +114,7 @@ class CertificationReport:
 
 
 def a_max_critical(params: SolutionParams) -> CriticalData:
-    """Barrier location and height for gamma > 2, lam < 0, xi^2 != 0 in floats.
+    """Barrier location and height for gamma > 2, lam < 0, 0 < xi^2 < inf in floats.
 
     At the barrier a*, lam a*^(4 - 2 gamma) = -xi^2, so its height is
     F* = xi^2 (gamma - 2) / ((2 gamma - 2) a*^2), formed in log space.  Near
@@ -123,9 +123,9 @@ def a_max_critical(params: SolutionParams) -> CriticalData:
     0 (not the nan of inf - inf that the potential gives there), so that
     E(0) still compares with it exactly.
     """
-    if not (params.gamma > 2.0 and params.lam < 0.0 and params.xi * params.xi != 0.0):
+    if not (params.gamma > 2.0 and params.lam < 0.0 and 0.0 < params.xi * params.xi < math.inf):
         raise UndefinedCritical(
-            f"needs gamma > 2, lam < 0, xi^2 != 0; got gamma={params.gamma}, "
+            f"needs gamma > 2, lam < 0, 0 < xi^2 < inf; got gamma={params.gamma}, "
             f"lam={params.lam}, xi={params.xi}"
         )
     g = params.gamma

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rk
-from .emden import IntegrationConfig, Trajectory, _check_span, _check_start, _fpow, _terminal
+from ._rk import _fpow
+from .emden import IntegrationConfig, Trajectory, _check_span, _check_start, _terminal
 from .errors import GridTouchesSupportBoundary, InvalidParams, LadderTooShort
 from .fields import (
     ScaleState,

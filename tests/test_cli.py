@@ -129,6 +129,21 @@ def test_integrate_json_terminal(capsys):
     assert abs(rep["terminal"]["t"] - 1.0) <= 1e-6
 
 
+def test_integrate_json_reports_solver_diagnostics(capsys):
+    code, out, _ = run_cli(["integrate", "--preset", "blowup-demo",
+                            "--t-end", "2.0", "--format", "json"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert list(rep) == ["config", "terminal", "nodes", "energy_drift", "E0", "diagnostics"]
+    diag = rep["diagnostics"]
+    assert list(diag) == ["nfev", "naccepted", "nrejected", "min_step", "terminal", "message"]
+    assert diag["naccepted"] == rep["nodes"] - 1
+    assert diag["nfev"] == 2 + 6 * (diag["naccepted"] + diag["nrejected"])
+    assert 0.0 < diag["min_step"] < math.inf
+    assert (diag["terminal"], diag["message"]) == (rep["terminal"]["kind"],
+                                                   rep["terminal"]["message"])
+
+
 def test_verify_generic_passes(capsys):
     code, out, _ = run_cli(["verify", "--preset", "generic-smooth"], capsys)
     assert code == 0

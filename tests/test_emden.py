@@ -1,9 +1,11 @@
 """Scale-factor dynamics: right-hand side, energy, integration, oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swirlgas import (
     CollapsedAtOrBefore,
@@ -388,11 +390,21 @@ def test_first_step_matches_a_numpy_reference(f, y0):
     assert np.max(np.abs(sol.dense_q[0] - K.T @ _rk._P)) <= 1e-14 * np.max(np.abs(K))
     scale = 1e-8 + 1e-8 * np.maximum(np.abs(y0), np.abs(y_ref))
     norm_ref = np.sqrt(np.mean((err_ref / scale) ** 2))
-    for trial in (_rk._trial, _rk._trial2) if y0.size == 2 else (_rk._trial,):
-        _, err, _, record = trial(f, (False,) * y0.size, 1e-8, 1e-8, 0.0, list(y0), list(K[0]), h)
-        stages = np.array(list(record)).reshape(y0.size, 7).T
-        assert np.max(np.abs(stages - K)) <= 1e-14 * np.max(np.abs(K))
-        assert abs(err - norm_ref) <= 1e-14 * h * np.max(np.abs(K / scale))
+    _, err, _, record = _rk._trial(f, (False,) * y0.size, 1e-8, 1e-8, 0.0, list(y0), list(K[0]), h)
+    stages = np.array(list(record)).reshape(y0.size, 7).T
+    assert np.max(np.abs(stages - K)) <= 1e-14 * np.max(np.abs(K))
+    assert abs(err - norm_ref) <= 1e-14 * h * np.max(np.abs(K / scale))
+
+
+def test_scale_loop_first_step_matches_a_numpy_reference():
+    # solve_scale writes its stages out on named floats; guard its transcription too.
+    force = (2.5, -1.3, -0.7)
+    y0 = np.array([1.2, -0.4])
+    sol = _rk.solve_scale(*force, y0, 1.0, rtol=1e-8, atol=1e-8)
+    h = sol.hs[1]
+    y_ref, _, K = _reference_step(_rk.scale_rhs(*force), 0.0, y0, h)
+    assert np.max(np.abs(sol.ys[1] - y_ref)) <= 1e-14 * np.max(np.abs(y_ref))
+    assert np.max(np.abs(sol.dense_q[0] - K.T @ _rk._P)) <= 1e-14 * np.max(np.abs(K))
 
 
 def _outcome(step, f, positive, y, h):
@@ -436,9 +448,8 @@ def _raises_past(t_bad):
 ], ids=["accepted", "inf-at-the-new-point", "inf-stage", "overflow", "non-positive",
         "arithmetic-error"])
 @pytest.mark.parametrize("positive", [(), (0,)])
-def test_two_component_step_is_bitwise_the_generic_step(f, y, h, expected, positive):
-    out = _outcome(_rk._trial2, f, positive, y, h)
-    assert out == _outcome(_rk._trial, f, positive, y, h)
+def test_generic_step_outcome(f, y, h, expected, positive):
+    out = _outcome(_rk._trial, f, positive, y, h)
     if expected == "not positive":
         expected = "rejected" if positive else "accepted"
     if expected == "accepted":
@@ -447,22 +458,80 @@ def test_two_component_step_is_bitwise_the_generic_step(f, y, h, expected, posit
         assert out == expected
 
 
+def _through_solve(A, C, P, y0, t_end, *, rtol, atol, max_step, stop, stop_below, near_stop):
+    """solve_scale's run made by the generic solve, with the equivalent callbacks.
+
+    stop is called at every accepted step, not only at q <= stop_below, so
+    the comparison also checks that the gate drops no stop.
+    """
+    return _rk.solve(_rk.scale_rhs(A, C, P), 0.0, y0, t_end, rtol=rtol, atol=atol,
+                     max_step=max_step, positive=(0,),
+                     step_bound=lambda t, y: y[0] / -y[1] if y[1] < 0.0 else None,
+                     stop=stop, near_stop=near_stop)
+
+
+def _assert_scale_loop_is_solve(p, cfg):
+    """integrate through solve_scale and through solve agree bitwise; returns the first."""
+    scale = integrate(p, cfg)._sol
+    with mock.patch.object(_rk, "solve_scale", _through_solve):
+        generic = integrate(p, cfg)._sol
+    for name in ("ts", "ys", "hs", "dense_q"):
+        assert getattr(scale, name).tobytes() == getattr(generic, name).tobytes(), name
+    for name in ("status", "stop_t", "stop_bracket", "message", "nfev", "naccepted",
+                 "nrejected"):
+        assert getattr(scale, name) == getattr(generic, name), name
+    return scale
+
+
+def _force_overflows(p, cfg):
+    """Whether a stage force q^(1 - gamma) of the run overflows (scale_rhs maps it to inf)."""
+    fpow, powers = _rk._fpow, []
+
+    def recorded(x, e):
+        powers.append(fpow(x, e))
+        return powers[-1]
+
+    with mock.patch.object(_rk, "_fpow", recorded), \
+            mock.patch.object(_rk, "solve_scale", _through_solve):
+        integrate(p, cfg)
+    return math.inf in powers
+
+
+_EXPANDING_GAMMA50 = (P(50, 1, 1, a1=1.0), 1e4)
+_FORCE_OVERFLOW = (P(50, 0, 1e-290, a1=-1.0), 3.0)
+
+
 @pytest.mark.parametrize("p, t_end, message", [
     (P(1.5, 1, -2), 30.0, ""),
     (P(3, 1, -2), 20.0, "step floor reached inside the stop neighborhood"),
     (P(2, 1, -1, a1=-0.001), 3000.0, ""),
-], ids=["periodic", "collapse-at-the-step-floor", "2aII-touch"])
-def test_solve_is_bitwise_the_same_through_either_step(p, t_end, message, monkeypatch):
-    cfg = IntegrationConfig(t_end=t_end)
-    written_out = integrate(p, cfg)._sol
-    monkeypatch.setattr(_rk, "_trial2", _rk._trial)
-    generic = integrate(p, cfg)._sol
-    assert written_out.message == message
-    for name in ("ts", "ys", "hs", "dense_q"):
-        assert getattr(written_out, name).tobytes() == getattr(generic, name).tobytes()
-    for name in ("status", "stop_t", "stop_bracket", "message", "nfev", "naccepted",
-                 "nrejected"):
-        assert getattr(written_out, name) == getattr(generic, name)
+    (*_EXPANDING_GAMMA50, ""),
+    (*_FORCE_OVERFLOW, ""),
+], ids=["periodic", "collapse-at-the-step-floor", "2aII-touch", "expanding-gamma50",
+        "force-overflow"])
+def test_solve_is_bitwise_the_same_through_either_step(p, t_end, message):
+    sol = _assert_scale_loop_is_solve(p, IntegrationConfig(t_end=t_end))
+    assert sol.message == message
+
+
+def test_gamma50_orbits_reach_the_limits_of_the_force():
+    # Far out on the expanding orbit q^(1 - gamma) underflows to 0; the
+    # bounce off the gamma = 50 wall at q = 1.1e-6 sends a stage below the
+    # 5e-7 where it overflows, and that trial step is rejected.
+    p, t_end = _EXPANDING_GAMMA50
+    sol = integrate(p, IntegrationConfig(t_end=t_end))._sol
+    assert sol.ys[-1, 0] ** (1 - p.gamma) == 0.0
+    assert not _force_overflows(p, IntegrationConfig(t_end=t_end))
+    p, t_end = _FORCE_OVERFLOW
+    assert _force_overflows(p, IntegrationConfig(t_end=t_end))
+    assert integrate(p, IntegrationConfig(t_end=t_end)).terminal.kind == "reached_end"
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma=st.floats(1.0, 4.0, exclude_min=True), xi=st.floats(-3.0, 3.0),
+       lam=st.floats(-5.0, 5.0), a0=st.floats(0.05, 3.0), a1=st.floats(-3.0, 3.0))
+def test_scale_loop_is_bitwise_solve_over_the_sweep_ranges(gamma, xi, lam, a0, a1):
+    _assert_scale_loop_is_solve(P(gamma, xi, lam, a0=a0, a1=a1), IntegrationConfig(t_end=5.0))
 
 
 def test_trajectory_exposes_solver_counters():

@@ -70,6 +70,14 @@ def test_a_max_critical_undefined():
         a_max_critical(P(3, 1, 0.5))
 
 
+def test_a_max_critical_of_a_swirl_whose_square_overflows():
+    # xi^2 = inf would put the barrier at a* = 0 with an infinite height:
+    # a domain error, not the OverflowError of xi ** 2.
+    with pytest.raises(UndefinedCritical, match="xi\\^2 < inf"):
+        a_max_critical(P(3, 1e200, -1))
+    assert a_max_critical(P(3, 1e150, -1)).a_max_scale == pytest.approx(1e-150, rel=1e-14)
+
+
 # ----------------------------------------------------------- turning points
 
 def test_turning_points_degenerate_orbit():
