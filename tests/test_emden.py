@@ -465,9 +465,22 @@ def _through_solve(A, C, P, y0, t_end, *, rtol, atol, max_step, stop, stop_below
     the comparison also checks that the gate drops no stop.
     """
     return _rk.solve(_rk.scale_rhs(A, C, P), 0.0, y0, t_end, rtol=rtol, atol=atol,
-                     max_step=max_step, positive=(0,),
-                     step_bound=lambda t, y: y[0] / -y[1] if y[1] < 0.0 else None,
+                     max_step=max_step, positive=(0,), step_bound=_tangent_bound,
                      stop=stop, near_stop=near_stop)
+
+
+def _tangent_bound(t, y):
+    """solve_scale's step bound as solve's callback: q/|qdot| while q falls."""
+    return y[0] / -y[1] if y[1] < 0.0 else None
+
+
+def _assert_same_run(scale, generic):
+    """Two RkSolutions agree bitwise: nodes, stages, events and counters."""
+    for name in ("ts", "ys", "hs", "dense_q"):
+        assert getattr(scale, name).tobytes() == getattr(generic, name).tobytes(), name
+    for name in ("status", "stop_t", "stop_bracket", "message", "nfev", "naccepted",
+                 "nrejected"):
+        assert getattr(scale, name) == getattr(generic, name), name
 
 
 def _assert_scale_loop_is_solve(p, cfg):
@@ -475,12 +488,49 @@ def _assert_scale_loop_is_solve(p, cfg):
     scale = integrate(p, cfg)._sol
     with mock.patch.object(_rk, "solve_scale", _through_solve):
         generic = integrate(p, cfg)._sol
-    for name in ("ts", "ys", "hs", "dense_q"):
-        assert getattr(scale, name).tobytes() == getattr(generic, name).tobytes(), name
-    for name in ("status", "stop_t", "stop_bracket", "message", "nfev", "naccepted",
-                 "nrejected"):
-        assert getattr(scale, name) == getattr(generic, name), name
+    _assert_same_run(scale, generic)
     return scale
+
+
+def _scale_reference(A, C, P, positive):
+    """The generic step's callback for qddot = A + C q^P.
+
+    With q flagged positive it is scale_rhs; with no flag its force is NaN
+    at q <= 0, so the generic step rejects those stages one stage later.
+    """
+    rhs = _rk.scale_rhs(A, C, P)
+    if positive:
+        return rhs
+    return lambda t, y: rhs(t, y) if y[0] > 0.0 else (y[1], math.nan)
+
+
+@pytest.mark.parametrize("force, y, h, accepted", [
+    ((2.5, -1.3, -0.7), (1.2, -0.4), 0.1, True),
+    # Only C q^P at the new point (q = 8.3e-4) overflows, to -inf; q0 has this
+    # exit only inside a window 1.1e-8 wide.
+    ((0.0, -2.0, -100.0), (0.98210942, 0.0), 0.1, False),
+    # C q^P at stage 2 (q = 2) overflows to inf; qdot at stage 3 is inf.
+    ((0.0, 1e308, 1.0), (1.0, 1.0), 5.0, False),
+    # qdot at stage 2 overflows to -inf.
+    ((-1e307, 1.0, -2.0), (1.0, 0.0), 100.0, False),
+    # q at stage 3 is -3.5.
+    ((-100.0, 1.0, -2.0), (1.0, 0.0), 1.0, False),
+    # q^P at stage 2 (q = 3) raises OverflowError in the scale step; scale_rhs gives inf.
+    ((0.0, 1.0, 1000.0), (1.0, 1.0), 10.0, False),
+], ids=["accepted", "inf-at-the-new-point", "inf-stage", "overflow", "non-positive",
+        "arithmetic-error"])
+@pytest.mark.parametrize("positive", [(), (0,)])
+def test_two_component_step_is_bitwise_the_generic_step(force, y, h, accepted, positive):
+    # Each case's first trial step leaves solve_scale's step by a different exit;
+    # the run to t = h (rejected steps are retried smaller, down to the step
+    # floor) is bitwise solve's with the equivalent callbacks.
+    ref = _scale_reference(*force, positive)
+    out = _outcome(_rk._trial, ref, positive, y, h)
+    assert isinstance(out, bytes) if accepted else out == "rejected"
+    with mock.patch.object(_rk, "_initial_step", lambda *args: h):
+        scale = _rk.solve_scale(*force, y, h)
+        generic = _rk.solve(ref, 0.0, y, h, positive=positive, step_bound=_tangent_bound)
+    _assert_same_run(scale, generic)
 
 
 def _force_overflows(p, cfg):
