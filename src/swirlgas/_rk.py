@@ -42,6 +42,9 @@ callbacks (scale_rhs, the q/|qdot| bound, positive q), so both give bitwise
 the same nodes, stages, counters and events.  The initial step, the
 step-floor exits, the stop bisection and the assembly of the RkSolution are
 helpers that both loops call.
+
+RkSolution.eval_dense evaluates many times per component: 1-D gathers from
+the flat coefficient array and Horner's rule in place, in batches of _CHUNK.
 """
 
 from __future__ import annotations
@@ -89,7 +92,11 @@ _MIN_FACTOR = 0.1
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.17   # err exponent (0.2 - 0.75*beta)
 _PI_BETA = 0.04    # previous-err exponent
-_CHUNK = 2048      # query times per dense-output batch (bounds the temporaries)
+# Query times per dense-output batch: it bounds the temporaries, 64 KB each
+# at 8192.  Sampling the trajectory-sampling workload's six orbits at 20,000
+# times each (150 interleaved rounds, seeds 5 and 1) took 1.30x as long per
+# point at 2048, 1.09x at 4096 and 1.31x unchunked as at 8192.
+_CHUNK = 8192
 _FLOOR_ULPS = 16.0 * math.ulp(1.0)   # the step floor, per unit of max(|t|, 1)
 _MAX_STEPS = 1_000_000                # loop passes (accepted or rejected) before a run gives up
 
@@ -113,24 +120,33 @@ class RkSolution:
     def eval_dense(self, t):
         """Dense evaluation of the state at times inside the covered span.
 
-        A scalar time gives shape (d,), an array of m times shape (m, d).
-        Node times reproduce the stored node values exactly.  A scalar is
-        evaluated in floats, by the same Horner sequence as an array.
+        A scalar time gives shape (d,), an array of m times shape (m, d); a
+        time outside the span, or NaN, raises ValueError.  Node times
+        reproduce the stored node values exactly.  A scalar is evaluated in
+        floats, by the same Horner sequence as an array.
+
+        An array is evaluated in chunks of _CHUNK times.  Each chunk finds
+        its steps and step fractions once; then, per component, the four
+        dense coefficients and the node value are gathered by 1-D takes from
+        the flat arrays, straight into that component's row of a (d, m)
+        buffer, where Horner's rule runs in place.  The (m, d) result is the
+        buffer's transpose, so a component is a contiguous row.
         """
         t_arr = np.asarray(t, dtype=float)
         tq = t_arr.reshape(-1)
         ts, ys = self.ts, self.ys
         lo, hi = float(ts[0]), float(ts[-1])
         slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        t_lo, t_hi = (tq.min(), tq.max()) if tq.size > 1 else (lo, hi)
         if tq.size == 1:
             t_lo = t_hi = float(tq[0])
-        if t_lo < lo - slack or t_hi > hi + slack:
+        else:
+            t_lo, t_hi = (tq.min(), tq.max()) if tq.size else (lo, hi)
+        if not (lo - slack <= t_lo and t_hi <= hi + slack):    # NaN fails too
             raise ValueError(f"dense evaluation outside covered span [{lo}, {hi}]")
         # Searching from the right puts a node time at theta = 0 of the step
         # it starts, so the node value comes back exactly; the last node
         # starts no step and is returned as stored.
-        nseg = self.dense_q.shape[0]
+        nseg, d = self.dense_q.shape[0], ys.shape[1]
         if t_arr.ndim == 0:
             if not nseg or t_lo == hi:
                 return ys[-1].copy()
@@ -140,21 +156,42 @@ class RkSolution:
             return np.array([v + h * ((((q3 * theta + q2) * theta + q1) * theta + q0) * theta)
                              for v, (q0, q1, q2, q3)
                              in zip(ys[seg].tolist(), self.dense_q[seg].tolist())])
-        out = np.empty((tq.size, ys.shape[1]))
+        out = np.empty((d, tq.size))
         if not nseg:
-            out[:] = ys[0]
-        for k in range(0, tq.size if nseg else 0, _CHUNK):
+            out.T[:] = ys[0]
+            return out.T
+        # Flat views: coefficient j of component c of step k sits at
+        # qf[4 d k + 4 c + j], so qf[4 c + j:] taken at 4 d k gathers it.
+        # The offsets are in range; mode="clip" lets take write to out
+        # directly, where the default mode buffers it.
+        qf, yf, hs = self.dense_q.reshape(-1), ys.reshape(-1), self.hs[1:]
+        tmp = np.empty(min(tq.size, _CHUNK))
+        for k in range(0, tq.size, _CHUNK):
             tc = tq[k:k + _CHUNK]
-            seg = np.clip(np.searchsorted(ts, tc, "right") - 1, 0, nseg - 1)
-            h = self.hs[seg + 1]
-            theta = ((tc - ts[seg]) / h)[:, None]
-            q = self.dense_q[seg]
-            poly = (((q[..., 3] * theta + q[..., 2]) * theta + q[..., 1]) * theta
-                    + q[..., 0]) * theta
-            val = ys[seg] + h[:, None] * poly
-            val[tc == hi] = ys[-1]
-            out[k:k + _CHUNK] = val
-        return out
+            seg = ts.searchsorted(tc, "right")
+            seg -= 1
+            np.clip(seg, 0, nseg - 1, out=seg)
+            h = hs.take(seg)
+            theta = tc - ts.take(seg)
+            theta /= h
+            end = tc == hi
+            last = end.any()
+            seg *= d                            # now the offsets into yf
+            sq, part = seg * 4, tmp[:tc.size]
+            for c in range(d):
+                acc = out[c, k:k + tc.size]
+                qf[4 * c + 3:].take(sq, out=acc, mode="clip")
+                for j in (2, 1, 0):
+                    acc *= theta
+                    qf[4 * c + j:].take(sq, out=part, mode="clip")
+                    acc += part
+                acc *= theta
+                acc *= h
+                yf[c:].take(seg, out=part, mode="clip")
+                acc += part
+                if last:
+                    acc[end] = ys[-1, c]
+        return out.T
 
 
 def _rms(v):

@@ -234,16 +234,17 @@ def cmd_eval(args, cfg):
             raise SwirlgasError(
                 f"trajectory ended at t = {traj.t_span[1]} ({traj.terminal.kind}) "
                 f"before the requested time {time}")
-        state = traj.state_at(time)
+        state, diagnostics = traj.state_at(time), traj.diagnostics
     else:
-        state = ScaleState(t=0.0, a=params.a0, adot=params.a1)
+        state, diagnostics = ScaleState(t=0.0, a=params.a0, adot=params.a1), None
 
     ext = cfg["grid_extent"]
     xs = np.linspace(-ext, ext, cfg["grid_n"])
     xg, yg = np.meshgrid(xs, xs, indexing="ij")
     rho, u1, u2, p = eval_flow_arrays(params, state, xg.ravel(), yg.ravel())
     rows = np.column_stack([xg.ravel(), yg.ravel(), rho, u1, u2, p])
-    _emit(args, {"config": cfg, "state": asdict(state), "samples": rows.tolist()},
+    _emit(args, {"config": cfg, "state": asdict(state), "diagnostics": diagnostics,
+                 "samples": rows.tolist()},
           ("x", "y", "rho", "u1", "u2", "p"), rows)
     return 0
 
@@ -282,7 +283,7 @@ def cmd_verify(args, cfg):
         raise InvalidParams(["NonPositive:tolerance"])
     grid = residuals.GridSpec(kind="annulus", **cfg["grid"])
     traj = integrate(params, IntegrationConfig(**cfg["integration"]))
-    report = {"config": cfg}
+    report = {"config": cfg, "diagnostics": traj.diagnostics}
 
     rep = residuals.euler_residual_2d(params, traj, time_at, grid)
     report["family"] = rep.as_dict()
@@ -363,6 +364,7 @@ def cmd_verify3d(args, cfg):
             "residual": rep.as_dict(),
             "convergence": ladder,
             "scale_drift": float(np.max(scales.drift)),
+            "diagnostics": scales.diagnostics,
         }
         all_pass = all_pass and rep.verdict == "PASS"
     report["verdict"] = "PASS" if all_pass else "FAIL"

@@ -169,8 +169,8 @@ class Trajectory:
     def sample(self, ts):
         """Vectorized dense evaluation; returns (a, adot) arrays, of one
         element for a scalar time."""
-        ys = self._sol.eval_dense(np.asarray(ts, dtype=float).reshape(-1))
-        a, adot = ys[:, 0], ys[:, 1]
+        # eval_dense's (m, 2) result is a transposed (2, m) buffer: contiguous rows.
+        a, adot = self._sol.eval_dense(np.asarray(ts, dtype=float).reshape(-1)).T
         np.sqrt(a, out=a)       # in place: (q, qdot) -> (a, adot), no temporaries
         adot /= a
         adot *= 0.5             # qdot / (2 a) exactly, as in state_at

@@ -119,7 +119,12 @@ def profile_law(s, gamma, K, c, alpha):
     sees a negative argument.
     """
     slope = -c * (gamma - 1.0) / (2.0 * K * gamma)
-    return np.maximum(slope * s + alpha, 0.0) ** (1.0 / (gamma - 1.0))
+    f = slope * s
+    f += alpha
+    # In place on f, never on s; a 0-d s makes f a numpy scalar, which has no out=.
+    f = np.maximum(f, 0.0, out=f if isinstance(f, np.ndarray) else None)
+    f **= 1.0 / (gamma - 1.0)
+    return f
 
 
 def profile_support(gamma, K, c, alpha) -> float:
@@ -170,19 +175,34 @@ def support_radius(params: SolutionParams, state: ScaleState) -> float:
 
 
 def eval_flow_arrays(params: SolutionParams, state: ScaleState, x, y):
-    """Vectorized field evaluation; returns (rho, u1, u2, p) arrays."""
+    """Vectorized field evaluation; returns (rho, u1, u2, p) arrays.
+
+    Each output is computed in place on the temporary that starts it, by
+    the operations of rho = f(s) / a^2 with s = (x^2 + y^2) / a^2,
+    u1 = dil x - swirl y, u2 = swirl x + dil y and p = K rho^gamma, in that
+    order; x and y are only read (they may be read-only arrays).
+    """
     if not state.a > 0.0:
         raise CollapsedState(f"scale a = {state.a!r} is not positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:      # each output starts from x's shape
+        x, y = np.broadcast_arrays(x, y)
     a = state.a
-    s = (x * x + y * y) / (a * a)
-    rho = profile_f(s, params) / (a * a)
+    a2 = a * a
+    s = x * x
+    s += y * y
+    s /= a2                     # s >= 0, so profile_f's sign check is not needed
+    rho = profile_law(s, params.gamma, params.K, params.lam, params.alpha)
+    rho /= a2
     dil = state.adot / a
-    swirl = params.xi / (a * a)
-    u1 = dil * x - swirl * y
-    u2 = swirl * x + dil * y
-    p = params.K * rho ** params.gamma
+    swirl = params.xi / a2
+    u1 = dil * x
+    u1 -= swirl * y
+    u2 = swirl * x
+    u2 += dil * y
+    p = rho ** params.gamma
+    p *= params.K
     return rho, u1, u2, p
 
 

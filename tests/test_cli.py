@@ -20,6 +20,10 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+# The solver block (Trajectory.diagnostics) of every report that integrates.
+SOLVER_KEYS = ["nfev", "naccepted", "nrejected", "min_step", "terminal", "message"]
+
+
 def test_eval_csv_and_roundtrip(tmp_path, capsys):
     out = tmp_path / "field.csv"
     code, _, _ = run_cli(["eval", "--preset", "generic-smooth", "--time", "0",
@@ -136,12 +140,36 @@ def test_integrate_json_reports_solver_diagnostics(capsys):
     rep = json.loads(out)
     assert list(rep) == ["config", "terminal", "nodes", "energy_drift", "E0", "diagnostics"]
     diag = rep["diagnostics"]
-    assert list(diag) == ["nfev", "naccepted", "nrejected", "min_step", "terminal", "message"]
+    assert list(diag) == SOLVER_KEYS
     assert diag["naccepted"] == rep["nodes"] - 1
     assert diag["nfev"] == 2 + 6 * (diag["naccepted"] + diag["nrejected"])
     assert 0.0 < diag["min_step"] < math.inf
     assert (diag["terminal"], diag["message"]) == (rep["terminal"]["kind"],
                                                    rep["terminal"]["message"])
+
+
+def test_eval_verify_and_verify3d_report_solver_diagnostics(capsys):
+    # eval integrates only for a time > 0; at time 0 its block is null.
+    _, out, _ = run_cli(["eval", "--preset", "generic-smooth", "--format", "json"], capsys)
+    rep = json.loads(out)
+    assert list(rep) == ["config", "state", "diagnostics", "samples"]
+    assert rep["diagnostics"] is None
+    _, out, _ = run_cli(["eval", "--preset", "generic-smooth", "--time", "0.7",
+                         "--format", "json"], capsys)
+    assert list(json.loads(out)["diagnostics"]) == SOLVER_KEYS
+    _, out, _ = run_cli(["verify", "--preset", "generic-smooth"], capsys)
+    rep = json.loads(out)
+    assert list(rep)[:3] == ["config", "diagnostics", "family"]
+    assert list(rep["diagnostics"]) == SOLVER_KEYS
+    assert rep["diagnostics"]["terminal"] == "reached_end"
+    _, out, _ = run_cli(["verify3d"], capsys)
+    cases = json.loads(out)["cases"]
+    assert set(cases) == set(cli.THREE_AXIS_CASES)
+    for case in cases.values():
+        assert list(case) == ["residual", "convergence", "scale_drift", "diagnostics"]
+        assert list(case["diagnostics"]) == SOLVER_KEYS
+        assert case["diagnostics"]["nfev"] == 2 + 6 * (case["diagnostics"]["naccepted"]
+                                                       + case["diagnostics"]["nrejected"])
 
 
 def test_verify_generic_passes(capsys):

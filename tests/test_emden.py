@@ -363,6 +363,48 @@ def test_dense_output_of_a_single_node():
     assert sol.ts.size == 1 and sol.dense_q.shape == (0, 2, 4)
     assert np.array_equal(sol.eval_dense(0.0), [1.0, 0.5])
     assert np.array_equal(sol.eval_dense(np.array([0.0, 0.0])), [[1.0, 0.5], [1.0, 0.5]])
+    out = sol.eval_dense(np.zeros(3 * _rk._CHUNK + 17))
+    assert out.shape == (3 * _rk._CHUNK + 17, 2) and np.all(out == [1.0, 0.5])
+
+
+def _queries_over_three_chunks(sol, rng):
+    """Sorted, shuffled and repeated times over at least three chunks: every
+    node time, the span's end and uniform draws inside the span."""
+    n = 3 * _rk._CHUNK + 17
+    extra = rng.uniform(sol.ts[0], sol.ts[-1], max(n - sol.ts.size - 1, 0))
+    times = np.concatenate([sol.ts, [sol.ts[-1]], extra])
+    return {"sorted": np.sort(times), "shuffled": rng.permutation(times),
+            "repeated": rng.choice(times, n)}
+
+
+@pytest.mark.parametrize("which", ["scale", "three-axis"])
+def test_dense_output_array_path_is_bitwise_the_scalar_path(which):
+    if which == "scale":
+        sol = _orbit_solution(t_end=30.0)
+    else:
+        sol = integrate_scales_3d(ThreeAxisParams(gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0,
+                                                  a_init=(1.0, 1.2, 0.8)), 3.0)._sol
+    assert sol.ys.shape[1] == (2 if which == "scale" else 6)
+    rng = np.random.default_rng(8)
+    for kind, ts in _queries_over_three_chunks(sol, rng).items():
+        assert ts.size >= 3 * _rk._CHUNK + 17
+        out = sol.eval_dense(ts)
+        ref = np.array([sol.eval_dense(t) for t in ts.tolist()])
+        assert out.shape == ref.shape == (ts.size, sol.ys.shape[1])
+        assert np.ascontiguousarray(out).tobytes() == ref.tobytes(), kind
+
+
+def test_dense_output_rejects_nan_times():
+    traj = integrate(P(1.5, 1, -2), IntegrationConfig(t_end=3.0))
+    nan = float("nan")
+    for t in (nan, np.array(nan), np.array([nan]), np.array([0.5, nan]), [nan, 0.5, 1.0]):
+        with pytest.raises(ValueError, match="outside covered span"):
+            traj._sol.eval_dense(t)
+    with pytest.raises(ValueError, match="outside covered span"):
+        traj.state_at(nan)
+    for ts in ([0.5, nan], nan, np.full(3, nan)):
+        with pytest.raises(ValueError, match="outside covered span"):
+            traj.sample(ts)
 
 
 def _reference_step(f, t0, y0, h):

@@ -301,3 +301,32 @@ def test_profile_continuous_at_support_boundary():
     right = profile_f(s_b * (1 + 1e-8), p)
     assert abs(left - right) <= 1e-10
 
+
+def _eval_flow_expressions(params, state, x, y):
+    """eval_flow_arrays written as plain expressions, in the operation order
+    the in-place version must keep."""
+    x, y, a = np.asarray(x, dtype=float), np.asarray(y, dtype=float), state.a
+    s = (x * x + y * y) / (a * a)
+    slope = -params.lam * (params.gamma - 1.0) / (2.0 * params.K * params.gamma)
+    rho = np.maximum(slope * s + params.alpha, 0.0) ** (1.0 / (params.gamma - 1.0)) / (a * a)
+    dil, swirl = state.adot / a, params.xi / (a * a)
+    return rho, dil * x - swirl * y, swirl * x + dil * y, params.K * rho ** params.gamma
+
+
+@pytest.mark.parametrize("gamma", [1.2, 1.4, 1.5, 5 / 3, 2.0, 3.0])
+@pytest.mark.parametrize("lam", [0.9, 0.0, -0.7])
+def test_eval_flow_is_bitwise_the_expression_order_and_leaves_inputs_untouched(gamma, lam):
+    # gamma = 1.5, 2 and 3 give the profile the powers 2, 1 and 0.5, which
+    # numpy evaluates by square, copy and sqrt on arrays.
+    p = SolutionParams(gamma=gamma, K=1.3, xi=0.7, lam=lam, alpha=1.0, a0=1, a1=0.3)
+    st = ScaleState(t=0.2, a=0.9, adot=-0.3)
+    rng = np.random.default_rng(4)
+    x, y = rng.uniform(-2.0, 2.0, (2, 500))
+    x0, y0 = x.copy(), y.copy()
+    x.flags.writeable = y.flags.writeable = False
+    for args in ((x, y), (x[:, None], y[None, :40]), (0.3, y), (x, 0.4), (0.3, -0.4)):
+        got, want = eval_flow_arrays(p, st, *args), _eval_flow_expressions(p, st, *args)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    assert x.tobytes() == x0.tobytes() and y.tobytes() == y0.tobytes()
