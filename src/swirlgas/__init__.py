@@ -27,7 +27,6 @@ from .errors import (
 from .fields import (
     ScaleState,
     SolutionParams,
-    ZhangZhengEmbedding,
     eval_flow_arrays,
     profile_f,
     support_radius,

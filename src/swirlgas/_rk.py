@@ -67,7 +67,6 @@ _A = (
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 )
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b - bhat: weights of the embedded 4th-order error estimate.
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 # Quartic dense-output polynomial coefficients (columns: theta^1..theta^4 factors).
@@ -258,6 +257,8 @@ def _initial_step(f, t0, y0, f0, rtol, atol, max_step, positive):
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    if not h0 > 0.0:            # d1 overflowed to inf
+        return min(1e-12, max_step)
     for _ in range(20):
         y1 = [v + h0 * g for v, g in zip(y0, f0)]
         if all(y1[k] > 0.0 for k in positive):

@@ -104,9 +104,12 @@ def potential(a, params: SolutionParams):
 
 
 def energy_of(a: float, adot: float, params: SolutionParams) -> EnergySplit:
-    """Energy split for a raw (a, adot) pair; InvalidParams unless E is finite."""
+    """Energy split for a starting (a, adot) = (a0, a1); InvalidParams unless E
+    and the q = a^2 that starts the integration are finite."""
     if not a > 0.0:
         raise CollapsedState(f"scale a = {a!r} is not positive")
+    if not a * a < math.inf:
+        raise InvalidParams(["NonFiniteSquare:a0"])
     f_kin = 0.5 * adot * adot
     try:
         f_pot = potential(a, params)
@@ -123,7 +126,7 @@ def emden_rhs(state: ScaleState, params: SolutionParams):
     a = state.a
     if not a > 0.0:
         raise CollapsedState(f"scale a = {a!r} is not positive")
-    addot = params.xi ** 2 / a ** 3 + params.lam / a ** (2.0 * params.gamma - 1.0)
+    addot = params.xi ** 2 / _rk._fpow(a, 3) + params.lam / _rk._fpow(a, 2.0 * params.gamma - 1.0)
     return state.adot, addot
 
 
@@ -238,6 +241,8 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
 def _check_start(a_init, t_end, eps):
     if not t_end > 0.0:
         raise NonPositiveTime("t_end must be positive")
+    if t_end == math.inf:       # the run would spend its whole step budget first
+        raise InvalidParams(["NonFinite:t_end"])
     if not min(a_init) > eps:
         raise CollapsedState(f"a_init = {tuple(a_init)!r} is not above collapse_epsilon = {eps!r}")
 

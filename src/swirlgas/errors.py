@@ -42,7 +42,7 @@ class ZeroRotation(SwirlgasError, ValueError):
 
 
 class UndefinedCritical(SwirlgasError, ValueError):
-    """Critical-scale data is only defined for gamma > 2, lambda < 0, 0 < xi^2 < inf."""
+    """Critical-scale data is only defined for gamma > 2, lambda < 0, xi != 0."""
 
 
 class NoBracket(SwirlgasError, RuntimeError):

@@ -32,7 +32,6 @@ from .errors import CollapsedState, InvalidParams, NonPositiveTime
 __all__ = [
     "SolutionParams",
     "ScaleState",
-    "ZhangZhengEmbedding",
     "validate_params",
     "profile_f",
     "support_s_bound",
@@ -41,6 +40,9 @@ __all__ = [
     "zhang_zheng_arrays",
     "zhang_zheng_embedding",
 ]
+
+
+_NAMES = ("gamma", "K", "xi", "lam", "alpha", "a0", "a1")
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class SolutionParams:
 
     def __post_init__(self):
         violations = []
-        for name in ("gamma", "K", "xi", "lam", "alpha", "a0", "a1"):
+        for name in _NAMES:
             if not math.isfinite(getattr(self, name)):
                 violations.append(f"NonFinite:{name}")
         if not self.gamma > 1.0:
@@ -89,15 +91,7 @@ def validate_params(record=None, **kwargs) -> SolutionParams:
     data = dict(record or {})
     data.update(kwargs)
     try:
-        return SolutionParams(
-            gamma=float(data["gamma"]),
-            K=float(data["K"]),
-            xi=float(data["xi"]),
-            lam=float(data["lam"]),
-            alpha=float(data["alpha"]),
-            a0=float(data["a0"]),
-            a1=float(data["a1"]),
-        )
+        return SolutionParams(**{name: float(data[name]) for name in _NAMES})
     except KeyError as missing:
         raise InvalidParams([f"Missing:{missing.args[0]}"]) from None
 
@@ -228,43 +222,15 @@ def zhang_zheng_arrays(t: float, x, y, K: float = 1.0):
     return rho, u1, u2, p
 
 
-@dataclass(frozen=True)
-class ZhangZhengEmbedding:
-    """Family parameters reproducing the gamma = 2 fixture.
-
-    The family clock starts at the fixture time t = 1 (the scale equation is
-    autonomous), so integrating ``params`` from tau = 0 gives
-    a(tau) = sqrt(1 + tau), matching the fixture scale sqrt(t) at t = 1 + tau.
-
-    chirality    : swirl sense of the embedded field ("clockwise").
-    field_match  : "exact" - density, speed AND both velocity components of
-                   the embedded member coincide with the fixture; the
-                   mirrored fixture variant (u2 negated) matches only in
-                   density and speed and fails the governing equations.
-    """
-
-    params: SolutionParams
-    state: ScaleState
-    chirality: str = "clockwise"
-    field_match: str = "exact"
-
-    def scale_state(self, t: float) -> ScaleState:
-        """Fixture-clock scale state (a = sqrt(t)) for any t > 0."""
-        if not t > 0.0:
-            raise NonPositiveTime(f"fixture requires t > 0, got {t!r}")
-        a = math.sqrt(t)
-        return ScaleState(t=t, a=a, adot=0.5 / a)
-
-
-def zhang_zheng_embedding(K: float = 1.0) -> ZhangZhengEmbedding:
-    """Embed the gamma = 2 fixture into the self-similar family.
+def zhang_zheng_embedding(K: float = 1.0) -> SolutionParams:
+    """The family member that reproduces the gamma = 2 fixture exactly.
 
     Matching the swirl rate fixes xi = -1/2 (clockwise), the density profile
     fixes lam = -1/2 and alpha = 0, and a = sqrt(t) pins (a0, a1) = (1, 1/2)
-    at the fixture time t = 1.
+    at the fixture time t = 1, where the family clock starts.  There 2 E(0) =
+    a1^2 + (xi^2 + lam)/a0^2 = 0, so ``emden.closed_form_gamma2(params, tau)``
+    is the fixture scale sqrt(1 + tau).  Density, speed AND both velocity
+    components match; the mirrored fixture (u2 negated) matches only in
+    density and speed and fails the governing equations.
     """
-    if not K > 0.0:
-        raise InvalidParams(["NonPositiveK"])
-    params = SolutionParams(gamma=2.0, K=K, xi=-0.5, lam=-0.5, alpha=0.0, a0=1.0, a1=0.5)
-    state = ScaleState(t=1.0, a=1.0, adot=0.5)
-    return ZhangZhengEmbedding(params=params, state=state)
+    return SolutionParams(gamma=2.0, K=K, xi=-0.5, lam=-0.5, alpha=0.0, a0=1.0, a1=0.5)

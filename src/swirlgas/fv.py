@@ -147,16 +147,15 @@ def _fill_ghosts(field: ConservativeField, params, traj, t: float):
     flat[2, w.ring] = rho * u2
 
 
-def init_from_exact(params: SolutionParams, traj: Trajectory, t0: float,
-                    cfg: FvConfig) -> ConservativeField:
-    """Sample the exact field at cell centers (ghost ring included).
+def init_from_exact(params: SolutionParams, traj: Trajectory, cfg: FvConfig) -> ConservativeField:
+    """Sample the exact field at cfg.t0 at cell centers (ghost ring included).
 
     The trajectory must cover the run window [t0, t_end] (TrajectoryTooShort
     otherwise), and the box, enlarged by the ghost ring, must stay strictly
     inside the density support, within fields.SUPPORT_MARGIN of its bound on
     s, over the whole window.
     """
-    t_end = max(t0, cfg.t_end)
+    t0, t_end = cfg.t0, max(cfg.t0, cfg.t_end)
     _check_span(traj, t0, t_end)
     s_b = support_s_bound(params)
     if not math.isinf(s_b):
@@ -238,7 +237,7 @@ def step(field: ConservativeField, params: SolutionParams,
 def run(params: SolutionParams, traj: Trajectory, cfg: FvConfig) -> ConservativeField:
     """March from t0 to t_end; the final partial step lands exactly on t_end.
     The step buffers are dropped on return, so they never outlive the run."""
-    field = init_from_exact(params, traj, cfg.t0, cfg)
+    field = init_from_exact(params, traj, cfg)
     try:
         while field.t < cfg.t_end - 1e-14 * max(1.0, abs(cfg.t_end)):
             step(field, params, traj, dt_cap=cfg.t_end - field.t)

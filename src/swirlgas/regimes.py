@@ -65,11 +65,6 @@ __all__ = [
     "certify",
 ]
 
-BRANCHES = (
-    "1", "2aI", "2aII", "2b-blowup", "2b-global", "3a",
-    "3bI-global", "3bI-blowup", "3bII-global", "3bII-blowup",
-)
-
 KINDS = ("global", "time-periodic", "steady", "finite-time-blowup")
 
 @dataclass(frozen=True)
@@ -104,40 +99,40 @@ class PeriodResult:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Checks of a certified regime; diagnostics are the solver's record of its one integration."""
+    """classify --certify's "certification" block; diagnostics record its one integration."""
 
-    regime: Regime
-    horizon: float
+    passed: bool
     checks: dict
-    passed: bool = True
-    diagnostics: dict = field(default_factory=dict)
+    horizon: float
+    diagnostics: dict
 
 
 def a_max_critical(params: SolutionParams) -> CriticalData:
-    """Barrier location and height for gamma > 2, lam < 0, 0 < xi^2 < inf in floats.
+    """Barrier location and height for gamma > 2, lam < 0, xi != 0.
 
     At the barrier a*, lam a*^(4 - 2 gamma) = -xi^2, so its height is
-    F* = xi^2 (gamma - 2) / ((2 gamma - 2) a*^2), formed in log space.  Near
-    gamma = 2 the exponent 1/(2 gamma - 4) explodes and a* can leave the
-    float range; a* is then returned as 0 or inf, and F* as its limit inf or
-    0 (not the nan of inf - inf that the potential gives there), so that
-    E(0) still compares with it exactly.
+    F* = xi^2 (gamma - 2) / ((2 gamma - 2) a*^2), formed in log space, where
+    ln xi^2 is 2 ln|xi| (xi^2 may leave the float range).  Near gamma = 2 the
+    exponent 1/(2 gamma - 4) explodes and a* can leave the float range; a*
+    is then returned as 0 or inf, and F* as its limit inf or 0 (not the nan
+    of inf - inf that the potential gives there), so that E(0) still
+    compares with it exactly.
     """
-    if not (params.gamma > 2.0 and params.lam < 0.0 and 0.0 < params.xi * params.xi < math.inf):
+    if not (params.gamma > 2.0 and params.lam < 0.0 and params.xi != 0.0):
         raise UndefinedCritical(
-            f"needs gamma > 2, lam < 0, 0 < xi^2 < inf; got gamma={params.gamma}, "
+            f"needs gamma > 2, lam < 0, xi != 0; got gamma={params.gamma}, "
             f"lam={params.lam}, xi={params.xi}"
         )
     g = params.gamma
     log_a = _log_stationary_scale(params)
-    log_f = math.log(params.xi ** 2 * (g - 2.0) / (2.0 * g - 2.0)) - 2.0 * log_a
+    log_f = 2.0 * math.log(abs(params.xi)) + math.log((g - 2.0) / (2.0 * g - 2.0)) - 2.0 * log_a
     f_star = math.exp(log_f) if log_f < 709.0 else math.inf
     return CriticalData(a_max_scale=_stationary_scale(params), f_pot_at_max=f_star)
 
 
 def _log_stationary_scale(params: SolutionParams) -> float:
-    """ln of the stationary point (-lam/xi^2)^(1/(2g-4)) of the potential (lam < 0, gamma != 2)."""
-    return math.log(-params.lam / params.xi ** 2) / (2.0 * params.gamma - 4.0)
+    """ln of the potential's stationary point (-lam/xi^2)^(1/(2g-4)), as if xi^2 had no range."""
+    return (math.log(-params.lam) - 2.0 * math.log(abs(params.xi))) / (2.0 * params.gamma - 4.0)
 
 
 def _stationary_scale(params: SolutionParams) -> float | None:
@@ -146,7 +141,7 @@ def _stationary_scale(params: SolutionParams) -> float | None:
     Computed in log space; returns 0.0 / inf when outside the representable
     range (exponent blows up as gamma -> 2).
     """
-    if params.lam >= 0.0 or params.xi * params.xi == 0.0 or params.gamma == 2.0:
+    if params.lam >= 0.0 or params.xi == 0.0 or params.gamma == 2.0:
         return None
     log_a = _log_stationary_scale(params)
     return 0.0 if log_a < -700.0 else math.inf if log_a > 700.0 else math.exp(log_a)
@@ -503,5 +498,5 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0) -> Ce
                 raise CertificationMismatch(
                     regime.kind, f"event at {end.t}",
                     f"collapse at t = {end.t} outside the reported bracket [{lo}, {hi}]")
-    return CertificationReport(regime=regime, horizon=horizon, checks=checks,
+    return CertificationReport(passed=True, checks=checks, horizon=horizon,
                                diagnostics=traj.diagnostics)

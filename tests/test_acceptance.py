@@ -19,6 +19,7 @@ from swirlgas import (
     SolutionParams,
     certify,
     classify,
+    closed_form_gamma2,
     euler_residual_2d,
     euler_residual_3d,
     integrate,
@@ -133,14 +134,14 @@ def test_criterion_06_pde_exactness():
 def test_criterion_07_fixture_and_embedding():
     grid = GridSpec(kind="annulus", r_lo=0.1, r_hi=2.0, n_r=20, n_theta=24, h=5e-4)
     direct = zz_direct_residual(1.0, 1.0, grid).max_normalized
-    emb = zhang_zheng_embedding(1.0)
+    p = zhang_zheng_embedding(1.0)
     rng = np.random.default_rng(2)
     x = rng.uniform(-2.5, 2.5, 100)
     y = rng.uniform(-2.5, 2.5, 100)
     worst_rho = worst_speed = 0.0
     for t in (1.0, 1.6):
-        st = emb.scale_state(t)
-        rho_f, u1_f, u2_f, _ = eval_flow_arrays(emb.params, st, x, y)
+        st = closed_form_gamma2(p, t - 1.0)  # family clock 0 = fixture time 1
+        rho_f, u1_f, u2_f, _ = eval_flow_arrays(p, st, x, y)
         rho_z, u1_z, u2_z, _ = zhang_zheng_arrays(t, x, y, 1.0)
         worst_rho = max(worst_rho, float(np.max(np.abs(rho_f - rho_z))))
         worst_speed = max(worst_speed, float(np.max(np.abs(

@@ -4,12 +4,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from swirlgas import ErrorReport, PeriodResult, Regime, TerminalEvent, cli
+from swirlgas import ErrorReport, PeriodResult, Regime, TerminalEvent, certify, classify, cli
 from swirlgas.cli import main
 from swirlgas.fields import SolutionParams, ScaleState, eval_flow_arrays
 
@@ -82,6 +82,17 @@ def test_classify_with_certification(capsys):
     rep = json.loads(out)
     assert rep["certification"]["passed"] is True
     assert abs(rep["certification"]["checks"]["event_time"] - 1.0) <= 1e-6
+
+
+def test_certification_block_is_the_certification_report(capsys):
+    code, out, _ = run_cli(["classify", "--preset", "blowup-demo", "--locate-blowup",
+                            "--certify"], capsys)
+    assert code == 0
+    block = json.loads(out)["certification"]
+    p = SolutionParams(**cli.PRESETS["blowup-demo"])
+    expected = asdict(certify(p, classify(p, locate_blowup=True)))
+    assert list(block) == list(expected) == ["passed", "checks", "horizon", "diagnostics"]
+    assert block == expected
 
 
 def test_classify_certify_reports_diagnostics(capsys):
@@ -188,6 +199,8 @@ def test_verify_fixture_extras(capsys):
     assert rep["fixture_direct"]["max_normalized"] <= 1e-7
     assert rep["embedding_match"]["density_max_diff"] <= 1e-12
     assert rep["embedding_match"]["speed_max_diff"] <= 1e-12
+    assert rep["embedding_match"]["chirality"] == "clockwise"
+    assert rep["embedding_match"]["field_match"] == "exact"
     assert rep["mass_sweep"]["max"] <= 1e-6
     assert rep["verdict"] == "PASS"
 
@@ -417,9 +430,8 @@ HUGE_XI = ["--gamma", "1.5", "--K", "1", "--xi", "1e200", "--lam", "-1",
     # xi^2 overflows, so E(0) is not finite.
     *([cmd, *HUGE_XI] for cmd in ("classify", "integrate", "period", "verify", "fvbench")),
     ["eval", *HUGE_XI, "--time", "0.1"],
-    # xi^2 underflows to 0: the gamma > 2 barrier is not computable.
-    ["classify", "--gamma", "3", "--K", "1", "--xi", "1e-200", "--lam", "-1",
-     "--alpha", "1", "--a0", "1", "--a1", "0"],
+    # a0^2 overflows, so the q = a^2 integration cannot start.
+    ["integrate", "--preset", "periodic-demo", "--a0", "1e160"],
     # a1^2 overflows, so E(0) is not finite.
     ["classify", "--gamma", "3", "--K", "1", "--xi", "1", "--lam", "-1",
      "--alpha", "1", "--a0", "1", "--a1", "1e200", "--locate-blowup", "--certify"],
@@ -435,9 +447,32 @@ def test_bad_values_are_domain_errors(args, capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("args", [
+    # The starting derivative's norm overflows, so the initial step size was 0.
+    ["integrate", "--preset", "periodic-demo", "--gamma", "1e30", "--lam", "1e160"],
+    ["integrate", "--preset", "generic-smooth", "--K", "1e-8", "--lam", "1e300"],
+    ["verify", "--preset", "gamma3-critical", "--xi", "1e30", "--K", "2.000001",
+     "--lam", "1e300", "--time", "0.5"],
+    ["fvbench", "--preset", "periodic-demo", "--lam", "1e160", "--gamma", "2", "--xi", "50",
+     "--resolutions", "16,32", "--horizon", "0.05"],
+    ["classify", "--preset", "gamma3-critical", "--lam", "1e160", "--a1", "1e-320",
+     "--locate-blowup", "--certify"],
+    # a0^3 passes the float range in the scale equation's force.
+    ["classify", "--preset", "periodic-demo", "--a0", "1e120"],
+    ["period", "--preset", "periodic-demo", "--a0", "1e120"],
+])
+def test_extreme_values_end_in_a_report_or_a_domain_error(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    if code == 1:
+        assert "error" in json.loads(err)
+    else:
+        assert code == 0 and out
+
+
 @pytest.mark.parametrize("gamma, kind, branch", [
     ("1.5", "time-periodic", "1"),  # trapped, inner turning point below float range
     ("2", "finite-time-blowup", "2b-blowup"),
+    ("3", "finite-time-blowup", "3bII-blowup"),  # the barrier a* = 1e200 is representable
 ])
 def test_swirl_whose_square_underflows_is_classified(gamma, kind, branch, capsys):
     code, out, _ = run_cli(["classify", "--gamma", gamma, "--K", "1", "--xi", "1e-200",

@@ -11,6 +11,8 @@ from swirlgas import (
     CollapsedAtOrBefore,
     CollapsedState,
     IntegrationConfig,
+    InvalidParams,
+    NonPositiveTime,
     ScaleState,
     SolutionParams,
     ThreeAxisParams,
@@ -51,6 +53,12 @@ def test_rhs_collapsed():
         emden_rhs(ScaleState(0, 0.0, -1.0), P(2, 1, 0))
 
 
+def test_rhs_of_a_scale_whose_cube_overflows():
+    # a ** 3 raised OverflowError past about 5.6e102; xi^2/a^3 is then 0.
+    assert emden_rhs(ScaleState(0, 1e120, 0.0), P(1.5, 1, -2)) == (0.0, -2.0 / 1e240)
+    assert emden_rhs(ScaleState(0, 1e120, 0.0), P(3, 1, -1)) == (0.0, 0.0)
+
+
 # ----------------------------------------------------------- energy
 
 def test_energy_values():
@@ -61,6 +69,29 @@ def test_energy_values():
     e = energy_of(1.0, 0.0, P(3, 1, -1))
     assert e.E == pytest.approx(0.5 - 0.25, abs=1e-15)     # 2g-2 = 4
     assert e.E == e.F_kin + e.F_pot
+
+
+def test_a_starting_scale_whose_square_overflows_is_invalid():
+    # q = a0^2 starts the integration; at a0 = 1e160 it is inf.
+    with pytest.raises(InvalidParams) as exc:
+        energy_of(1e160, 0.0, P(1.5, 1, -2))
+    assert exc.value.violations == ["NonFiniteSquare:a0"]
+    with pytest.raises(InvalidParams):
+        integrate(P(1.5, 1, -2, a0=1e160))
+    assert energy_of(1e150, 0.0, P(1.5, 1, -2)).E == pytest.approx(-2e-150, rel=1e-14)
+
+
+def test_an_infinite_horizon_is_rejected_before_any_step():
+    # It used to run through the whole step budget first.
+    c3 = ThreeAxisParams(gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0)
+    for run in (lambda t: integrate(P(1.5, 1, -2), IntegrationConfig(t_end=t)),
+                lambda t: integrate_scales_3d(c3, t)):
+        with pytest.raises(InvalidParams) as exc:
+            run(math.inf)
+        assert exc.value.violations == ["NonFinite:t_end"]
+        for t in (math.nan, 0.0, -math.inf):
+            with pytest.raises(NonPositiveTime):
+                run(t)
 
 
 # ----------------------------------------------------------- gamma=2 closed form
@@ -414,7 +445,7 @@ def _reference_step(f, t0, y0, h):
     for i in range(1, 7):
         c = _rk._C[i] if i < 6 else 1.0
         K[i] = f(t0 + c * h, y0 + h * (K[:i].T @ _rk._A[i - 1]))
-    return y0 + h * (K.T @ _rk._B), h * (K.T @ _rk._E), K
+    return y0 + h * (K.T @ np.append(_rk._A[-1], 0.0)), h * (K.T @ _rk._E), K
 
 
 @pytest.mark.parametrize("f, y0", [

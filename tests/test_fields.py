@@ -56,6 +56,10 @@ def test_validate_rejects_nan():
 def test_validate_missing_field():
     with pytest.raises(InvalidParams):
         validate_params({"gamma": 2.0, "K": 1.0})
+    # The first missing name in field order, whatever the record's order.
+    with pytest.raises(InvalidParams) as exc:
+        validate_params({"a1": 0.0, "alpha": 1.0, "K": 1.0, "gamma": 2.0})
+    assert exc.value.violations == ["Missing:xi"]
 
 
 # ----------------------------------------------------------- profile
@@ -149,8 +153,8 @@ def test_eval_flow_origin():
 
 def test_eval_flow_fixture_density_point():
     # Embedded fixture member: rho at (2, 0), t = 1 equals r^2/(8 K t^2) = 0.5.
-    emb = zhang_zheng_embedding(1.0)
-    rho = eval_flow_arrays(emb.params, emb.state, 2.0, 0.0)[0]
+    p = zhang_zheng_embedding(1.0)
+    rho = eval_flow_arrays(p, closed_form_gamma2(p, 0.0), 2.0, 0.0)[0]
     assert rho == pytest.approx(0.5, abs=1e-15)
 
 
@@ -205,13 +209,13 @@ def test_fixture_requires_positive_time():
 
 
 def test_embedding_matches_fixture_everywhere():
-    emb = zhang_zheng_embedding(1.0)
+    p = zhang_zheng_embedding(1.0)
     rng = np.random.default_rng(3)
     x = rng.uniform(-3, 3, 100)
     y = rng.uniform(-3, 3, 100)
     for t in (1.0, 1.7, 2.5):
-        st = emb.scale_state(t)
-        rho_f, u1_f, u2_f, _ = eval_flow_arrays(emb.params, st, x, y)
+        st = closed_form_gamma2(p, t - 1.0)  # family clock 0 = fixture time 1
+        rho_f, u1_f, u2_f, _ = eval_flow_arrays(p, st, x, y)
         rho_z, u1_z, u2_z, _ = zhang_zheng_arrays(t, x, y, 1.0)
         assert np.max(np.abs(rho_f - rho_z)) <= 1e-12
         speed_f = np.hypot(u1_f, u2_f)
@@ -223,18 +227,28 @@ def test_embedding_matches_fixture_everywhere():
 
 
 def test_embedding_scale_is_sqrt_t():
-    emb = zhang_zheng_embedding(1.0)
+    p = zhang_zheng_embedding(1.0)
     for delta in (0.5, 1.0):
-        st = closed_form_gamma2(emb.params, delta)
+        st = closed_form_gamma2(p, delta)
         assert st.a ** 2 == pytest.approx(1.0 + delta, rel=1e-14)
 
 
 def test_embedding_flags():
-    emb = zhang_zheng_embedding(1.0)
-    assert emb.chirality == "clockwise"
-    assert emb.field_match == "exact"
-    assert emb.params.xi == -0.5 and emb.params.lam == -0.5 and emb.params.alpha == 0.0
-    assert (emb.state.t, emb.state.a, emb.state.adot) == (1.0, 1.0, 0.5)
+    # The flags chirality and field_match are in verify's embedding_match (test_cli).
+    p = zhang_zheng_embedding(1.0)
+    assert p.xi == -0.5 and p.lam == -0.5 and p.alpha == 0.0
+    st = closed_form_gamma2(p, 0.0)  # family clock 0 = fixture time 1
+    assert (1.0 + st.t, st.a, st.adot) == (1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("K", [1.0, 2.5])
+def test_embedding_scale_is_the_fixture_scale_bitwise(K):
+    # 2 E(0) = a1^2 + (xi^2 + lam)/a0^2 is exactly 0, so a^2 = 1 + tau.
+    p = zhang_zheng_embedding(K)
+    for tau in (*np.linspace(0.0, 5.0, 41).tolist(), 0.5, 0.7, 1e-3, math.pi):
+        st = closed_form_gamma2(p, tau)
+        a = math.sqrt(1.0 + tau)
+        assert (st.t, st.a, st.adot) == (tau, a, 0.5 / a)
 
 
 # ----------------------------------------------------------- invariants

@@ -51,16 +51,16 @@ def test_config_validation():
 
 def test_init_uniform_static(static_traj):
     cfg = FvConfig(nx=16, ny=16, t_end=0.1)
-    field = init_from_exact(STATIC, static_traj, 0.0, cfg)
+    field = init_from_exact(STATIC, static_traj, cfg)
     assert np.all(field.rho == field.rho[1, 1])
     assert np.all(field.m1 == 0.0) and np.all(field.m2 == 0.0)
 
 
 def test_init_matches_fixture_samples():
-    emb = zhang_zheng_embedding(1.0)
-    traj = integrate(emb.params, IntegrationConfig(t_end=0.3))
+    p = zhang_zheng_embedding(1.0)
+    traj = integrate(p, IntegrationConfig(t_end=0.3))
     cfg = FvConfig(x_lo=-0.8, x_hi=0.8, y_lo=-0.8, y_hi=0.8, nx=16, ny=16, t_end=0.1)
-    field = init_from_exact(emb.params, traj, 0.0, cfg)
+    field = init_from_exact(p, traj, cfg)
     xg, yg = cfg.centers()
     rho, u1, u2, _ = zhang_zheng_arrays(1.0, xg, yg, 1.0)  # family clock 0 = fixture time 1
     assert np.max(np.abs(field.rho - rho)) <= 1e-14
@@ -78,7 +78,7 @@ def test_init_total_mass_midpoint_error(generic_traj):
     errs = []
     for n in (32, 64):
         cfg = FvConfig(x_lo=-1, x_hi=1, y_lo=-1, y_hi=1, nx=n, ny=n, t_end=0.0)
-        field = init_from_exact(GENERIC, generic_traj, 0.0, cfg)
+        field = init_from_exact(GENERIC, generic_traj, cfg)
         total = float(np.sum(field.interior()[0])) * cfg.dx * cfg.dy
         errs.append(abs(total - exact))
     # Midpoint-rule error shrinks at second order under mesh doubling.
@@ -88,7 +88,7 @@ def test_init_total_mass_midpoint_error(generic_traj):
 def test_init_box_outside_support(generic_traj):
     cfg = FvConfig(x_lo=-3.0, x_hi=3.0, y_lo=-3.0, y_hi=3.0, nx=16, ny=16, t_end=0.1)
     with pytest.raises(BoxOutsideSupport):
-        init_from_exact(GENERIC, generic_traj, 0.0, cfg)
+        init_from_exact(GENERIC, generic_traj, cfg)
 
 
 def test_init_rejects_a_trajectory_that_ends_before_the_run():
@@ -99,13 +99,13 @@ def test_init_rejects_a_trajectory_that_ends_before_the_run():
     assert traj.terminal.kind == "collapsed"
     cfg = FvConfig(nx=16, ny=16, t_end=2.0)
     with pytest.raises(TrajectoryTooShort) as exc:
-        init_from_exact(blowup, traj, 0.0, cfg)
+        init_from_exact(blowup, traj, cfg)
     assert str(exc.value) == f"need [0.0, 2.0] inside {traj.t_span}"
 
 
 def test_step_uniform_static_is_exact(static_traj):
     cfg = FvConfig(nx=16, ny=16, t_end=0.1)
-    field = init_from_exact(STATIC, static_traj, 0.0, cfg)
+    field = init_from_exact(STATIC, static_traj, cfg)
     before = field.rho.copy()
     for _ in range(5):
         step(field, STATIC, static_traj)
@@ -117,7 +117,7 @@ def test_single_step_deviation_first_order(generic_traj):
     devs = []
     for n in (32, 64):
         cfg = FvConfig(x_lo=-1, x_hi=1, y_lo=-1, y_hi=1, nx=n, ny=n, t_end=0.1)
-        field = init_from_exact(GENERIC, generic_traj, 0.0, cfg)
+        field = init_from_exact(GENERIC, generic_traj, cfg)
         dt = step(field, GENERIC, generic_traj, dt_cap=0.4 * (2.0 / 64) / 3.0)
         xg, yg = cfg.centers()
         sl = (slice(1, -1), slice(1, -1))
@@ -137,7 +137,7 @@ def test_positivity_and_no_flooring(generic_traj):
 
 def test_non_finite_detection(static_traj):
     cfg = FvConfig(nx=16, ny=16, t_end=0.1)
-    field = init_from_exact(STATIC, static_traj, 0.0, cfg)
+    field = init_from_exact(STATIC, static_traj, cfg)
     field.rho[5, 5] = np.nan
     with pytest.raises(NonFiniteState):
         step(field, STATIC, static_traj)
@@ -187,7 +187,7 @@ def test_determinism(generic_traj):
 
 def test_run_requires_trajectory_for_exact_boundaries(static_traj):
     cfg = FvConfig(nx=16, ny=16, t_end=0.1)
-    field = init_from_exact(STATIC, static_traj, 0.0, cfg)
+    field = init_from_exact(STATIC, static_traj, cfg)
     with pytest.raises(ValueError):
         step(field, STATIC, None)
 
@@ -302,7 +302,7 @@ def test_fused_step_is_bitwise_the_reference_step(case, generic_traj):
     if case.startswith("generic"):
         nx, ny = map(int, case.split("-")[1].split("x"))
         params, traj = GENERIC, generic_traj
-        field = init_from_exact(GENERIC, generic_traj, 0.0, FvConfig(nx=nx, ny=ny, t_end=0.1))
+        field = init_from_exact(GENERIC, generic_traj, FvConfig(nx=nx, ny=ny, t_end=0.1))
     elif case == "sod-128x16":
         params, traj = SOD_GAS, None
         field = _sod_field(SOD_TUBE)
@@ -323,7 +323,7 @@ def test_fused_step_is_bitwise_the_reference_step(case, generic_traj):
 
 
 def test_field_rows_are_views_of_the_state(static_traj):
-    field = init_from_exact(STATIC, static_traj, 0.0, FvConfig(nx=16, ny=16, t_end=0.1))
+    field = init_from_exact(STATIC, static_traj, FvConfig(nx=16, ny=16, t_end=0.1))
     field.rho[2, 3], field.m1[4, 5], field.m2[6, 7] = 7.0, 8.0, 9.0
     assert (field.U[0, 2, 3], field.U[1, 4, 5], field.U[2, 6, 7]) == (7.0, 8.0, 9.0)
     assert field.interior()[0].base is field.U

@@ -16,6 +16,7 @@ from swirlgas import (
     CertificationMismatch,
     DegenerateOrbit,
     IntegrationConfig,
+    InvalidParams,
     NoBracket,
     Regime,
     SolutionParams,
@@ -71,10 +72,11 @@ def test_a_max_critical_undefined():
 
 
 def test_a_max_critical_of_a_swirl_whose_square_overflows():
-    # xi^2 = inf would put the barrier at a* = 0 with an infinite height:
-    # a domain error, not the OverflowError of xi ** 2.
-    with pytest.raises(UndefinedCritical, match="xi\\^2 < inf"):
-        a_max_critical(P(3, 1e200, -1))
+    # ln xi^2 is 2 ln|xi|, so xi^2 = inf never forms: the barrier is at
+    # a* = sqrt(-lam)/xi = 1e-200 with an infinite height.
+    crit = a_max_critical(P(3, 1e200, -1))
+    assert crit.a_max_scale == pytest.approx(1e-200, rel=1e-13)
+    assert crit.f_pot_at_max == math.inf
     assert a_max_critical(P(3, 1e150, -1)).a_max_scale == pytest.approx(1e-150, rel=1e-14)
 
 
@@ -406,6 +408,24 @@ def test_linear_collapse_certifies_in_its_bracket(a0, a1):
     p = P(2, 1, -1, a0=a0, a1=a1)
     report = certify(p, classify(p))
     assert abs(report.checks["event_time"] + a0 / a1) <= 1e-6
+
+
+def test_certify_rejects_an_infinite_horizon_at_once():
+    for p in (P(1.4, 0.7, 0.9, a1=0.3), P(3, 1, -1, a0=0.5)):   # global; blowup, no bracket
+        regime = classify(p)
+        assert regime.blowup_bracket is None
+        with pytest.raises(InvalidParams, match="NonFinite:t_end"):
+            certify(p, regime, horizon=math.inf)
+
+
+def test_a_scale_whose_cube_overflows_is_a_kepler_orbit():
+    # Far out only lam/a^2 acts (gamma = 1.5): E0 = lam/a0 = -2e-120 and
+    # T = 2 pi mu/(-2 E0)^1.5 with mu = -lam = 2.
+    p = P(1.5, 1, -2, a0=1e120)
+    regime = classify(p)
+    assert regime.kind == "time-periodic"
+    assert regime.period == pytest.approx(4.0 * math.pi / 4e-120 ** 1.5, rel=1e-12)
+    assert period_quadrature(p).period == regime.period
 
 
 def test_certify_steady_long_horizon():

@@ -75,9 +75,9 @@ def test_uniform_static_residual_is_zero():
 
 
 def test_fixture_member_residual_small():
-    emb = zhang_zheng_embedding(1.0)
-    traj = integrate(emb.params, IntegrationConfig(t_end=0.4))
-    rep = euler_residual_2d(emb.params, traj, 0.2, grid_2d(1e-3))
+    p = zhang_zheng_embedding(1.0)
+    traj = integrate(p, IntegrationConfig(t_end=0.4))
+    rep = euler_residual_2d(p, traj, 0.2, grid_2d(1e-3))
     assert rep.max_normalized <= 1e-6
 
 
