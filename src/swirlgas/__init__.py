@@ -14,11 +14,13 @@ from .errors import (
     CollapsedState,
     DegenerateOrbit,
     GridTouchesSupportBoundary,
+    IntegrationFailed,
     InvalidParams,
     LadderTooShort,
     NoBracket,
     NonFiniteState,
     NonPositiveTime,
+    StepBudgetExceeded,
     SwirlgasError,
     TrajectoryTooShort,
     UndefinedCritical,

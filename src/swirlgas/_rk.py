@@ -1,12 +1,14 @@
 """Adaptive Dormand-Prince 5(4) stepping with dense output and stop events.
 
-Two loops take the same steps, with the same controller and exits:
+Three loops take the same steps, with the same controller and exits:
 
 * solve_scale integrates the scale equation, y = (q, qdot) under
   qddot = A + C q^P, with the force given as the three numbers (A, C, P);
+* solve_plunge integrates a gamma > 2 plunge in Sundman time s,
+  y = (a, w, t) under a' = w, w' = (B - D/a^2) a^(2k)/a, t' = a^k;
 * solve integrates any y' = f(t, y) through a callback; it is the stepper of
   the coupled three-axis system (d = 6) and the reference that solve_scale
-  is tested against.
+  and solve_plunge are tested against.
 
 Features the callers rely on:
 
@@ -39,7 +41,9 @@ back only to stop, near the stop level, and to near_stop, at the step floor.
 Each component is computed by _trial's expression for it, in the same
 order, and the loop makes the same decisions as solve with the equivalent
 callbacks (scale_rhs, the q/|qdot| bound, positive q), so both give bitwise
-the same nodes, stages, counters and events.  The initial step, the
+the same nodes, stages, counters and events.  solve_plunge is written out
+the same way for its three components, against plunge_rhs, its a/|w| and
+max_step bounds, positive a and plunge_stop.  The initial step, the
 step-floor exits, the stop bisection and the assembly of the RkSolution are
 helpers that both loops call.
 
@@ -386,7 +390,7 @@ def scale_rhs(A, C, P):
 
 
 def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
-                stop=None, stop_below=-math.inf, near_stop=None):
+                stop=None, stop_below=-math.inf, near_stop=None, handoff=0.0):
     """Integrate y = (q, qdot) under qddot = A + C q^P from t = 0 to t_end.
 
     q must stay > 0 at every stage, and while q falls a step is at most
@@ -394,7 +398,9 @@ def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     accepted endpoints with q <= stop_below (by default at none), so it must
     be > 0 wherever q > stop_below; near_stop is as in solve, and max_steps
     is solve's default.  A stage whose force q^P overflows is rejected: its
-    inf would reject the step anyway.
+    inf would reject the step anyway.  The run ends with status "handoff" at
+    the first accepted endpoint that does not stop and has qdot < 0 and
+    q < handoff (by default at none).
     """
     inf, sqrt = math.inf, math.sqrt
     rhs = scale_rhs(A, C, P)
@@ -504,11 +510,172 @@ def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
         if w0 <= stop_below and stop([w0, w1]) <= 0.0:
             status, crossing = "stopped", (t, t_new)
             break
+        if w1 < 0.0 and w0 < handoff:
+            status = "handoff"
+            break
         t, v0, v1, g1 = t_new, w0, w1, g7
 
     return _solution(2, t_buf, h_buf, y_buf, k_buf, stop, crossing, rtol, status=status,
                      stop_t=stop_t, stop_bracket=stop_bracket, message=message, nfev=nfev,
                      naccepted=naccepted, nrejected=nrejected)
+
+
+def plunge_rhs(B, D, k):
+    """The right-hand side (s, (a, w, t)) -> (w, (B - D/a^2) u^2/a, u), u = a^k, for solve.
+
+    solve_plunge takes its initial derivative and initial step size from it.
+    """
+    def rhs(s, y):
+        a = y[0]
+        u = _fpow(a, k)
+        return y[1], (B - D / a / a) * (u * u / a), u
+    return rhs
+
+
+def plunge_stop(a_stop, t_stop):
+    """solve_plunge's stop function: <= 0 where a <= a_stop or t >= t_stop."""
+    def stop(y):
+        return min(y[0] - a_stop, t_stop - y[2])
+    return stop
+
+
+def solve_plunge(B, D, k, y0, a_stop, t_stop, rtol=1e-10, atol=1e-10, max_step=math.inf):
+    """Integrate y = (a, w, t) under a' = w, w' = (B - D/a^2) u^2/a, t' = u = a^k in s >= 0.
+
+    The run stops at the first accepted endpoint with a <= a_stop or
+    t >= t_stop, and the crossing of plunge_stop(a_stop, t_stop) is bisected
+    in s.  a must stay > 0 at every stage; while a falls a step is at most
+    a/|w|, the s to the root of its tangent, and it is at most max_step/u,
+    so that max_step bounds the step in t.  There is no end in s; the step
+    floor and max_steps are solve's.  solve with plunge_rhs, those step
+    bounds, positive=(0,) and plunge_stop's stop makes bitwise the same run.
+    """
+    inf, sqrt = math.inf, math.sqrt
+    rhs = plunge_rhs(B, D, k)
+    stop = plunge_stop(a_stop, t_stop)
+    s = 0.0
+    a, w, t = float(y0[0]), float(y0[1]), float(y0[2])
+    k1 = rhs(s, [a, w, t])
+    g1, u1 = k1[1], k1[2]
+    h = _initial_step(rhs, s, [a, w, t], k1, rtol, atol, inf, (0,))
+    nfev = 2
+
+    s_buf, h_buf, k_buf = array("d", [s]), array("d", [0.0]), array("d")
+    y_buf = array("d", (a, w, t))
+    err_prev = 1e-4
+    naccepted = nrejected = 0
+    status, message = "reached_end", ""
+    crossing = None
+
+    steps = 0
+    while True:
+        if steps >= _MAX_STEPS:
+            status, message = "step_failure", f"exceeded {_MAX_STEPS} steps"
+            break
+        steps += 1
+
+        h_floor = _FLOOR_ULPS * (s if s > 1.0 else 1.0)
+        if w < 0.0:
+            b = a / -w
+            if b < h:
+                h = b
+        if max_step < inf and u1 > 0.0:
+            b = max_step / u1
+            if b < h:
+                h = b
+        pinned = h <= h_floor
+        if pinned:
+            h = h_floor
+
+        # _trial's step for (a, w, t): stage k is (ak, wk, tk) with derivative
+        # (wk, gk, uk); the endpoint is (a7, w7, t7).
+        nfev += 6
+        try:
+            a2 = a + h * (_A21 * w)
+            w2 = w + h * (_A21 * g1)
+            t2 = t + h * (_A21 * u1)
+            if not (0.0 < a2 < inf and -inf < w2 < inf and -inf < t2 < inf):
+                raise _StageRejected
+            u2 = a2 ** k
+            g2 = (B - D / a2 / a2) * (u2 * u2 / a2)
+            a3 = a + h * (_A31 * w + _A32 * w2)
+            w3 = w + h * (_A31 * g1 + _A32 * g2)
+            t3 = t + h * (_A31 * u1 + _A32 * u2)
+            if not (0.0 < a3 < inf and -inf < w3 < inf and -inf < t3 < inf):
+                raise _StageRejected
+            u3 = a3 ** k
+            g3 = (B - D / a3 / a3) * (u3 * u3 / a3)
+            a4 = a + h * (_A41 * w + _A42 * w2 + _A43 * w3)
+            w4 = w + h * (_A41 * g1 + _A42 * g2 + _A43 * g3)
+            t4 = t + h * (_A41 * u1 + _A42 * u2 + _A43 * u3)
+            if not (0.0 < a4 < inf and -inf < w4 < inf and -inf < t4 < inf):
+                raise _StageRejected
+            u4 = a4 ** k
+            g4 = (B - D / a4 / a4) * (u4 * u4 / a4)
+            a5 = a + h * (_A51 * w + _A52 * w2 + _A53 * w3 + _A54 * w4)
+            w5 = w + h * (_A51 * g1 + _A52 * g2 + _A53 * g3 + _A54 * g4)
+            t5 = t + h * (_A51 * u1 + _A52 * u2 + _A53 * u3 + _A54 * u4)
+            if not (0.0 < a5 < inf and -inf < w5 < inf and -inf < t5 < inf):
+                raise _StageRejected
+            u5 = a5 ** k
+            g5 = (B - D / a5 / a5) * (u5 * u5 / a5)
+            a6 = a + h * (_A61 * w + _A62 * w2 + _A63 * w3 + _A64 * w4 + _A65 * w5)
+            w6 = w + h * (_A61 * g1 + _A62 * g2 + _A63 * g3 + _A64 * g4 + _A65 * g5)
+            t6 = t + h * (_A61 * u1 + _A62 * u2 + _A63 * u3 + _A64 * u4 + _A65 * u5)
+            if not (0.0 < a6 < inf and -inf < w6 < inf and -inf < t6 < inf):
+                raise _StageRejected
+            u6 = a6 ** k
+            g6 = (B - D / a6 / a6) * (u6 * u6 / a6)
+            a7 = a + h * (_A71 * w + _A73 * w3 + _A74 * w4 + _A75 * w5 + _A76 * w6)
+            w7 = w + h * (_A71 * g1 + _A73 * g3 + _A74 * g4 + _A75 * g5 + _A76 * g6)
+            t7 = t + h * (_A71 * u1 + _A73 * u3 + _A74 * u4 + _A75 * u5 + _A76 * u6)
+            if not (0.0 < a7 < inf and -inf < w7 < inf and -inf < t7 < inf):
+                raise _StageRejected
+            u7 = a7 ** k
+            g7 = (B - D / a7 / a7) * (u7 * u7 / a7)
+            if not (-inf < g7 < inf and -inf < u7 < inf):
+                raise _StageRejected
+            x0 = (h * (_E1 * w + _E3 * w3 + _E4 * w4 + _E5 * w5 + _E6 * w6 + _E7 * w7)
+                  / (atol + rtol * (a7 if a7 > a else a)))
+            m, n = abs(w), abs(w7)
+            x1 = (h * (_E1 * g1 + _E3 * g3 + _E4 * g4 + _E5 * g5 + _E6 * g6 + _E7 * g7)
+                  / (atol + rtol * (n if n > m else m)))
+            m, n = abs(t), abs(t7)
+            x2 = (h * (_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * u7)
+                  / (atol + rtol * (n if n > m else m)))
+            p0, p1, p2 = sorted((x0 * x0, x1 * x1, x2 * x2))
+            err = sqrt((p0 + p1 + p2) / 3)          # _rms of three terms
+        except (_StageRejected, ArithmeticError):
+            err = None
+
+        if err is None or err > 1.0:
+            nrejected += 1
+            if pinned:
+                status, _, _, message = _floor_exit(None, s, None, h, err)
+                break
+            h *= 0.5 if err is None else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            continue
+
+        s_new = s + h
+        s_buf.append(s_new)
+        h_buf.append(h)
+        y_buf.extend((a7, w7, t7))
+        k_buf.extend((w, w2, w3, w4, w5, w6, w7, g1, g2, g3, g4, g5, g6, g7,
+                      u1, u2, u3, u4, u5, u6, u7))
+        naccepted += 1
+
+        factor = _SAFETY * err ** -_PI_ALPHA * err_prev ** _PI_BETA if err > 0 else _MAX_FACTOR
+        h *= ((factor if factor < _MAX_FACTOR else _MAX_FACTOR) if factor > _MIN_FACTOR
+              else _MIN_FACTOR)
+        err_prev = 1e-4 if err < 1e-4 else err
+
+        if a7 <= a_stop or t7 >= t_stop:
+            status, crossing = "stopped", (s, s_new)
+            break
+        s, a, w, t, g1, u1 = s_new, a7, w7, t7, g7, u7
+
+    return _solution(3, s_buf, h_buf, y_buf, k_buf, stop, crossing, rtol, status=status,
+                     message=message, nfev=nfev, naccepted=naccepted, nrejected=nrejected)
 
 
 def _floor_exit(near_stop, t, y, h, err):

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fv, regimes, residuals
-from .emden import IntegrationConfig, closed_form_gamma2, integrate
+from .emden import IntegrationConfig, _check_span, closed_form_gamma2, integrate
 from .errors import InvalidParams, SwirlgasError
 from .fields import (
     ScaleState,
@@ -230,10 +230,7 @@ def cmd_eval(args, cfg):
 
     if time > 0:
         traj = integrate(params, icfg)
-        if traj.terminal.kind != "reached_end" and traj.t_span[1] < time:
-            raise SwirlgasError(
-                f"trajectory ended at t = {traj.t_span[1]} ({traj.terminal.kind}) "
-                f"before the requested time {time}")
+        _check_span(traj, time, time)   # a run that ended early, or a time past t_end
         state, diagnostics = traj.state_at(time), traj.diagnostics
     else:
         state, diagnostics = ScaleState(t=0.0, a=params.a0, adot=params.a1), None

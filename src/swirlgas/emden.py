@@ -17,18 +17,24 @@ is a smooth turn of q, and for gamma = 2 q is the quadratic itself, which the
 adaptive 5(4) pair of ``_rk`` reproduces to rounding.  Trajectories report
 a = sqrt(q), adot = qdot/(2 a) and E from those, so the drift of E checks the
 q system's first integral.
+
+A gamma > 2 collapse is a plunge a ~ (t* - t)^(1/gamma), through which q
+would creep at a fixed fraction of the time left.  Below the barrier it runs
+in Sundman time s, dt = a^(gamma - 1) ds, where a is regular and
+a = collapse_epsilon is an ordinary event; the q phase's step-floor and
+touch rules serve the gamma = 2 collapses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _rk
-from .errors import (CollapsedAtOrBefore, CollapsedState, InvalidParams, NonPositiveTime,
-                     TrajectoryTooShort)
+from .errors import (CollapsedAtOrBefore, CollapsedState, IntegrationFailed, InvalidParams,
+                     NonPositiveTime, TrajectoryTooShort)
 from .fields import ScaleState, SolutionParams
 
 __all__ = [
@@ -133,26 +139,43 @@ def emden_rhs(state: ScaleState, params: SolutionParams):
 class Trajectory:
     """An integrated scale-factor path with dense output and energy record.
 
+    A run has a q phase and, when a gamma > 2 orbit falls below its barrier,
+    a plunge phase in Sundman time (see integrate); the node record runs over
+    both, and the plunge's first node, the handoff, is the q phase's last.
+
     Attributes
     ----------
     ts, a, adot : node arrays
+    hs : the step in t that produced each node (hs[0] = 0)
     E, F_kin, F_pot : per-node energy split
     drift : per-node |E - E(0)| / max(1, |E(0)|)
     terminal : TerminalEvent
-    nfev, naccepted, nrejected, diagnostics : solver counters (read-only)
+    nfev, naccepted, nrejected, diagnostics : solver counters over both phases (read-only)
     """
 
-    nfev = property(lambda self: self._sol.nfev, doc="right-hand-side evaluations")
-    naccepted = property(lambda self: self._sol.naccepted, doc="accepted steps")
-    nrejected = property(lambda self: self._sol.nrejected, doc="rejected trial steps")
+    nfev = property(lambda self: sum(p.nfev for p in self._phases),
+                    doc="right-hand-side evaluations")
+    naccepted = property(lambda self: sum(p.naccepted for p in self._phases),
+                         doc="accepted steps")
+    nrejected = property(lambda self: sum(p.nrejected for p in self._phases),
+                         doc="rejected trial steps")
 
-    def __init__(self, params: SolutionParams, sol: _rk.RkSolution, terminal: TerminalEvent):
+    def __init__(self, params: SolutionParams, sol: _rk.RkSolution, terminal: TerminalEvent,
+                 plunge: _rk.RkSolution | None = None):
         self.params = params
-        self._sol = sol
+        self._sol, self._plunge = sol, plunge
+        self._phases = (sol,) if plunge is None else (sol, plunge)
         self.ts = sol.ts
         self.a = np.sqrt(sol.ys[:, 0])
         self.adot = sol.ys[:, 1] / (2.0 * self.a)
         self.hs = sol.hs
+        if plunge is not None:
+            t = plunge.ys[:, 2]
+            self.ts = np.concatenate([self.ts, t[1:]])
+            self.a = np.concatenate([self.a, plunge.ys[1:, 0]])
+            self.adot = np.concatenate([self.adot, [self._rate(*y) for y in
+                                                    plunge.ys[1:, :2].tolist()]])
+            self.hs = np.concatenate([self.hs, np.diff(t)])
         self.terminal = terminal
         self.F_kin = 0.5 * self.adot ** 2
         self.F_pot = potential(self.a, params)
@@ -163,17 +186,64 @@ class Trajectory:
     def t_span(self):
         return float(self.ts[0]), float(self.ts[-1])
 
+    def _rate(self, a, w):
+        """adot = w / a^(gamma - 1) of a plunge state."""
+        return w / _rk._fpow(a, self.params.gamma - 1.0)
+
     def state_at(self, t: float) -> ScaleState:
-        """Dense-output state; node times reproduce node values exactly."""
+        """Dense-output state; node times reproduce node values exactly (where
+        plunge nodes share a time, the last of them)."""
+        if self._plunge is not None and t > self._sol.ts[-1]:
+            a, w = self._plunge_at(float(t))
+            return ScaleState(t=float(t), a=a, adot=self._rate(a, w))
         q, qdot = self._sol.eval_dense(t).tolist()
         a = math.sqrt(q)
         return ScaleState(t=float(t), a=a, adot=qdot / (2.0 * a))
 
+    def _plunge_at(self, t: float):
+        """(a, w) at a time t inside the plunge: the root theta of its dense t in
+        the step that holds t, by Newton's method kept inside [0, 1]."""
+        sol = self._plunge
+        ts = sol.ys[:, 2]
+        t_last = float(ts[-1])
+        if not t <= t_last + 1e-12 * max(1.0, t_last):
+            raise ValueError(f"dense evaluation outside covered span [{self.ts[0]}, {t_last}]")
+        if t >= t_last:
+            return tuple(sol.ys[-1, :2].tolist())
+        seg = int(ts.searchsorted(t, "right")) - 1
+        (a0, w0, t0), h = sol.ys[seg].tolist(), float(sol.hs[seg + 1])
+        (qa, qw, (q0, q1, q2, q3)) = sol.dense_q[seg].tolist()
+        target = (t - t0) / h
+        theta = (t - t0) / (float(ts[seg + 1]) - t0)
+        for _ in range(50):
+            slope = ((4.0 * q3 * theta + 3.0 * q2) * theta + 2.0 * q1) * theta + q0
+            if theta == 0.0 or not slope > 0.0:
+                break
+            res = (((q3 * theta + q2) * theta + q1) * theta + q0) * theta - target
+            new = min(max(theta - res / slope, 0.0), 1.0)
+            if new == theta:
+                break
+            theta = new
+        return tuple(v + h * ((((c3 * theta + c2) * theta + c1) * theta + c0) * theta)
+                     for v, (c0, c1, c2, c3) in ((a0, qa), (w0, qw)))
+
     def sample(self, ts):
         """Vectorized dense evaluation; returns (a, adot) arrays, of one
         element for a scalar time."""
+        tq = np.asarray(ts, dtype=float).reshape(-1)
+        if self._plunge is None:
+            return self._sample_q(tq)
+        late = tq > self._sol.ts[-1]
+        a, adot = np.empty(tq.size), np.empty(tq.size)
+        a[~late], adot[~late] = self._sample_q(tq[~late])
+        for i in np.flatnonzero(late).tolist():
+            st = self.state_at(tq[i])
+            a[i], adot[i] = st.a, st.adot
+        return a, adot
+
+    def _sample_q(self, tq):
         # eval_dense's (m, 2) result is a transposed (2, m) buffer: contiguous rows.
-        a, adot = self._sol.eval_dense(np.asarray(ts, dtype=float).reshape(-1)).T
+        a, adot = self._sol.eval_dense(tq).T
         np.sqrt(a, out=a)       # in place: (q, qdot) -> (a, adot), no temporaries
         adot /= a
         adot *= 0.5             # qdot / (2 a) exactly, as in state_at
@@ -201,19 +271,36 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
 
     The run steps (q, qdot) = (a^2, 2 a adot) under qddot = 4 E(0) + c q^(1 - gamma),
     at _Q_TOL times cfg's tolerances.  While q falls, a step is at most q/|qdot|,
-    the time to the root of its tangent.  The run ends "collapsed" when q falls
-    to cfg.collapse_epsilon^2, when a step fails at the step floor while q falls
-    (2 q/|qdot| = a/|adot| bounds the time left), or at a touch of zero: the
-    double root of a 2aII collapse, which rounding lifts or lowers by a few
-    eps a0^2.  A falling q whose local parabola turns above -q_touch stops at
-    q_touch (the tangent bound leaves an endpoint below 2 q_min before any
-    step passes a turn), and the event is that turn.
+    the time to the root of its tangent.
+
+    A gamma > 2, lam < 0 orbit that falls below its barrier, where
+    xi^2 a^(2 gamma - 4) < -lam and so addot < 0, never turns again and
+    plunges to a = 0 like (t* - t)^(1/gamma); in q the steps would shrink
+    with the time left.  At the first q node in that region (at t = 0 if the
+    orbit starts there) the run hands off to Sundman time s, dt = a^(gamma-1) ds,
+    in which a is regular: it steps (a, w, t) with w = a^(gamma-1) adot under
+    a' = w, w' = 2 E(0) (gamma-1) a^(2gamma-3) - (gamma-2) xi^2 a^(2gamma-5),
+    t' = a^(gamma-1) (_rk.solve_plunge), and a = cfg.collapse_epsilon is an
+    ordinary event located in s.  cfg.max_step bounds its steps in t, and a
+    plunge that outlives t_end ends "reached_end" with a last node at t_end.
+
+    The rest serve the gamma = 2 collapses, which stay in q.  The run ends
+    "collapsed" when q falls to cfg.collapse_epsilon^2, when a step fails at
+    the step floor while q falls (2 q/|qdot| = a/|adot| bounds the time
+    left), or at a touch of zero: the double root of a 2aII collapse, which
+    rounding lifts or lowers by a few eps a0^2.  A falling q whose local
+    parabola turns above -q_touch stops at q_touch (the tangent bound leaves
+    an endpoint below 2 q_min before any step passes a turn), and the event
+    is that turn.
     """
     a0, eps, g = params.a0, cfg.collapse_epsilon, params.gamma
     _check_start((a0,), cfg.t_end, eps)
-    four_e0 = 4.0 * energy_of(a0, params.a1, params).E
+    e0 = energy_of(a0, params.a1, params).E
+    four_e0 = 4.0 * e0
     c, p = 2.0 * params.lam * (g - 2.0) / (g - 1.0), 1.0 - g
     q_eps, q_touch = eps * eps, _TOUCH_ULPS * math.ulp(1.0) * a0 * a0
+    y0 = (a0 * a0, 2.0 * a0 * params.a1)
+    q_barrier = _plunge_level(params)
 
     rhs = _rk.scale_rhs(four_e0, c, p)
 
@@ -227,15 +314,87 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     def stop(y):
         return y[0] - (q_touch if y[0] <= q_touch and turn_in(0.0, y) is not None else q_eps)
 
-    sol = _rk.solve_scale(four_e0, c, p, (a0 * a0, 2.0 * a0 * params.a1), cfg.t_end,
-                          rtol=_Q_TOL * cfg.rel_tol, atol=_Q_TOL * cfg.abs_tol,
-                          max_step=cfg.max_step, stop=stop, stop_below=max(q_eps, q_touch),
-                          near_stop=lambda t, y: 2.0 * y[0] / -y[1] if y[1] < 0.0 else None)
+    if y0[1] < 0.0 and y0[0] < q_barrier:       # the plunge starts at t = 0
+        sol = _rk.RkSolution(ts=np.zeros(1), ys=np.array([y0]), hs=np.zeros(1),
+                             dense_q=np.empty((0, 2, 4)), status="handoff")
+    else:
+        sol = _rk.solve_scale(four_e0, c, p, y0, cfg.t_end,
+                              rtol=_Q_TOL * cfg.rel_tol, atol=_Q_TOL * cfg.abs_tol,
+                              max_step=cfg.max_step, stop=stop, stop_below=max(q_eps, q_touch),
+                              near_stop=lambda t, y: 2.0 * y[0] / -y[1] if y[1] < 0.0 else None,
+                              handoff=q_barrier)
+    if sol.status == "handoff":
+        if sol.ts[-1] < cfg.t_end:
+            return _plunge(params, cfg, e0, sol)
+        sol.status = "reached_end"
     if sol.status == "stopped":
         dt = turn_in(sol.stop_t, sol.eval_dense(sol.stop_t).tolist())
         if dt is not None:      # a touch of zero: the event is the turn (in _terminal's bracket)
             sol.stop_t += dt
     return Trajectory(params, sol, _terminal(sol))
+
+
+def _log_stationary_scale(params: SolutionParams) -> float:
+    """ln of the potential's stationary point (-lam/xi^2)^(1/(2g-4)), as if xi^2 had no range."""
+    return (math.log(-params.lam) - 2.0 * math.log(abs(params.xi))) / (2.0 * params.gamma - 4.0)
+
+
+def _plunge_level(params: SolutionParams) -> float:
+    """q below which a gamma > 2, lam < 0 orbit is inside its barrier: the barrier's
+    a^2, where xi^2 a^(2 gamma - 4) = -lam, formed in log space (inf for xi = 0);
+    0 for every other orbit, which never hands off."""
+    if not (params.gamma > 2.0 and params.lam < 0.0):
+        return 0.0
+    if params.xi == 0.0:
+        return math.inf
+    log_q = 2.0 * _log_stationary_scale(params)
+    return math.exp(log_q) if log_q < 709.0 else math.inf
+
+
+def _plunge(params: SolutionParams, cfg: IntegrationConfig, e0: float,
+            sol: _rk.RkSolution) -> Trajectory:
+    """Continue a run from its handoff node (sol's last) in Sundman time; see integrate."""
+    g, k = params.gamma, params.gamma - 1.0
+    t_h, (q, qdot) = float(sol.ts[-1]), sol.ys[-1].tolist()
+    a = math.sqrt(q)
+    w = _rk._fpow(a, k) * (qdot / (2.0 * a))
+    eps, t_end = cfg.collapse_epsilon, cfg.t_end
+    plunge = _rk.solve_plunge(2.0 * e0 * k, (g - 2.0) * params.xi * params.xi, k, (a, w, t_h),
+                              eps, t_end, rtol=_Q_TOL * cfg.rel_tol, atol=_Q_TOL * cfg.abs_tol,
+                              max_step=cfg.max_step)
+    if plunge.status != "stopped":
+        terminal = TerminalEvent(kind=plunge.status, t=float(plunge.ys[-1, 2]),
+                                 message=plunge.message)
+        return Trajectory(params, sol, terminal, plunge)
+    lo, hi = plunge.stop_bracket
+    if plunge.eval_dense(hi)[0] > eps:         # t_end came first: the last node moves there
+        return Trajectory(params, sol, TerminalEvent(kind="reached_end", t=t_end),
+                          _cut_last_step(plunge, hi, t_end))
+
+    def t_of(s):
+        return float(plunge.eval_dense(s)[2])
+
+    t_ev, h_last = t_of(plunge.stop_t), float(plunge.ys[-1, 2] - plunge.ys[-2, 2])
+    bracket = (min(t_of(lo), t_ev - h_last), max(t_of(hi), t_ev + h_last))
+    return Trajectory(params, sol, TerminalEvent(kind="collapsed", t=t_ev, bracket=bracket),
+                      plunge)
+
+
+def _cut_last_step(sol: _rk.RkSolution, s_cut: float, t_end: float) -> _rk.RkSolution:
+    """sol with its last step ending at s_cut, where the dense t reaches t_end; its
+    node is the dense state there with t set to t_end exactly, and its quartic
+    is rescaled to the shorter step."""
+    h = float(sol.hs[-1])
+    h_cut = s_cut - float(sol.ts[-2])
+    y_end = sol.eval_dense(s_cut)
+    y_end[2] = t_end
+    ts, hs, ys, dense_q = sol.ts.copy(), sol.hs.copy(), sol.ys.copy(), sol.dense_q.copy()
+    ts[-1], hs[-1], ys[-1] = s_cut, h_cut, y_end
+    # y_k + h sum_j q_j theta^(j+1) with theta = theta' h_cut / h is
+    # y_k + h_cut sum_j q_j (h_cut / h)^j theta'^(j+1).
+    dense_q[-1] *= (h_cut / h) ** np.arange(4)
+    return replace(sol, ts=ts, hs=hs, ys=ys, dense_q=dense_q, status="reached_end",
+                   stop_t=None, stop_bracket=None)
 
 
 def _check_start(a_init, t_end, eps):
@@ -248,8 +407,11 @@ def _check_start(a_init, t_end, eps):
 
 
 def _check_span(traj, t_lo: float, t_hi: float):
-    """TrajectoryTooShort unless traj (a Trajectory or Scales3Trajectory) covers [t_lo, t_hi]."""
+    """Unless traj (a Trajectory or Scales3Trajectory) covers [t_lo, t_hi]:
+    IntegrationFailed if its run ended in a step failure, else TrajectoryTooShort."""
     if not traj.covers(t_lo, t_hi):
+        if traj.terminal.kind == "step_failure":
+            raise IntegrationFailed(traj.terminal.t, traj.terminal.message)
         raise TrajectoryTooShort(f"need [{t_lo}, {t_hi}] inside {traj.t_span}")
 
 

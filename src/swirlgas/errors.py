@@ -70,6 +70,18 @@ class TrajectoryTooShort(SwirlgasError, ValueError):
     """The trajectory does not cover the time-stencil span needed."""
 
 
+class IntegrationFailed(SwirlgasError, RuntimeError):
+    """An integration ended in a step failure before the time that was needed."""
+
+    def __init__(self, t, reason):
+        self.t, self.reason = float(t), reason
+        super().__init__(f"integration ended with step_failure at t = {t}: {reason}")
+
+
+class StepBudgetExceeded(SwirlgasError, RuntimeError):
+    """A time-stepping run needs more steps than its budget."""
+
+
 class NonFiniteState(SwirlgasError, RuntimeError):
     """NaN or Inf detected in the evolving solver state."""
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .emden import Trajectory, _check_span
 from .errors import (BoxOutsideSupport, InvalidParams, LadderTooShort, NonFiniteState,
-                     NonPositiveTime)
+                     NonPositiveTime, StepBudgetExceeded)
 from .fields import SolutionParams, check_support_reach, eval_flow_arrays, support_s_bound
 
 __all__ = ["FvConfig", "ConservativeField", "ErrorReport", "init_from_exact",
@@ -236,14 +236,31 @@ def step(field: ConservativeField, params: SolutionParams,
 
 def run(params: SolutionParams, traj: Trajectory, cfg: FvConfig) -> ConservativeField:
     """March from t0 to t_end; the final partial step lands exactly on t_end.
-    The step buffers are dropped on return, so they never outlive the run."""
+    The step buffers are dropped on return, so they never outlive the run.
+
+    StepBudgetExceeded when the first CFL step predicts more than _MAX_STEPS
+    steps to t_end, or when the run takes _MAX_STEPS without reaching it.
+    """
     field = init_from_exact(params, traj, cfg)
+    span = cfg.t_end - cfg.t0
     try:
         while field.t < cfg.t_end - 1e-14 * max(1.0, abs(cfg.t_end)):
-            step(field, params, traj, dt_cap=cfg.t_end - field.t)
+            if field.stats["steps"] == _MAX_STEPS:
+                raise StepBudgetExceeded(f"{_MAX_STEPS} steps end at t = {field.t!r}, "
+                                         f"before t_end = {cfg.t_end!r}")
+            dt = step(field, params, traj, dt_cap=cfg.t_end - field.t)
+            if field.stats["steps"] == 1 and span / dt > _MAX_STEPS:
+                raise StepBudgetExceeded(f"the first CFL step dt = {dt!r} predicts "
+                                         f"{span / dt:.3g} steps to t_end, more than {_MAX_STEPS}")
     finally:
         field._work = None
     return field
+
+
+# Steps one run may take.  The CLI's default table (generic-smooth to t = 0.2)
+# takes 30, 60 and 119 steps at 64, 128 and 256 cells; 10,000 is 84 times the
+# largest.
+_MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)

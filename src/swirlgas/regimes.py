@@ -36,6 +36,7 @@ from ._rk import _fpow
 from .emden import (
     IntegrationConfig,
     _first_positive_root,
+    _log_stationary_scale,
     emden_rhs,
     energy_of,
     gamma2_scale_squared_coeffs,
@@ -45,6 +46,7 @@ from .emden import (
 from .errors import (
     CertificationMismatch,
     DegenerateOrbit,
+    IntegrationFailed,
     InvalidParams,
     NoBracket,
     NonPositiveTime,
@@ -112,11 +114,12 @@ def a_max_critical(params: SolutionParams) -> CriticalData:
 
     At the barrier a*, lam a*^(4 - 2 gamma) = -xi^2, so its height is
     F* = xi^2 (gamma - 2) / ((2 gamma - 2) a*^2), formed in log space, where
-    ln xi^2 is 2 ln|xi| (xi^2 may leave the float range).  Near gamma = 2 the
-    exponent 1/(2 gamma - 4) explodes and a* can leave the float range; a*
-    is then returned as 0 or inf, and F* as its limit inf or 0 (not the nan
-    of inf - inf that the potential gives there), so that E(0) still
-    compares with it exactly.
+    ln xi^2 is 2 ln|xi| (xi^2 may leave the float range) and the gamma factor
+    is ln(gamma - 2) - ln 2 - ln(gamma - 1) (2 gamma - 2 may overflow).  Near
+    gamma = 2 the exponent 1/(2 gamma - 4) explodes and a* can leave the
+    float range; a* is then returned as 0 or inf, and F* as its limit inf or
+    0 (not the nan of inf - inf that the potential gives there), so that
+    E(0) still compares with it exactly.
     """
     if not (params.gamma > 2.0 and params.lam < 0.0 and params.xi != 0.0):
         raise UndefinedCritical(
@@ -125,14 +128,10 @@ def a_max_critical(params: SolutionParams) -> CriticalData:
         )
     g = params.gamma
     log_a = _log_stationary_scale(params)
-    log_f = 2.0 * math.log(abs(params.xi)) + math.log((g - 2.0) / (2.0 * g - 2.0)) - 2.0 * log_a
+    log_f = (2.0 * math.log(abs(params.xi)) + math.log(g - 2.0) - math.log(2.0)
+             - math.log(g - 1.0) - 2.0 * log_a)
     f_star = math.exp(log_f) if log_f < 709.0 else math.inf
     return CriticalData(a_max_scale=_stationary_scale(params), f_pot_at_max=f_star)
-
-
-def _log_stationary_scale(params: SolutionParams) -> float:
-    """ln of the potential's stationary point (-lam/xi^2)^(1/(2g-4)), as if xi^2 had no range."""
-    return (math.log(-params.lam) - 2.0 * math.log(abs(params.xi))) / (2.0 * params.gamma - 4.0)
 
 
 def _stationary_scale(params: SolutionParams) -> float | None:
@@ -238,8 +237,9 @@ _PANEL_CHUNK = 32
 _MAX_PANELS = 8192
 # Blowup times: the quadrature converges to 1e-12 relative (absolute below 1),
 # and the bracket adds the integrator's share, _EVENT_BUDGET times its default
-# rel_tol scaled by max(1, t*).  Over 2,000 seeded gamma > 2 blowups the event
-# lay a median 0.008 and at most 32 of those units from t*; near the barrier, more.
+# rel_tol scaled by max(1, t*).  Over 600 seeded gamma > 2 blowups (seeds 3, 17
+# and 2024 of the sweep ranges) the event lay a median 0.03 and at most 12 of
+# those units from t*; near the barrier, more.
 _BLOWUP_QUAD_TOL = 1e-12
 _EVENT_BUDGET = 200.0
 
@@ -456,8 +456,9 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0) -> Ce
 
     All of them come from one integration, whose solver record is the
     report's diagnostics.  Raises CertificationMismatch on disagreement; never
-    suppresses it, and NonPositiveTime for a horizon that is not positive,
-    whatever the regime.
+    suppresses it, IntegrationFailed when the integration ends in a step
+    failure, and NonPositiveTime for a horizon that is not positive, whatever
+    the regime.
     """
     if not horizon > 0:
         raise NonPositiveTime(f"certification horizon must be positive, got {horizon}")
@@ -472,6 +473,8 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0) -> Ce
         t_end = max(horizon, regime.blowup_bracket[1] * 1.5)
     traj = integrate(params, IntegrationConfig(t_end=t_end))
     end = traj.terminal
+    if end.kind == "step_failure":
+        raise IntegrationFailed(end.t, end.message)
     checks = {"terminal": end.kind}
     if end.kind != ("collapsed" if regime.kind == "finite-time-blowup" else "reached_end"):
         raise CertificationMismatch(regime.kind, end.kind, f"classified {regime.kind} but "

@@ -440,6 +440,11 @@ HUGE_XI = ["--gamma", "1.5", "--K", "1", "--xi", "1e200", "--lam", "-1",
      "--alpha", "1", "--a0", "1e-300", "--a1", "0", "--collapse-epsilon", "1e-310"],
     # The trajectory collapses at t = 1, before the requested time.
     ["eval", "--preset", "blowup-demo", "--time", "2"],
+    # The requested time lies past the horizon.
+    ["eval", "--preset", "generic-smooth", "--time=1.0000001", "--t-end=1e-08"],
+    # A sound speed of 1e15: the first CFL step predicts 1e15 steps.
+    ["fvbench", "--preset", "generic-smooth", "--xi", "50", "--K", "1e30", "--a1", "0.5",
+     "--resolutions", "16,32", "--horizon", "0.05"],
 ])
 def test_bad_values_are_domain_errors(args, capsys):
     code, _, err = run_cli(args, capsys)
@@ -460,6 +465,9 @@ def test_bad_values_are_domain_errors(args, capsys):
     # a0^3 passes the float range in the scale equation's force.
     ["classify", "--preset", "periodic-demo", "--a0", "1e120"],
     ["period", "--preset", "periodic-demo", "--a0", "1e120"],
+    # 2 gamma - 2 overflows in the barrier height.
+    ["classify", "--preset", "blowup-demo", "--gamma=1.7976931348623157e+308", "--a1=-1e+30",
+     "--locate-blowup"],
 ])
 def test_extreme_values_end_in_a_report_or_a_domain_error(args, capsys):
     code, out, err = run_cli(args, capsys)
@@ -467,6 +475,33 @@ def test_extreme_values_end_in_a_report_or_a_domain_error(args, capsys):
         assert "error" in json.loads(err)
     else:
         assert code == 0 and out
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--preset", "gamma3-critical", "--lam", "1e160", "--a1", "1e-320",
+     "--locate-blowup", "--certify"],
+    ["verify", "--preset", "gamma3-critical", "--xi", "1e30", "--K", "2.000001",
+     "--lam", "1e300", "--time", "0.5"],
+])
+def test_a_first_step_failure_is_reported_as_such(args, capsys):
+    # The integration cannot take its first step; certify used to call that a
+    # CertificationMismatch and verify a TrajectoryTooShort.
+    code, _, err = run_cli(args, capsys)
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "IntegrationFailed"
+    assert payload["message"].startswith("integration ended with step_failure at t = 0.0: "
+                                         "tolerance unmet at the step floor")
+
+
+@pytest.mark.parametrize("time, t_end", [(1.0000001, 1e-8), (0.5, 0.4999)])
+def test_eval_past_its_horizon_is_too_short(time, t_end, capsys):
+    code, _, err = run_cli(["eval", "--preset", "generic-smooth", f"--time={time}",
+                            f"--t-end={t_end}"], capsys)
+    assert code == 1
+    payload = json.loads(err)
+    assert payload == {"error": "TrajectoryTooShort",
+                       "message": f"need [{time}, {time}] inside (0.0, {t_end})"}
 
 
 @pytest.mark.parametrize("gamma, kind, branch", [

@@ -15,7 +15,9 @@ from swirlgas import (
     NonPositiveTime,
     ScaleState,
     SolutionParams,
+    TerminalEvent,
     ThreeAxisParams,
+    classify,
     closed_form_gamma2,
     emden_rhs,
     energy_of,
@@ -483,8 +485,8 @@ def test_scale_loop_first_step_matches_a_numpy_reference():
 def _outcome(step, f, positive, y, h):
     """One trial step from t = 0 as bytes, or how it was rejected."""
     try:
-        y_new, err, k7, record = step(f, (0 in positive, 1 in positive), 1e-8, 1e-8,
-                                      0.0, list(y), list(f(0.0, y)), h)
+        y_new, err, k7, record = step(f, tuple(i in positive for i in range(len(y))), 1e-8,
+                                      1e-8, 0.0, list(y), list(f(0.0, y)), h)
     except _rk._StageRejected:
         return "rejected"
     except ArithmeticError as exc:
@@ -531,15 +533,25 @@ def test_generic_step_outcome(f, y, h, expected, positive):
         assert out == expected
 
 
-def _through_solve(A, C, P, y0, t_end, *, rtol, atol, max_step, stop, stop_below, near_stop):
+def _through_solve(A, C, P, y0, t_end, *, rtol, atol, max_step, stop, stop_below, near_stop,
+                   handoff):
     """solve_scale's run made by the generic solve, with the equivalent callbacks.
 
     stop is called at every accepted step, not only at q <= stop_below, so
-    the comparison also checks that the gate drops no stop.
+    the comparison also checks that the gate drops no stop.  The handoff is
+    a stop too, at qdot < 0 and q < handoff; its bisection is then dropped.
     """
-    return _rk.solve(_rk.scale_rhs(A, C, P), 0.0, y0, t_end, rtol=rtol, atol=atol,
-                     max_step=max_step, positive=(0,), step_bound=_tangent_bound,
-                     stop=stop, near_stop=near_stop)
+    def halt(y):
+        value = stop(y)
+        return -1.0 if value > 0.0 and y[1] < 0.0 and y[0] < handoff else value
+
+    sol = _rk.solve(_rk.scale_rhs(A, C, P), 0.0, y0, t_end, rtol=rtol, atol=atol,
+                    max_step=max_step, positive=(0,), step_bound=_tangent_bound,
+                    stop=halt, near_stop=near_stop)
+    last = sol.ys[-1].tolist()
+    if sol.status == "stopped" and halt(last) < 0.0 < stop(last):
+        sol.status, sol.stop_t, sol.stop_bracket = "handoff", None, None
+    return sol
 
 
 def _tangent_bound(t, y):
@@ -626,7 +638,7 @@ _FORCE_OVERFLOW = (P(50, 0, 1e-290, a1=-1.0), 3.0)
 
 @pytest.mark.parametrize("p, t_end, message", [
     (P(1.5, 1, -2), 30.0, ""),
-    (P(3, 1, -2), 20.0, "step floor reached inside the stop neighborhood"),
+    (P(2, 1, -2), 20.0, "step floor reached inside the stop neighborhood"),
     (P(2, 1, -1, a1=-0.001), 3000.0, ""),
     (*_EXPANDING_GAMMA50, ""),
     (*_FORCE_OVERFLOW, ""),
@@ -654,7 +666,170 @@ def test_gamma50_orbits_reach_the_limits_of_the_force():
 @given(gamma=st.floats(1.0, 4.0, exclude_min=True), xi=st.floats(-3.0, 3.0),
        lam=st.floats(-5.0, 5.0), a0=st.floats(0.05, 3.0), a1=st.floats(-3.0, 3.0))
 def test_scale_loop_is_bitwise_solve_over_the_sweep_ranges(gamma, xi, lam, a0, a1):
+    # The q phase: a gamma > 2, lam < 0 draw hands off to the plunge loop,
+    # which the tests below compare with solve.
     _assert_scale_loop_is_solve(P(gamma, xi, lam, a0=a0, a1=a1), IntegrationConfig(t_end=5.0))
+
+
+# ----------------------------------------------------------- the plunge in Sundman time
+
+def _plunge_bound(k, max_step):
+    """solve_plunge's step bounds as solve's callback: a/|w| while a falls, and max_step/a^k."""
+    def bound(s, y):
+        b = y[0] / -y[1] if y[1] < 0.0 else math.inf
+        u = _rk._fpow(y[0], k)
+        if max_step < math.inf and u > 0.0:
+            b = min(b, max_step / u)
+        return b
+    return bound
+
+
+def _plunge_through_solve(B, D, k, y0, a_stop, t_stop, *, rtol=1e-10, atol=1e-10,
+                          max_step=math.inf):
+    """solve_plunge's run made by the generic solve, with the equivalent callbacks."""
+    return _rk.solve(_rk.plunge_rhs(B, D, k), 0.0, y0, math.inf, rtol=rtol, atol=atol,
+                     positive=(0,), step_bound=_plunge_bound(k, max_step),
+                     stop=_rk.plunge_stop(a_stop, t_stop))
+
+
+@pytest.mark.parametrize("force, y, h, accepted", [
+    ((2.0, 0.5, 2.0), (0.8, -0.3, 0.1), 0.05, True),
+    # Only u^2/a at the new point overflows, to inf; a0 has this exit only
+    # inside a window about 2.5e-4 wide.
+    ((1.0, 0.0, 50.0), (1.002695, 1.0, 0.0), 0.1, False),
+    # u^2/a at stage 2 (a = 1220) overflows to inf; w at stage 3 is inf.
+    ((1.0, 0.0, 50.0), (1200.0, 100.0, 0.0), 1.0, False),
+    # w at stage 2 overflows to -inf.
+    ((-1e307, 0.0, 1.0), (1.0, 0.0, 0.0), 100.0, False),
+    # a at stage 3 is -3.5.
+    ((-100.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0, False),
+    # a^k at stage 2 (a = 3) raises OverflowError in the plunge step; plunge_rhs gives inf.
+    ((1.0, 0.0, 1000.0), (1.0, 1.0, 0.0), 10.0, False),
+], ids=["accepted", "inf-at-the-new-point", "inf-stage", "overflow", "non-positive",
+        "arithmetic-error"])
+def test_three_component_step_is_bitwise_the_generic_step(force, y, h, accepted):
+    # As for the scale loop: each case's first trial step leaves solve_plunge's
+    # step by a different exit, and the run to the first accepted step past
+    # t = y[2] is bitwise solve's with the equivalent callbacks.
+    out = _outcome(_rk._trial, _rk.plunge_rhs(*force), (0,), y, h)
+    assert isinstance(out, bytes) if accepted else out == "rejected"
+    t_stop = math.nextafter(y[2], math.inf)
+    with mock.patch.object(_rk, "_initial_step", lambda *args: h):
+        plunge = _rk.solve_plunge(*force, y, 0.0, t_stop)
+        generic = _plunge_through_solve(*force, y, 0.0, t_stop)
+    _assert_same_run(plunge, generic)
+
+
+def test_plunge_loop_first_step_matches_a_numpy_reference():
+    force, y0 = (2.0, 0.5, 2.0), np.array([0.8, -0.3, 0.1])
+    sol = _rk.solve_plunge(*force, y0, 0.0, 10.0, rtol=1e-8, atol=1e-8)
+    h = sol.hs[1]
+    y_ref, _, K = _reference_step(_rk.plunge_rhs(*force), 0.0, y0, h)
+    assert np.max(np.abs(sol.ys[1] - y_ref)) <= 1e-14 * np.max(np.abs(y_ref))
+    assert np.max(np.abs(sol.dense_q[0] - K.T @ _rk._P)) <= 1e-14 * np.max(np.abs(K))
+
+
+def _assert_plunge_loop_is_solve(p, cfg):
+    """integrate through solve_plunge and through solve agree bitwise; returns the first."""
+    traj = integrate(p, cfg)
+    with mock.patch.object(_rk, "solve_plunge", _plunge_through_solve):
+        generic = integrate(p, cfg)
+    assert (traj._plunge is None) == (generic._plunge is None)
+    if traj._plunge is not None:
+        _assert_same_run(traj._plunge, generic._plunge)
+    assert traj.terminal == generic.terminal
+    for name in ("ts", "a", "adot", "hs"):
+        assert getattr(traj, name).tobytes() == getattr(generic, name).tobytes(), name
+    return traj
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma=st.floats(2.0, 4.0, exclude_min=True), xi=st.floats(-3.0, 3.0),
+       lam=st.floats(-5.0, 0.0, exclude_max=True), a0=st.floats(0.05, 3.0),
+       a1=st.floats(-3.0, 3.0), max_step=st.sampled_from([math.inf, 0.05]))
+def test_plunge_loop_is_bitwise_solve_over_the_sweep_ranges(gamma, xi, lam, a0, a1, max_step):
+    _assert_plunge_loop_is_solve(P(gamma, xi, lam, a0=a0, a1=a1),
+                                 IntegrationConfig(t_end=5.0, max_step=max_step))
+
+
+def test_plunge_hands_off_below_the_barrier_only():
+    # gamma = 3, xi = 1, lam = -2: the barrier is at a = sqrt(2).  From rest at
+    # a0 = 1 the orbit falls at once; the first q node hands off.
+    traj = integrate(P(3, 1, -2), IntegrationConfig(t_end=2.0))
+    assert traj._sol.ts.size == 2 and traj._sol.status == "handoff"
+    # Falling from below the barrier at t = 0: no q step at all.
+    traj = integrate(P(3, 1, -2, a1=-0.5), IntegrationConfig(t_end=2.0))
+    assert traj._sol.ts.size == 1 and traj.ts[0] == 0.0 and traj.terminal.kind == "collapsed"
+    # Outside the barrier, or rising, or lam >= 0, or gamma = 2: q alone.
+    for p in (P(3, 1, -2, a0=2.0, a1=1.0), P(3, 1, 2, a1=-0.5), P(2, 1, -2)):
+        assert integrate(p, IntegrationConfig(t_end=2.0))._plunge is None
+
+
+def test_plunge_events_agree_with_the_blowup_quadrature():
+    # Seeded gamma > 2 collapses over the ranges of the totality sweep: every
+    # event lies within 0.99 units of rel_tol max(1, t*) from the quadrature's
+    # t* (the worst measured, 0.98, is at gamma = 2.97), and every run plunges.
+    rng = np.random.default_rng(2024)
+    drawn, worst = 0, 0.0
+    while drawn < 200:
+        p = P(rng.uniform(2.0, 4.0), rng.uniform(-3, 3), rng.uniform(-5, 0),
+              a0=rng.uniform(0.05, 3.0), a1=rng.uniform(-3, 3))
+        r = classify(p, locate_blowup=True)
+        if r.kind != "finite-time-blowup" or r.blowup_time is None:
+            continue
+        drawn += 1
+        traj = integrate(p, IntegrationConfig(t_end=1.5 * r.blowup_time + 1.0))
+        assert traj.terminal.kind == "collapsed" and traj._plunge is not None
+        worst = max(worst, abs(traj.terminal.t - r.blowup_time) / max(1.0, r.blowup_time))
+    assert worst <= 0.99 * IntegrationConfig.rel_tol
+
+
+def _plunging_orbit(**cfg):
+    # t* = pi/4: E0 = 0 for gamma = 3, xi = 1, lam = -2 from rest at a0 = 1.
+    return integrate(P(3, 1, -2), IntegrationConfig(**{"t_end": 2.0, **cfg}))
+
+
+def test_plunge_state_at_and_sample_agree_and_reproduce_nodes():
+    traj = _plunging_orbit()
+    t_h = float(traj._sol.ts[-1])
+    ts = np.linspace(0.0, traj.ts[-1], 2001)
+    assert np.count_nonzero(ts > t_h) > 1900
+    a, adot = traj.sample(ts)
+    for t, x, y in zip(ts.tolist(), a, adot):
+        st = traj.state_at(t)
+        assert (st.a, st.adot) == (x, y)
+    # Near the end dt = a^2 ds no longer moves t, so several nodes share a
+    # time; a time gives the last node that has it.
+    last = np.append(np.diff(traj.ts) > 0.0, True)
+    assert np.count_nonzero(~last) > 0
+    for k in np.flatnonzero(last).tolist():
+        st = traj.state_at(float(traj.ts[k]))
+        assert (st.a, st.adot) == (traj.a[k], traj.adot[k])
+    a, adot = traj.sample(traj.ts[last])
+    assert np.array_equal(a, traj.a[last]) and np.array_equal(adot, traj.adot[last])
+    with pytest.raises(ValueError, match="outside covered span"):
+        traj.state_at(traj.ts[-1] + 1e-6)
+
+
+def test_a_horizon_inside_the_plunge_ends_there():
+    full = _plunging_orbit()
+    assert full.terminal.kind == "collapsed"
+    assert full.terminal.t == pytest.approx(math.pi / 4, abs=1e-10)
+    for t_end in (0.3, 0.7, 0.78):
+        traj = _plunging_orbit(t_end=t_end)
+        assert traj.terminal == TerminalEvent(kind="reached_end", t=t_end)
+        assert traj.ts[-1] == t_end and traj.covers(0.0, t_end)
+        st, ref = traj.state_at(t_end), full.state_at(t_end)
+        assert (st.a, st.adot) == (traj.a[-1], traj.adot[-1])
+        assert st.a == pytest.approx(ref.a, rel=1e-9)
+        assert st.adot == pytest.approx(ref.adot, rel=1e-9)
+
+
+def test_plunge_steps_honour_max_step_in_t():
+    for max_step in (0.003, 0.01):
+        traj = _plunging_orbit(max_step=max_step)
+        assert np.max(np.diff(traj.ts)) <= max_step
+        assert traj.terminal.t == pytest.approx(math.pi / 4, abs=1e-10)
 
 
 def test_trajectory_exposes_solver_counters():

@@ -12,6 +12,7 @@ from swirlgas import (
     NonFiniteState,
     NonPositiveTime,
     SolutionParams,
+    StepBudgetExceeded,
     TrajectoryTooShort,
     init_from_exact,
     run_and_compare,
@@ -21,6 +22,7 @@ from swirlgas import (
 )
 from swirlgas.emden import Trajectory
 from swirlgas.fields import eval_flow_arrays, zhang_zheng_arrays
+from swirlgas import fv
 from swirlgas.fv import _errors_vs_exact, run
 
 GENERIC = SolutionParams(gamma=1.4, K=1, xi=0.7, lam=0.9, alpha=1, a0=1, a1=0.3)
@@ -344,3 +346,35 @@ def test_run_statistics_of_the_default_table():
     # The stable dt halves with dx while the peak wave speed barely moves.
     assert diag["dt_max"][1] == pytest.approx(diag["dt_max"][0] / 2, rel=0.02)
     assert diag["max_wave_speed"][2] == pytest.approx(diag["max_wave_speed"][0], rel=0.02)
+
+
+def test_a_run_that_would_take_too_many_steps_stops_at_its_first():
+    # A sound speed of 1e15 makes the CFL step 1e-17: 1e15 steps to t = 0.05.
+    loud = SolutionParams(gamma=1.4, K=1e30, xi=50.0, lam=0.9, alpha=1.0, a0=1.0, a1=0.5)
+    traj = integrate(loud, IntegrationConfig(t_end=0.15))
+    cfg = FvConfig(nx=16, ny=16, t_end=0.05)
+    calls = []
+    real = fv.step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fv, "step", counted)
+        with pytest.raises(StepBudgetExceeded, match="predicts"):
+            run(loud, traj, cfg)
+    assert len(calls) == 1
+
+
+def test_a_run_stops_at_the_step_budget(generic_traj, monkeypatch):
+    # The first step predicts 10 steps to t_end; each later one is half the last.
+    real = fv.step
+
+    def halving(field, params, traj, dt_cap=None):
+        return real(field, params, traj, dt_cap=0.02 * 0.5 ** field.stats["steps"])
+
+    monkeypatch.setattr(fv, "step", halving)
+    monkeypatch.setattr(fv, "_MAX_STEPS", 20)
+    with pytest.raises(StepBudgetExceeded, match="20 steps end at t = "):
+        run(GENERIC, generic_traj, FvConfig(nx=16, ny=16, t_end=0.2))

@@ -16,6 +16,7 @@ from swirlgas import (
     CertificationMismatch,
     DegenerateOrbit,
     IntegrationConfig,
+    IntegrationFailed,
     InvalidParams,
     NoBracket,
     Regime,
@@ -78,6 +79,14 @@ def test_a_max_critical_of_a_swirl_whose_square_overflows():
     assert crit.a_max_scale == pytest.approx(1e-200, rel=1e-13)
     assert crit.f_pot_at_max == math.inf
     assert a_max_critical(P(3, 1e150, -1)).a_max_scale == pytest.approx(1e-150, rel=1e-14)
+
+
+def test_a_max_critical_when_2_gamma_minus_2_overflows():
+    # The height's factor (gamma - 2)/(2 gamma - 2) is formed from three logs;
+    # its quotient was 0 here, and its log a math domain error.
+    crit = a_max_critical(P(1.7976931348623157e308, 1, -2))
+    assert crit.a_max_scale == 1.0
+    assert crit.f_pot_at_max == pytest.approx(0.5, rel=1e-12)
 
 
 # ----------------------------------------------------------- turning points
@@ -402,6 +411,17 @@ def test_near_barrier_collapses_certify_at_the_recorded_rate():
     assert passed >= 22
 
 
+def test_certify_reports_a_failed_integration():
+    # lam = 1e160 at a1 = 1e-320: the first step fails at the step floor.
+    p = P(3, 1, 1e160, a0=2.0, a1=1e-320)
+    regime = classify(p, locate_blowup=True)
+    assert regime.kind == "global"
+    with pytest.raises(IntegrationFailed) as exc:
+        certify(p, regime)
+    assert exc.value.t == 0.0
+    assert exc.value.reason.startswith("tolerance unmet at the step floor")
+
+
 @pytest.mark.parametrize("a0,a1", [(1.0, -0.025), (1.0, -0.25), (3.0, -0.075), (0.2, -0.005)])
 def test_linear_collapse_certifies_in_its_bracket(a0, a1):
     # 2aII at t* = 40 and 4: the event is the touch of zero, inside +-1e-6.
@@ -607,8 +627,7 @@ def test_blowup_sweep_events_in_bracket():
         assert r.blowup_time is not None, r.notes
         try:
             report = certify(p, r)
-        except CertificationMismatch as exc:
-            assert exc.numeric == "step_failure", str(exc)
+        except IntegrationFailed:
             step_failures += 1
             continue
         assert report.checks["event_margin"] <= 1.0
