@@ -539,7 +539,8 @@ def plunge_stop(a_stop, t_stop):
     return stop
 
 
-def solve_plunge(B, D, k, y0, a_stop, t_stop, rtol=1e-10, atol=1e-10, max_step=math.inf):
+def solve_plunge(B, D, k, y0, a_stop, t_stop, rtol=1e-10, atol=1e-10, max_step=math.inf,
+                 near_stop=None):
     """Integrate y = (a, w, t) under a' = w, w' = (B - D/a^2) u^2/a, t' = u = a^k in s >= 0.
 
     The run stops at the first accepted endpoint with a <= a_stop or
@@ -547,8 +548,9 @@ def solve_plunge(B, D, k, y0, a_stop, t_stop, rtol=1e-10, atol=1e-10, max_step=m
     in s.  a must stay > 0 at every stage; while a falls a step is at most
     a/|w|, the s to the root of its tangent, and it is at most max_step/u,
     so that max_step bounds the step in t.  There is no end in s; the step
-    floor and max_steps are solve's.  solve with plunge_rhs, those step
-    bounds, positive=(0,) and plunge_stop's stop makes bitwise the same run.
+    floor, max_steps and near_stop(s, y) are solve's.  solve with plunge_rhs,
+    those step bounds, positive=(0,), plunge_stop's stop and the same
+    near_stop makes bitwise the same run.
     """
     inf, sqrt = math.inf, math.sqrt
     rhs = plunge_rhs(B, D, k)
@@ -565,7 +567,7 @@ def solve_plunge(B, D, k, y0, a_stop, t_stop, rtol=1e-10, atol=1e-10, max_step=m
     err_prev = 1e-4
     naccepted = nrejected = 0
     status, message = "reached_end", ""
-    crossing = None
+    stop_t = stop_bracket = crossing = None
 
     steps = 0
     while True:
@@ -651,7 +653,8 @@ def solve_plunge(B, D, k, y0, a_stop, t_stop, rtol=1e-10, atol=1e-10, max_step=m
         if err is None or err > 1.0:
             nrejected += 1
             if pinned:
-                status, _, _, message = _floor_exit(None, s, None, h, err)
+                status, stop_t, stop_bracket, message = _floor_exit(near_stop, s, [a, w, t],
+                                                                    h, err)
                 break
             h *= 0.5 if err is None else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             continue
@@ -675,7 +678,8 @@ def solve_plunge(B, D, k, y0, a_stop, t_stop, rtol=1e-10, atol=1e-10, max_step=m
         s, a, w, t, g1, u1 = s_new, a7, w7, t7, g7, u7
 
     return _solution(3, s_buf, h_buf, y_buf, k_buf, stop, crossing, rtol, status=status,
-                     message=message, nfev=nfev, naccepted=naccepted, nrejected=nrejected)
+                     stop_t=stop_t, stop_bracket=stop_bracket, message=message, nfev=nfev,
+                     naccepted=naccepted, nrejected=nrejected)
 
 
 def _floor_exit(near_stop, t, y, h, err):

@@ -153,18 +153,17 @@ class Trajectory:
     nfev, naccepted, nrejected, diagnostics : solver counters over both phases (read-only)
     """
 
-    nfev = property(lambda self: sum(p.nfev for p in self._phases),
-                    doc="right-hand-side evaluations")
-    naccepted = property(lambda self: sum(p.naccepted for p in self._phases),
-                         doc="accepted steps")
-    nrejected = property(lambda self: sum(p.nrejected for p in self._phases),
-                         doc="rejected trial steps")
+    nfev = property(lambda self: self._sol.nfev, doc="right-hand-side evaluations")
+    naccepted = property(lambda self: self._sol.naccepted, doc="accepted steps")
+    nrejected = property(lambda self: self._sol.nrejected, doc="rejected trial steps")
 
     def __init__(self, params: SolutionParams, sol: _rk.RkSolution, terminal: TerminalEvent,
                  plunge: _rk.RkSolution | None = None):
         self.params = params
+        if plunge is not None:      # the q phase's record carries the counters of both
+            sol = replace(sol, **{name: getattr(sol, name) + getattr(plunge, name)
+                                  for name in ("nfev", "naccepted", "nrejected")})
         self._sol, self._plunge = sol, plunge
-        self._phases = (sol,) if plunge is None else (sol, plunge)
         self.ts = sol.ts
         self.a = np.sqrt(sol.ys[:, 0])
         self.adot = sol.ys[:, 1] / (2.0 * self.a)
@@ -177,18 +176,23 @@ class Trajectory:
                                                     plunge.ys[1:, :2].tolist()]])
             self.hs = np.concatenate([self.hs, np.diff(t)])
         self.terminal = terminal
-        self.F_kin = 0.5 * self.adot ** 2
-        self.F_pot = potential(self.a, params)
-        self.E = self.F_kin + self.F_pot
+        # Deep in a plunge adot^2 and the potential pass the float range, as
+        # inf and -inf; such a node's E is inf - inf = nan, and its drift inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.F_kin = 0.5 * self.adot ** 2
+            self.F_pot = potential(self.a, params)
+            self.E = self.F_kin + self.F_pot
         self.drift = np.abs(self.E - self.E[0]) / max(1.0, abs(self.E[0]))
+        self.drift[np.isnan(self.drift)] = math.inf
 
     @property
     def t_span(self):
         return float(self.ts[0]), float(self.ts[-1])
 
     def _rate(self, a, w):
-        """adot = w / a^(gamma - 1) of a plunge state."""
-        return w / _rk._fpow(a, self.params.gamma - 1.0)
+        """adot = w a^(1 - gamma) of a plunge state; -inf once a^(1 - gamma) passes
+        the float range, where a^(gamma - 1) would underflow to 0."""
+        return w * _rk._fpow(a, 1.0 - self.params.gamma)
 
     def state_at(self, t: float) -> ScaleState:
         """Dense-output state; node times reproduce node values exactly (where
@@ -283,6 +287,9 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     t' = a^(gamma-1) (_rk.solve_plunge), and a = cfg.collapse_epsilon is an
     ordinary event located in s.  cfg.max_step bounds its steps in t, and a
     plunge that outlives t_end ends "reached_end" with a last node at t_end.
+    A collapse_epsilon below the float resolution of s (about 1e-15 a at the
+    handoff) is not reached: the run ends "collapsed" when a step fails at
+    the step floor, a/|adot| bounding the time left as in q.
 
     The rest serve the gamma = 2 collapses, which stay in q.  The run ends
     "collapsed" when q falls to cfg.collapse_epsilon^2, when a step fails at
@@ -361,12 +368,19 @@ def _plunge(params: SolutionParams, cfg: IntegrationConfig, e0: float,
     eps, t_end = cfg.collapse_epsilon, cfg.t_end
     plunge = _rk.solve_plunge(2.0 * e0 * k, (g - 2.0) * params.xi * params.xi, k, (a, w, t_h),
                               eps, t_end, rtol=_Q_TOL * cfg.rel_tol, atol=_Q_TOL * cfg.abs_tol,
-                              max_step=cfg.max_step)
+                              max_step=cfg.max_step,
+                              near_stop=lambda s, y: y[0] / -y[1] if y[1] < 0.0 else None)
+    a_last, w_last, t_last = plunge.ys[-1].tolist()
     if plunge.status != "stopped":
-        terminal = TerminalEvent(kind=plunge.status, t=float(plunge.ys[-1, 2]),
-                                 message=plunge.message)
-        return Trajectory(params, sol, terminal, plunge)
+        return Trajectory(params, sol, TerminalEvent(kind=plunge.status, t=t_last,
+                                                     message=plunge.message), plunge)
     lo, hi = plunge.stop_bracket
+    if hi > plunge.ts[-1]:      # a step failed at the floor while a fell
+        # addot < 0 below the barrier, so a reaches 0 within a/|adot| = a^gamma/|w| of t_last.
+        h_last = t_last - float(plunge.ys[-2, 2]) if plunge.ts.size > 1 else 0.0
+        bracket = (t_last - h_last, t_last + max(h_last, _rk._fpow(a_last, g) / -w_last))
+        return Trajectory(params, sol, TerminalEvent(kind="collapsed", t=t_last, bracket=bracket,
+                                                     message=plunge.message), plunge)
     if plunge.eval_dense(hi)[0] > eps:         # t_end came first: the last node moves there
         return Trajectory(params, sol, TerminalEvent(kind="reached_end", t=t_end),
                           _cut_last_step(plunge, hi, t_end))

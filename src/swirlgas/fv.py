@@ -238,29 +238,31 @@ def run(params: SolutionParams, traj: Trajectory, cfg: FvConfig) -> Conservative
     """March from t0 to t_end; the final partial step lands exactly on t_end.
     The step buffers are dropped on return, so they never outlive the run.
 
-    StepBudgetExceeded when the first CFL step predicts more than _MAX_STEPS
-    steps to t_end, or when the run takes _MAX_STEPS without reaching it.
+    StepBudgetExceeded when the first CFL step predicts more steps to t_end
+    than _STEPS_PER_CELL times the larger cell count, or when the run takes
+    that many without reaching it.
     """
     field = init_from_exact(params, traj, cfg)
-    span = cfg.t_end - cfg.t0
+    span, budget = cfg.t_end - cfg.t0, _STEPS_PER_CELL * max(cfg.nx, cfg.ny)
     try:
         while field.t < cfg.t_end - 1e-14 * max(1.0, abs(cfg.t_end)):
-            if field.stats["steps"] == _MAX_STEPS:
-                raise StepBudgetExceeded(f"{_MAX_STEPS} steps end at t = {field.t!r}, "
+            if field.stats["steps"] == budget:
+                raise StepBudgetExceeded(f"{budget} steps end at t = {field.t!r}, "
                                          f"before t_end = {cfg.t_end!r}")
             dt = step(field, params, traj, dt_cap=cfg.t_end - field.t)
-            if field.stats["steps"] == 1 and span / dt > _MAX_STEPS:
+            if field.stats["steps"] == 1 and span / dt > budget:
                 raise StepBudgetExceeded(f"the first CFL step dt = {dt!r} predicts "
-                                         f"{span / dt:.3g} steps to t_end, more than {_MAX_STEPS}")
+                                         f"{span / dt:.3g} steps to t_end, more than {budget}")
     finally:
         field._work = None
     return field
 
 
-# Steps one run may take.  The CLI's default table (generic-smooth to t = 0.2)
-# takes 30, 60 and 119 steps at 64, 128 and 256 cells; 10,000 is 84 times the
-# largest.
-_MAX_STEPS = 10_000
+# Steps one run may take per cell across the box: the CFL step shrinks with
+# the cell, so a run's step count grows with it.  The CLI's default table
+# (generic-smooth to t = 0.2) takes 30, 60 and 119 steps at 64, 128 and 256
+# cells, 0.47 per cell; 1,000 is over 2,000 times that.
+_STEPS_PER_CELL = 1_000
 
 
 @dataclass(frozen=True)

@@ -434,7 +434,7 @@ class Scales3Trajectory:
 
     def __init__(self, c3: ThreeAxisParams, sol, terminal):
         self.c3 = c3
-        self._sol, self._phases = sol, (sol,)
+        self._sol = sol
         self.ts = sol.ts
         self.a = sol.ys[:, :3]
         self.adot = sol.ys[:, 3:]

@@ -685,11 +685,11 @@ def _plunge_bound(k, max_step):
 
 
 def _plunge_through_solve(B, D, k, y0, a_stop, t_stop, *, rtol=1e-10, atol=1e-10,
-                          max_step=math.inf):
+                          max_step=math.inf, near_stop=None):
     """solve_plunge's run made by the generic solve, with the equivalent callbacks."""
     return _rk.solve(_rk.plunge_rhs(B, D, k), 0.0, y0, math.inf, rtol=rtol, atol=atol,
                      positive=(0,), step_bound=_plunge_bound(k, max_step),
-                     stop=_rk.plunge_stop(a_stop, t_stop))
+                     stop=_rk.plunge_stop(a_stop, t_stop), near_stop=near_stop)
 
 
 @pytest.mark.parametrize("force, y, h, accepted", [
@@ -832,9 +832,45 @@ def test_plunge_steps_honour_max_step_in_t():
         assert traj.terminal.t == pytest.approx(math.pi / 4, abs=1e-10)
 
 
+def test_a_plunge_whose_speed_passes_the_float_range_collapses():
+    # gamma = 50: a^49 underflows to 0 below a = 2.5e-7 while w stays about
+    # constant, so the last nodes' adot = w a^(1 - gamma) is -inf, their E is
+    # inf - inf and their drift inf.  The event still meets the quadrature's t*.
+    p = P(50, 1, -2)
+    traj = _assert_plunge_loop_is_solve(p, IntegrationConfig(t_end=2.0))
+    assert traj.terminal.kind == "collapsed" and traj.terminal.message == ""
+    t_star = classify(p, locate_blowup=True).blowup_time
+    assert abs(traj.terminal.t - t_star) <= 0.3 * IntegrationConfig.rel_tol
+    assert traj.adot[-1] == -math.inf and traj.drift[-1] == math.inf
+    assert np.isnan(traj.E[-1])
+    st = traj.state_at(float(traj.ts[-1]))
+    assert (st.a, st.adot) == (traj.a[-1], -math.inf)
+
+
+@pytest.mark.parametrize("gamma", [2.2, 4.0, 50.0])
+def test_a_collapse_epsilon_past_the_resolution_of_s_stops_at_the_step_floor(gamma):
+    # In s the plunge cannot resolve a below about 1e-15 of its handoff scale;
+    # a step fails at the floor there and the run ends "collapsed", as a q run
+    # does, at the event of the default collapse_epsilon to rounding.
+    p = P(gamma, 1, -2)
+    cfg = IntegrationConfig(t_end=2.0, collapse_epsilon=1e-120)
+    traj = _assert_plunge_loop_is_solve(p, cfg)
+    assert traj.terminal.kind == "collapsed"
+    assert traj.terminal.message == "step floor reached inside the stop neighborhood"
+    assert 1e-120 < traj.a[-1] < 1e-14
+    lo, hi = traj.terminal.bracket
+    assert lo <= traj.terminal.t <= hi
+    default = integrate(p, IntegrationConfig(t_end=2.0))
+    assert traj.terminal.t == pytest.approx(default.terminal.t, rel=1e-15)
+
+
 def test_trajectory_exposes_solver_counters():
     traj = integrate(P(1.5, 1, -2), IntegrationConfig(t_end=10.0))
     assert traj.naccepted == traj.ts.size - 1
     assert traj.nfev == 2 + 6 * (traj.naccepted + traj.nrejected)
     with pytest.raises(AttributeError):
         traj.nfev = 0
+    # A plunge's counters add to its q phase's; each phase starts with two evaluations.
+    traj = _plunging_orbit()
+    assert traj.naccepted == traj.ts.size - 1 == traj._plunge.naccepted + 1
+    assert traj.nfev == 4 + 6 * (traj.naccepted + traj.nrejected)

@@ -375,6 +375,24 @@ def test_a_run_stops_at_the_step_budget(generic_traj, monkeypatch):
         return real(field, params, traj, dt_cap=0.02 * 0.5 ** field.stats["steps"])
 
     monkeypatch.setattr(fv, "step", halving)
-    monkeypatch.setattr(fv, "_MAX_STEPS", 20)
-    with pytest.raises(StepBudgetExceeded, match="20 steps end at t = "):
+    monkeypatch.setattr(fv, "_STEPS_PER_CELL", 2)
+    with pytest.raises(StepBudgetExceeded, match="32 steps end at t = "):
         run(GENERIC, generic_traj, FvConfig(nx=16, ny=16, t_end=0.2))
+
+
+def test_the_step_budget_grows_with_the_cells(generic_traj, monkeypatch):
+    # fvbench --resolutions 64,128,256,512,1024 --horizon 5 predicts about
+    # 11,900 steps on its finest grid, 12 per cell.  A stand-in step of span /
+    # 20,000 (78 per cell at 256 cells) runs to t_end and is not rejected by
+    # the first step's prediction.
+    cfg = FvConfig(nx=256, ny=256, t_end=0.2)
+
+    def uniform(field, params, traj, dt_cap=None):
+        dt = min(cfg.t_end / 20_000, dt_cap)
+        field.t += dt
+        field.stats["steps"] += 1
+        return dt
+
+    monkeypatch.setattr(fv, "step", uniform)
+    field = run(GENERIC, generic_traj, cfg)
+    assert field.t == cfg.t_end and field.stats["steps"] >= 20_000
