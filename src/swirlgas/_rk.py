@@ -1,4 +1,4 @@
-"""Adaptive Dormand-Prince 5(4) stepping with dense output and stop events.
+"""Adaptive Dormand-Prince 5(4) stepping with dense output and node exits.
 
 Three loops take the same steps, with the same controller and exits:
 
@@ -20,9 +20,9 @@ Features the callers rely on:
 * components that must stay positive at every stage, checked inline (a
   step whose stages leave that region, turn non-finite or raise
   ArithmeticError is rejected and retried smaller),
-* a scalar stop function: integration halts at the first accepted step whose
-  endpoint has stop(y) <= 0, and the crossing time is located by bisection
-  on the dense output.
+* exits at accepted nodes only: a run ends at the first node that meets one
+  of its exit rules (a collapse, a handoff, the end of a plunge), so every
+  run ends at a node; a step that fails at the step floor is a step failure.
 
 Steps run on plain Python floats, since on states this small a numpy call
 costs more than its arithmetic.  Accepted steps fill flat array('d') buffers
@@ -36,16 +36,15 @@ is a sorted sum, bitwise invariant under permutations of the components.
 On two components most of that step's cost is the interpreter's work on
 lists, calls and per-stage checks, not the arithmetic.  So solve_scale
 writes the whole step out in one function on named floats: the stages, the
-force, the error norm, the controller and the buffer appends.  It calls
-back only to stop, near the stop level, and to near_stop, at the step floor.
-Each component is computed by _trial's expression for it, in the same
-order, and the loop makes the same decisions as solve with the equivalent
-callbacks (scale_rhs, the q/|qdot| bound, positive q), so both give bitwise
-the same nodes, stages, counters and events.  solve_plunge is written out
-the same way for its three components, against plunge_rhs, its a/|w| and
-max_step bounds, positive a and plunge_stop.  The initial step, the
-step-floor exits, the stop bisection and the assembly of the RkSolution are
-helpers that both loops call.
+force, the error norm, the controller, the buffer appends and its exit rules,
+which are comparisons of the node with numbers, not callbacks.  Each component
+is computed by _trial's expression for it, in the same order, and the loop
+makes the same decisions as solve with the equivalent callbacks (scale_rhs,
+the q/|qdot| bound, positive q and a node_exit with the same rules), so both
+give bitwise the same nodes, stages, counters and status.  solve_plunge is
+written out the same way for its three components, against plunge_rhs, its
+a/|w| and max_step bounds and positive a.  The initial step and the assembly
+of the RkSolution are helpers that every loop calls.
 
 RkSolution.eval_dense evaluates many times per component: 1-D gathers from
 the flat coefficient array and Horner's rule in place, in batches of _CHUNK.
@@ -112,9 +111,7 @@ class RkSolution:
     ys: np.ndarray                 # accepted states, shape (n, d)
     hs: np.ndarray                 # step size that produced each node (hs[0] = 0)
     dense_q: np.ndarray            # shape (n-1, d, 4): per-step quartic coefficients
-    status: str                    # "reached_end" | "stopped" | "step_failure"
-    stop_t: float | None = None    # bisected stop-crossing time
-    stop_bracket: tuple | None = None
+    status: str                    # "reached_end" | "step_failure" | a node exit's status
     message: str = ""
     nfev: int = 0
     naccepted: int = 0
@@ -280,21 +277,17 @@ def _initial_step(f, t0, y0, f0, rtol, atol, max_step, positive):
 
 
 def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
-          step_bound=None, positive=(), stop=None, near_stop=None,
-          max_steps=_MAX_STEPS):
+          step_bound=None, positive=(), node_exit=None, max_steps=_MAX_STEPS):
     """Integrate y' = f(t, y) from t0 to t_end.
 
     f(t, y)          -> derivative as a float sequence; y is a list of floats.
     step_bound(t, y) -> additional per-step upper bound on h (or None).
     positive         -> indices of components that must stay > 0 at every
                         stage (a step leaving that region is retried smaller).
-    stop(y)          -> halt when <= 0 at an accepted endpoint; the crossing
-                        is bisected on the dense output to ~rtol accuracy.
-    near_stop(t, y)  -> when the step size is pinned at the floating-point
-                        floor and the step still fails, this may return an
-                        upper bound on the remaining time to the stop set;
-                        the solver then reports a stop with that bound as
-                        the bracket width instead of a step failure.
+    node_exit(t, y)  -> called at every accepted node before t_end; a status
+                        string ends the run there with that status, None
+                        goes on.
+    A step that fails at the step floor ends the run in "step_failure".
     """
     y = [float(v) for v in y0]
     d = len(y)
@@ -309,7 +302,6 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     err_prev = 1e-4
     naccepted = nrejected = 0
     status, message = "reached_end", ""
-    stop_t = stop_bracket = crossing = None
 
     steps = 0
     while t < t_end:
@@ -336,7 +328,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
         if err is None or err > 1.0:
             nrejected += 1
             if pinned:
-                status, stop_t, stop_bracket, message = _floor_exit(near_stop, t, y, h, err)
+                status, message = "step_failure", _floor_message(err)
                 break
             h *= 0.5 if err is None else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             continue
@@ -355,13 +347,14 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
         h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev = max(err, 1e-4)
 
-        if stop is not None and stop(y_new) <= 0.0:
-            status, crossing = "stopped", (t, t_new)
-            break
+        if node_exit is not None and t_new < t_end:
+            end = node_exit(t_new, y_new)
+            if end is not None:
+                status = end
+                break
         t, y, f_curr = t_new, y_new, f_new
 
-    return _solution(d, t_buf, h_buf, y_buf, k_buf, stop, crossing, rtol, status=status,
-                     stop_t=stop_t, stop_bracket=stop_bracket, message=message, nfev=nfev,
+    return _solution(d, t_buf, h_buf, y_buf, k_buf, status=status, message=message, nfev=nfev,
                      naccepted=naccepted, nrejected=nrejected)
 
 
@@ -381,8 +374,9 @@ def scale_rhs(A, C, P):
     """The right-hand side (t, (q, qdot)) -> (qdot, A + C q^P) as a callback for solve.
 
     solve_scale takes its initial derivative and initial step size from it.
-    solve with this callback, the step bound q/|qdot| while qdot < 0 and
-    positive=(0,) makes bitwise solve_scale's run.
+    solve with this callback, the step bound q/|qdot| while qdot < 0,
+    positive=(0,) and a node_exit with the same exit rules makes bitwise
+    solve_scale's run.
     """
     def rhs(t, y):
         return y[1], A + C * _fpow(y[0], P)
@@ -390,17 +384,22 @@ def scale_rhs(A, C, P):
 
 
 def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
-                stop=None, stop_below=-math.inf, near_stop=None, handoff=0.0):
+                handoff=0.0, collapse_tol=0.0, q_floor=0.0, q_touch=0.0):
     """Integrate y = (q, qdot) under qddot = A + C q^P from t = 0 to t_end.
 
     q must stay > 0 at every stage, and while q falls a step is at most
-    q/|qdot|, the time to the root of its tangent.  stop(y) is called only at
-    accepted endpoints with q <= stop_below (by default at none), so it must
-    be > 0 wherever q > stop_below; near_stop is as in solve, and max_steps
-    is solve's default.  A stage whose force q^P overflows is rejected: its
-    inf would reject the step anyway.  The run ends with status "handoff" at
-    the first accepted endpoint that does not stop and has qdot < 0 and
-    q < handoff (by default at none).
+    q/|qdot|, the time to the root of its tangent; max_steps is solve's
+    default.  A stage whose force q^P overflows is rejected: its inf would
+    reject the step anyway.  The run ends at the first accepted node before
+    t_end that meets one of these rules, checked in this order (with the
+    default zeros, none):
+
+    * qdot < 0 and q < handoff: status "handoff";
+    * collapse_tol > 0, qdot < 0 and either q <= q_floor or the
+      remaining-time bound 2 q/|qdot| is at most collapse_tol max(1, t):
+      status "collapsed";
+    * q <= q_touch and the node's parabola q + qdot tau + qddot tau^2/2 turns
+      (qddot > 0) above -q_touch: status "touched".
     """
     inf, sqrt = math.inf, math.sqrt
     rhs = scale_rhs(A, C, P)
@@ -416,7 +415,6 @@ def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     err_prev = 1e-4
     naccepted = nrejected = 0
     status, message = "reached_end", ""
-    stop_t = stop_bracket = crossing = None
 
     steps = 0
     while t < t_end:
@@ -487,7 +485,7 @@ def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
         if err is None or err > 1.0:
             nrejected += 1
             if pinned:
-                status, stop_t, stop_bracket, message = _floor_exit(near_stop, t, [v0, v1], h, err)
+                status, message = "step_failure", _floor_message(err)
                 break
             h *= 0.5 if err is None else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             continue
@@ -507,16 +505,21 @@ def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
               else _MIN_FACTOR)
         err_prev = 1e-4 if err < 1e-4 else err
 
-        if w0 <= stop_below and stop([w0, w1]) <= 0.0:
-            status, crossing = "stopped", (t, t_new)
-            break
-        if w1 < 0.0 and w0 < handoff:
-            status = "handoff"
-            break
+        if t_new < t_end:
+            if w1 < 0.0:
+                if w0 < handoff:
+                    status = "handoff"
+                    break
+                if collapse_tol and (w0 <= q_floor or 2.0 * w0 / -w1
+                                     <= collapse_tol * (t_new if t_new > 1.0 else 1.0)):
+                    status = "collapsed"
+                    break
+            if w0 <= q_touch and g7 > 0.0 and w0 - w1 * w1 / (2.0 * g7) > -q_touch:
+                status = "touched"
+                break
         t, v0, v1, g1 = t_new, w0, w1, g7
 
-    return _solution(2, t_buf, h_buf, y_buf, k_buf, stop, crossing, rtol, status=status,
-                     stop_t=stop_t, stop_bracket=stop_bracket, message=message, nfev=nfev,
+    return _solution(2, t_buf, h_buf, y_buf, k_buf, status=status, message=message, nfev=nfev,
                      naccepted=naccepted, nrejected=nrejected)
 
 
@@ -532,29 +535,22 @@ def plunge_rhs(B, D, k):
     return rhs
 
 
-def plunge_stop(a_stop, t_stop):
-    """solve_plunge's stop function: <= 0 where a <= a_stop or t >= t_stop."""
-    def stop(y):
-        return min(y[0] - a_stop, t_stop - y[2])
-    return stop
-
-
-def solve_plunge(B, D, k, y0, a_stop, t_stop, rtol=1e-10, atol=1e-10, max_step=math.inf,
-                 near_stop=None):
+def solve_plunge(B, D, k, y0, t_end, collapse_tol, a_floor, rtol=1e-10, atol=1e-10,
+                 max_step=math.inf):
     """Integrate y = (a, w, t) under a' = w, w' = (B - D/a^2) u^2/a, t' = u = a^k in s >= 0.
 
-    The run stops at the first accepted endpoint with a <= a_stop or
-    t >= t_stop, and the crossing of plunge_stop(a_stop, t_stop) is bisected
-    in s.  a must stay > 0 at every stage; while a falls a step is at most
-    a/|w|, the s to the root of its tangent, and it is at most max_step/u,
-    so that max_step bounds the step in t.  There is no end in s; the step
-    floor, max_steps and near_stop(s, y) are solve's.  solve with plunge_rhs,
-    those step bounds, positive=(0,), plunge_stop's stop and the same
-    near_stop makes bitwise the same run.
+    The run ends "reached_end" at the first accepted node with t >= t_end,
+    and otherwise "collapsed" at the first with w < 0 and either a <= a_floor
+    or a remaining-time bound a^(k+1)/|w| = a/|da/dt| of at most
+    collapse_tol max(1, t).  a must stay > 0 at every stage; while a falls a
+    step is at most a/|w|, the s to the root of its tangent, and it is at
+    most max_step/u, so that max_step bounds the step in t.  There is no end
+    in s; the step floor and max_steps are solve's.  solve with plunge_rhs,
+    those step bounds, positive=(0,) and a node_exit with the same rules
+    makes bitwise the same run.
     """
     inf, sqrt = math.inf, math.sqrt
     rhs = plunge_rhs(B, D, k)
-    stop = plunge_stop(a_stop, t_stop)
     s = 0.0
     a, w, t = float(y0[0]), float(y0[1]), float(y0[2])
     k1 = rhs(s, [a, w, t])
@@ -567,7 +563,6 @@ def solve_plunge(B, D, k, y0, a_stop, t_stop, rtol=1e-10, atol=1e-10, max_step=m
     err_prev = 1e-4
     naccepted = nrejected = 0
     status, message = "reached_end", ""
-    stop_t = stop_bracket = crossing = None
 
     steps = 0
     while True:
@@ -653,8 +648,7 @@ def solve_plunge(B, D, k, y0, a_stop, t_stop, rtol=1e-10, atol=1e-10, max_step=m
         if err is None or err > 1.0:
             nrejected += 1
             if pinned:
-                status, stop_t, stop_bracket, message = _floor_exit(near_stop, s, [a, w, t],
-                                                                    h, err)
+                status, message = "step_failure", _floor_message(err)
                 break
             h *= 0.5 if err is None else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             continue
@@ -672,50 +666,29 @@ def solve_plunge(B, D, k, y0, a_stop, t_stop, rtol=1e-10, atol=1e-10, max_step=m
               else _MIN_FACTOR)
         err_prev = 1e-4 if err < 1e-4 else err
 
-        if a7 <= a_stop or t7 >= t_stop:
-            status, crossing = "stopped", (s, s_new)
+        if t7 >= t_end:
+            break
+        if w7 < 0.0 and (a7 <= a_floor
+                         or u7 * a7 / -w7 <= collapse_tol * (t7 if t7 > 1.0 else 1.0)):
+            status = "collapsed"
             break
         s, a, w, t, g1, u1 = s_new, a7, w7, t7, g7, u7
 
-    return _solution(3, s_buf, h_buf, y_buf, k_buf, stop, crossing, rtol, status=status,
-                     stop_t=stop_t, stop_bracket=stop_bracket, message=message, nfev=nfev,
+    return _solution(3, s_buf, h_buf, y_buf, k_buf, status=status, message=message, nfev=nfev,
                      naccepted=naccepted, nrejected=nrejected)
 
 
-def _floor_exit(near_stop, t, y, h, err):
-    """(status, stop_t, stop_bracket, message) of a step that failed at the step floor."""
-    remain = near_stop(t, y) if near_stop is not None else None
-    if remain is not None:
-        return ("stopped", t, (t, t + max(h, remain)),
-                "step floor reached inside the stop neighborhood")
+def _floor_message(err):
+    """How a step that failed at the step floor failed."""
     if err is None:
-        return "step_failure", None, None, "inadmissible stages at the step floor"
-    return "step_failure", None, None, f"tolerance unmet at the step floor (err={err:.3g})"
+        return "inadmissible stages at the step floor"
+    return f"tolerance unmet at the step floor (err={err:.3g})"
 
 
-def _solution(d, t_buf, h_buf, y_buf, k_buf, stop, crossing, rtol, **fields):
-    """The RkSolution of a run's buffers; a stop crossing (t_lo, t_hi) is bisected."""
-    sol = RkSolution(ts=np.frombuffer(t_buf), hs=np.frombuffer(h_buf),
-                     ys=np.frombuffer(y_buf).reshape(-1, d),
-                     dense_q=(np.frombuffer(k_buf).reshape(-1, 7) @ _P).reshape(-1, d, 4),
-                     **fields)
-    if crossing is not None:
-        sol.stop_t, sol.stop_bracket = _bisect_stop(sol, stop, *crossing, rtol)
-    return sol
+def _solution(d, t_buf, h_buf, y_buf, k_buf, **fields):
+    """The RkSolution of a run's buffers."""
+    return RkSolution(ts=np.frombuffer(t_buf), hs=np.frombuffer(h_buf),
+                      ys=np.frombuffer(y_buf).reshape(-1, d),
+                      dense_q=(np.frombuffer(k_buf).reshape(-1, 7) @ _P).reshape(-1, d, 4),
+                      **fields)
 
-
-def _bisect_stop(sol, stop, t_lo, t_hi, rtol):
-    """Bisect the dense output for the stop crossing inside [t_lo, t_hi]."""
-    g_lo = stop(sol.eval_dense(t_lo))
-    if g_lo <= 0.0:  # crossing happened before this step (should not occur)
-        return t_lo, (t_lo, t_hi)
-    lo, hi = t_lo, t_hi
-    for _ in range(200):
-        if hi - lo <= rtol * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        if stop(sol.eval_dense(mid)) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), (lo, hi)

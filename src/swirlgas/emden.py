@@ -20,9 +20,16 @@ q system's first integral.
 
 A gamma > 2 collapse is a plunge a ~ (t* - t)^(1/gamma), through which q
 would creep at a fixed fraction of the time left.  Below the barrier it runs
-in Sundman time s, dt = a^(gamma - 1) ds, where a is regular and
-a = collapse_epsilon is an ordinary event; the q phase's step-floor and
-touch rules serve the gamma = 2 collapses.
+in Sundman time s, dt = a^(gamma - 1) ds, where a is regular.
+
+Every collapse ends at an accepted node by one rule.  In a fall that cannot
+turn (the force is nowhere outward below the current scale) the time left is
+at most b = a/|adot|, so the run ends at the first falling node with
+b <= rel_tol max(1, t) or a <= collapse_epsilon.  The event is t + b/share,
+the time left of the node's local power law a ~ (t* - t)^p, 1/p = share =
+1 - a addot/adot^2 (gamma in a plunge, 1 in a force-free fall), in
+[t - u, t + b + u] with u = rel_tol max(1, t).  Only orbits that can collapse
+have these exits; on any other a step failing at the step floor is a failure.
 """
 
 from __future__ import annotations
@@ -83,9 +90,10 @@ class TerminalEvent:
     """How an integration ended.
 
     kind: "reached_end" | "collapsed" | "step_failure".
-    For "collapsed", t is the bisected time at which the smallest scale
-    reaches collapse_epsilon, or the time of a touch of zero, and bracket is
-    (t_lo, t_hi) with the last step size as its width scale.
+    For "collapsed", t is the event estimated from the run's last node t_n,
+    t_n + b/share in [t_n - u, t_n + b + u] by the module docstring's rule
+    (the smallest b over the falling scales for three axes); the touch of a
+    force-free collapse such as 2aII reports the turn of its parabola, +- u.
     """
 
     kind: str
@@ -148,7 +156,10 @@ class Trajectory:
     ts, a, adot : node arrays
     hs : the step in t that produced each node (hs[0] = 0)
     E, F_kin, F_pot : per-node energy split
-    drift : per-node |E - E(0)| / max(1, |E(0)|)
+    drift : per-node |E - E(0)| / max(1, |E(0)|) on q nodes.  On plunge nodes,
+        where E is a difference of terms of size a^(2 - 2 gamma), it is
+        |H| / max(1, |lam/(gamma - 1)|) of the plunge's first integral, whose terms
+        stay of order one: H = w^2 - 2 E(0) a^(2g-2) + xi^2 a^(2g-4) + lam/(g-1) = 0.
     terminal : TerminalEvent
     nfev, naccepted, nrejected, diagnostics : solver counters over both phases (read-only)
     """
@@ -176,27 +187,38 @@ class Trajectory:
                                                     plunge.ys[1:, :2].tolist()]])
             self.hs = np.concatenate([self.hs, np.diff(t)])
         self.terminal = terminal
-        # Deep in a plunge adot^2 and the potential pass the float range, as
-        # inf and -inf; such a node's E is inf - inf = nan, and its drift inf.
+        # At an extreme scale adot^2 or the potential can pass the float
+        # range; a node whose E is then inf - inf = nan gets drift inf.
         with np.errstate(over="ignore", invalid="ignore"):
             self.F_kin = 0.5 * self.adot ** 2
             self.F_pot = potential(self.a, params)
             self.E = self.F_kin + self.F_pot
         self.drift = np.abs(self.E - self.E[0]) / max(1.0, abs(self.E[0]))
+        if plunge is not None:
+            self.drift[sol.ts.size:] = self._plunge_drift(plunge.ys[1:, 0], plunge.ys[1:, 1])
         self.drift[np.isnan(self.drift)] = math.inf
 
     @property
     def t_span(self):
         return float(self.ts[0]), float(self.ts[-1])
 
+    def _plunge_drift(self, a, w):
+        """|H| / max(1, |lam/(gamma - 1)|) at plunge nodes (a, w); see the class docstring."""
+        p = self.params
+        e0 = energy_of(p.a0, p.a1, p).E
+        lam_k = p.lam / (p.gamma - 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = (w * w - 2.0 * e0 * a ** (2.0 * p.gamma - 2.0)
+                 + p.xi * p.xi * a ** (2.0 * p.gamma - 4.0) + lam_k)
+        return np.abs(h) / max(1.0, abs(lam_k))
+
     def _rate(self, a, w):
-        """adot = w a^(1 - gamma) of a plunge state; -inf once a^(1 - gamma) passes
-        the float range, where a^(gamma - 1) would underflow to 0."""
+        """adot = w a^(1 - gamma) of a plunge state (inf times w where the power
+        passes the float range)."""
         return w * _rk._fpow(a, 1.0 - self.params.gamma)
 
     def state_at(self, t: float) -> ScaleState:
-        """Dense-output state; node times reproduce node values exactly (where
-        plunge nodes share a time, the last of them)."""
+        """Dense-output state; node times reproduce node values exactly."""
         if self._plunge is not None and t > self._sol.ts[-1]:
             a, w = self._plunge_at(float(t))
             return ScaleState(t=float(t), a=a, adot=self._rate(a, w))
@@ -205,8 +227,7 @@ class Trajectory:
         return ScaleState(t=float(t), a=a, adot=qdot / (2.0 * a))
 
     def _plunge_at(self, t: float):
-        """(a, w) at a time t inside the plunge: the root theta of its dense t in
-        the step that holds t, by Newton's method kept inside [0, 1]."""
+        """(a, w) at a time t inside the plunge, in the step that holds t."""
         sol = self._plunge
         ts = sol.ys[:, 2]
         t_last = float(ts[-1])
@@ -214,22 +235,7 @@ class Trajectory:
             raise ValueError(f"dense evaluation outside covered span [{self.ts[0]}, {t_last}]")
         if t >= t_last:
             return tuple(sol.ys[-1, :2].tolist())
-        seg = int(ts.searchsorted(t, "right")) - 1
-        (a0, w0, t0), h = sol.ys[seg].tolist(), float(sol.hs[seg + 1])
-        (qa, qw, (q0, q1, q2, q3)) = sol.dense_q[seg].tolist()
-        target = (t - t0) / h
-        theta = (t - t0) / (float(ts[seg + 1]) - t0)
-        for _ in range(50):
-            slope = ((4.0 * q3 * theta + 3.0 * q2) * theta + 2.0 * q1) * theta + q0
-            if theta == 0.0 or not slope > 0.0:
-                break
-            res = (((q3 * theta + q2) * theta + q1) * theta + q0) * theta - target
-            new = min(max(theta - res / slope, 0.0), 1.0)
-            if new == theta:
-                break
-            theta = new
-        return tuple(v + h * ((((c3 * theta + c2) * theta + c1) * theta + c0) * theta)
-                     for v, (c0, c1, c2, c3) in ((a0, qa), (w0, qw)))
+        return _plunge_root(sol, int(ts.searchsorted(t, "right")) - 1, t)[1:]
 
     def sample(self, ts):
         """Vectorized dense evaluation; returns (a, adot) arrays, of one
@@ -284,61 +290,52 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     orbit starts there) the run hands off to Sundman time s, dt = a^(gamma-1) ds,
     in which a is regular: it steps (a, w, t) with w = a^(gamma-1) adot under
     a' = w, w' = 2 E(0) (gamma-1) a^(2gamma-3) - (gamma-2) xi^2 a^(2gamma-5),
-    t' = a^(gamma-1) (_rk.solve_plunge), and a = cfg.collapse_epsilon is an
-    ordinary event located in s.  cfg.max_step bounds its steps in t, and a
-    plunge that outlives t_end ends "reached_end" with a last node at t_end.
-    A collapse_epsilon below the float resolution of s (about 1e-15 a at the
-    handoff) is not reached: the run ends "collapsed" when a step fails at
-    the step floor, a/|adot| bounding the time left as in q.
+    t' = a^(gamma-1) (_rk.solve_plunge).  cfg.max_step bounds its steps in t,
+    and a plunge that outlives t_end ends "reached_end", its last step cut
+    where its dense t reaches t_end.
 
-    The rest serve the gamma = 2 collapses, which stay in q.  The run ends
-    "collapsed" when q falls to cfg.collapse_epsilon^2, when a step fails at
-    the step floor while q falls (2 q/|qdot| = a/|adot| bounds the time
-    left), or at a touch of zero: the double root of a 2aII collapse, which
-    rounding lifts or lowers by a few eps a0^2.  A falling q whose local
-    parabola turns above -q_touch stops at q_touch (the tangent bound leaves
-    an endpoint below 2 q_min before any step passes a turn), and the event
-    is that turn.
+    Every plunge and, in q, every fall that _q_collapses names ends
+    "collapsed" by the module docstring's rule, with b = 2 q/|qdot| and
+    share = 1 - 4 a^3 addot/qdot^2 in q, b = a^gamma/|w| and share =
+    gamma - a w'/w^2 in the plunge.  Where c = 0 (gamma = 2, or xi = lam = 0)
+    q is a parabola, and a fall also ends at a touch of zero: the double root
+    of a force-free collapse such as 2aII, which rounding lifts or lowers by a
+    few eps a0^2.  At the first node with q <= q_touch whose parabola turns
+    above -q_touch (the tangent bound leaves a node below 2 q_min before any
+    step passes the turn) the event is that turn, +- rel_tol max(1, t).
     """
-    a0, eps, g = params.a0, cfg.collapse_epsilon, params.gamma
+    a0, eps, g, lam = params.a0, cfg.collapse_epsilon, params.gamma, params.lam
     _check_start((a0,), cfg.t_end, eps)
     e0 = energy_of(a0, params.a1, params).E
     four_e0 = 4.0 * e0
-    c, p = 2.0 * params.lam * (g - 2.0) / (g - 1.0), 1.0 - g
-    q_eps, q_touch = eps * eps, _TOUCH_ULPS * math.ulp(1.0) * a0 * a0
+    c, p = 2.0 * lam * (g - 2.0) / (g - 1.0), 1.0 - g
     y0 = (a0 * a0, 2.0 * a0 * params.a1)
-    q_barrier = _plunge_level(params)
-
-    rhs = _rk.scale_rhs(four_e0, c, p)
-
-    def turn_in(t, y):
-        """Time to the turn of q's local parabola if it turns within rounding of zero."""
-        acc = rhs(t, y)[1]
-        if acc > 0.0 and y[0] - y[1] * y[1] / (2.0 * acc) > -q_touch:
-            return -y[1] / acc
-        return None
-
-    def stop(y):
-        return y[0] - (q_touch if y[0] <= q_touch and turn_in(0.0, y) is not None else q_eps)
+    q_barrier, falls = _plunge_level(params), _q_collapses(params)
 
     if y0[1] < 0.0 and y0[0] < q_barrier:       # the plunge starts at t = 0
         sol = _rk.RkSolution(ts=np.zeros(1), ys=np.array([y0]), hs=np.zeros(1),
                              dense_q=np.empty((0, 2, 4)), status="handoff")
     else:
-        sol = _rk.solve_scale(four_e0, c, p, y0, cfg.t_end,
-                              rtol=_Q_TOL * cfg.rel_tol, atol=_Q_TOL * cfg.abs_tol,
-                              max_step=cfg.max_step, stop=stop, stop_below=max(q_eps, q_touch),
-                              near_stop=lambda t, y: 2.0 * y[0] / -y[1] if y[1] < 0.0 else None,
-                              handoff=q_barrier)
+        sol = _rk.solve_scale(
+            four_e0, c, p, y0, cfg.t_end, rtol=_Q_TOL * cfg.rel_tol, atol=_Q_TOL * cfg.abs_tol,
+            max_step=cfg.max_step, handoff=q_barrier, collapse_tol=cfg.rel_tol if falls else 0.0,
+            q_floor=eps * eps if falls else 0.0,
+            q_touch=_TOUCH_ULPS * math.ulp(1.0) * a0 * a0 if falls and c == 0.0 else 0.0)
     if sol.status == "handoff":
-        if sol.ts[-1] < cfg.t_end:
-            return _plunge(params, cfg, e0, sol)
-        sol.status = "reached_end"
-    if sol.status == "stopped":
-        dt = turn_in(sol.stop_t, sol.eval_dense(sol.stop_t).tolist())
-        if dt is not None:      # a touch of zero: the event is the turn (in _terminal's bracket)
-            sol.stop_t += dt
-    return Trajectory(params, sol, _terminal(sol))
+        return _plunge(params, cfg, e0, sol)
+    t, (q, qdot) = float(sol.ts[-1]), sol.ys[-1].tolist()
+    if sol.status == "collapsed":
+        # share = 2 - 2 q qddot/qdot^2 = 1 - 4 a^3 addot/qdot^2 from the force, not from
+        # q, whose double root in a force-free fall rounding lifts or lowers.
+        a3_addot = params.xi * params.xi + (lam * _rk._fpow(q, 2.0 - g) if lam else 0.0)
+        end = _collapse_event(t, cfg.rel_tol,
+                              [(2.0 * q / -qdot, 1.0 - 4.0 * a3_addot / qdot / qdot)])
+    elif sol.status == "touched":       # the turn of q's parabola; qddot = 4 E(0) where c = 0
+        t_turn, u = t - qdot / four_e0, cfg.rel_tol * max(1.0, t)
+        end = TerminalEvent(kind="collapsed", t=t_turn, bracket=(t_turn - u, t_turn + u))
+    else:
+        end = _terminal(sol)
+    return Trajectory(params, sol, end)
 
 
 def _log_stationary_scale(params: SolutionParams) -> float:
@@ -358,6 +355,15 @@ def _plunge_level(params: SolutionParams) -> float:
     return math.exp(log_q) if log_q < 709.0 else math.inf
 
 
+def _q_collapses(params: SolutionParams) -> bool:
+    """Whether a fall in q can reach a = 0: the force is nowhere outward at gamma = 2
+    with xi^2 + lam <= 0 and at xi = 0 with lam <= 0 (at gamma > 2 the plunge takes
+    such falls).  On any other orbit F_pot -> +inf as a -> 0, or a fall in q hands off."""
+    lam = params.lam
+    return lam <= 0.0 and (params.xi == 0.0
+                           or (params.gamma == 2.0 and params.xi * params.xi + lam <= 0.0))
+
+
 def _plunge(params: SolutionParams, cfg: IntegrationConfig, e0: float,
             sol: _rk.RkSolution) -> Trajectory:
     """Continue a run from its handoff node (sol's last) in Sundman time; see integrate."""
@@ -365,50 +371,53 @@ def _plunge(params: SolutionParams, cfg: IntegrationConfig, e0: float,
     t_h, (q, qdot) = float(sol.ts[-1]), sol.ys[-1].tolist()
     a = math.sqrt(q)
     w = _rk._fpow(a, k) * (qdot / (2.0 * a))
-    eps, t_end = cfg.collapse_epsilon, cfg.t_end
-    plunge = _rk.solve_plunge(2.0 * e0 * k, (g - 2.0) * params.xi * params.xi, k, (a, w, t_h),
-                              eps, t_end, rtol=_Q_TOL * cfg.rel_tol, atol=_Q_TOL * cfg.abs_tol,
-                              max_step=cfg.max_step,
-                              near_stop=lambda s, y: y[0] / -y[1] if y[1] < 0.0 else None)
-    a_last, w_last, t_last = plunge.ys[-1].tolist()
-    if plunge.status != "stopped":
-        return Trajectory(params, sol, TerminalEvent(kind=plunge.status, t=t_last,
-                                                     message=plunge.message), plunge)
-    lo, hi = plunge.stop_bracket
-    if hi > plunge.ts[-1]:      # a step failed at the floor while a fell
-        # addot < 0 below the barrier, so a reaches 0 within a/|adot| = a^gamma/|w| of t_last.
-        h_last = t_last - float(plunge.ys[-2, 2]) if plunge.ts.size > 1 else 0.0
-        bracket = (t_last - h_last, t_last + max(h_last, _rk._fpow(a_last, g) / -w_last))
-        return Trajectory(params, sol, TerminalEvent(kind="collapsed", t=t_last, bracket=bracket,
-                                                     message=plunge.message), plunge)
-    if plunge.eval_dense(hi)[0] > eps:         # t_end came first: the last node moves there
-        return Trajectory(params, sol, TerminalEvent(kind="reached_end", t=t_end),
-                          _cut_last_step(plunge, hi, t_end))
-
-    def t_of(s):
-        return float(plunge.eval_dense(s)[2])
-
-    t_ev, h_last = t_of(plunge.stop_t), float(plunge.ys[-1, 2] - plunge.ys[-2, 2])
-    bracket = (min(t_of(lo), t_ev - h_last), max(t_of(hi), t_ev + h_last))
-    return Trajectory(params, sol, TerminalEvent(kind="collapsed", t=t_ev, bracket=bracket),
-                      plunge)
+    B, D = 2.0 * e0 * k, (g - 2.0) * params.xi * params.xi
+    plunge = _rk.solve_plunge(B, D, k, (a, w, t_h), cfg.t_end, cfg.rel_tol, cfg.collapse_epsilon,
+                              rtol=_Q_TOL * cfg.rel_tol, atol=_Q_TOL * cfg.abs_tol,
+                              max_step=cfg.max_step)
+    a, w, t = plunge.ys[-1].tolist()
+    if plunge.status == "collapsed":        # a w'/w^2 = (B - D/a^2) a^(2 gamma - 2)/w^2
+        u = a ** k
+        end = _collapse_event(t, cfg.rel_tol, [(u * a / -w, g - (B - D / a / a) * u * u / w / w)])
+    elif plunge.status == "reached_end":
+        plunge = _cut_last_step(plunge, cfg.t_end)
+        end = TerminalEvent(kind="reached_end", t=cfg.t_end)
+    else:
+        end = TerminalEvent(kind=plunge.status, t=t, message=plunge.message)
+    return Trajectory(params, sol, end, plunge)
 
 
-def _cut_last_step(sol: _rk.RkSolution, s_cut: float, t_end: float) -> _rk.RkSolution:
-    """sol with its last step ending at s_cut, where the dense t reaches t_end; its
-    node is the dense state there with t set to t_end exactly, and its quartic
-    is rescaled to the shorter step."""
-    h = float(sol.hs[-1])
-    h_cut = s_cut - float(sol.ts[-2])
-    y_end = sol.eval_dense(s_cut)
-    y_end[2] = t_end
+def _plunge_root(sol: _rk.RkSolution, seg: int, t: float):
+    """(theta, a, w) where the dense t of plunge step seg is t, a time inside the step:
+    the step fraction theta, by Newton's method kept inside [0, 1], and the state there."""
+    (a0, w0, t0), h = sol.ys[seg].tolist(), float(sol.hs[seg + 1])
+    (qa, qw, (q0, q1, q2, q3)) = sol.dense_q[seg].tolist()
+    target = (t - t0) / h
+    theta = (t - t0) / (float(sol.ys[seg + 1, 2]) - t0)
+    for _ in range(50):
+        slope = ((4.0 * q3 * theta + 3.0 * q2) * theta + 2.0 * q1) * theta + q0
+        if theta == 0.0 or not slope > 0.0:
+            break
+        res = (((q3 * theta + q2) * theta + q1) * theta + q0) * theta - target
+        new = min(max(theta - res / slope, 0.0), 1.0)
+        if new == theta:
+            break
+        theta = new
+    return (theta, *(v + h * ((((c3 * theta + c2) * theta + c1) * theta + c0) * theta)
+                     for v, (c0, c1, c2, c3) in ((a0, qa), (w0, qw))))
+
+
+def _cut_last_step(sol: _rk.RkSolution, t_end: float) -> _rk.RkSolution:
+    """sol with its last step ending at the fraction theta where its dense t reaches
+    t_end; its node is the dense state there with t set to t_end exactly, and its
+    quartic is rescaled to the shorter step."""
+    theta, a, w = _plunge_root(sol, sol.ts.size - 2, t_end)
+    h_cut = theta * float(sol.hs[-1])
     ts, hs, ys, dense_q = sol.ts.copy(), sol.hs.copy(), sol.ys.copy(), sol.dense_q.copy()
-    ts[-1], hs[-1], ys[-1] = s_cut, h_cut, y_end
-    # y_k + h sum_j q_j theta^(j+1) with theta = theta' h_cut / h is
-    # y_k + h_cut sum_j q_j (h_cut / h)^j theta'^(j+1).
-    dense_q[-1] *= (h_cut / h) ** np.arange(4)
-    return replace(sol, ts=ts, hs=hs, ys=ys, dense_q=dense_q, status="reached_end",
-                   stop_t=None, stop_bracket=None)
+    ts[-1], hs[-1], ys[-1] = ts[-2] + h_cut, h_cut, (a, w, t_end)
+    # y_k + h sum_j q_j (theta theta')^(j+1) is y_k + h_cut sum_j q_j theta^j theta'^(j+1).
+    dense_q[-1] *= theta ** np.arange(4)
+    return replace(sol, ts=ts, hs=hs, ys=ys, dense_q=dense_q)
 
 
 def _check_start(a_init, t_end, eps):
@@ -430,14 +439,18 @@ def _check_span(traj, t_lo: float, t_hi: float):
 
 
 def _terminal(sol: _rk.RkSolution) -> TerminalEvent:
-    """The TerminalEvent of a run; a collapse bracket is widened by the last step on both sides."""
-    if sol.status != "stopped":
-        return TerminalEvent(kind=sol.status, t=float(sol.ts[-1]), message=sol.message)
-    h_last = float(sol.hs[-1])
-    lo, hi = sol.stop_bracket
-    bracket = (min(lo, sol.stop_t - h_last), max(hi, sol.stop_t + h_last))
-    return TerminalEvent(kind="collapsed", t=float(sol.stop_t), bracket=bracket,
-                         message=sol.message)
+    """The TerminalEvent of a run that did not collapse."""
+    return TerminalEvent(kind=sol.status, t=float(sol.ts[-1]), message=sol.message)
+
+
+def _collapse_event(t: float, rel_tol: float, falls) -> TerminalEvent:
+    """The collapse from a last node at t, given (b, share) of each falling scale:
+    t plus the least b/share (b where rounding puts share below 1, as a force-free
+    fall's share is 1), in [t - u, t + b + u] with the least b, u = rel_tol max(1, t)."""
+    u = rel_tol * max(1.0, t)
+    left = min(b / share if share > 1.0 else b for b, share in falls)
+    b = min(b for b, _ in falls)
+    return TerminalEvent(kind="collapsed", t=t + left, bracket=(t - u, t + b + u))
 
 
 # rel_tol and abs_tol bound the error of (a, adot); the run asks this share of them of (q, qdot).

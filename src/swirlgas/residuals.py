@@ -39,7 +39,8 @@ import numpy as np
 
 from . import _rk
 from ._rk import _fpow
-from .emden import IntegrationConfig, Trajectory, _check_span, _check_start, _terminal
+from .emden import (IntegrationConfig, Trajectory, _check_span, _check_start, _collapse_event,
+                    _terminal)
 from .errors import GridTouchesSupportBoundary, InvalidParams, LadderTooShort
 from .fields import (
     ScaleState,
@@ -479,13 +480,17 @@ def integrate_scales_3d(c3: ThreeAxisParams, t_end: float,
     The t_end argument sets the horizon; cfg.t_end is not read, and cfg
     supplies only the tolerances, max_step and collapse_epsilon.
 
-    Every scale stays positive; each contracting axis moves by at most
-    0.1 a/|adot| per step; the run stops when the smallest scale reaches
-    cfg.collapse_epsilon, or, as in emden.integrate, when a step fails at the
-    step floor while the smallest scale falls: with xi3 <= 0 no force slows
-    the fall, so a/|adot| bounds the time left.
+    Every scale stays positive, and each contracting axis moves by at most
+    0.1 a/|adot| per step.  With xi3 <= 0 no force slows a fall, so the
+    smallest a_i/|adot_i| over the falling axes, b, bounds the time left: the
+    run ends "collapsed" at the first node where b is at most
+    cfg.rel_tol max(1, t) or the smallest scale at most cfg.collapse_epsilon,
+    and reports the event from each falling axis's a_i/|adot_i| and
+    1 - a_i addot_i/adot_i^2 (emden._collapse_event).  With xi3 > 0
+    nothing collapses, and a step that fails at the step floor is a step
+    failure.
     """
-    g, xi3, eps = c3.gamma, c3.xi3, cfg.collapse_epsilon
+    g, xi3, eps, tol = c3.gamma, c3.xi3, cfg.collapse_epsilon, cfg.rel_tol
     _check_start(c3.a_init, t_end, eps)
 
     def rhs(t, y):
@@ -499,15 +504,20 @@ def integrate_scales_3d(c3: ThreeAxisParams, t_end: float,
         creeps = [0.1 * y[k] / -y[k + 3] for k in _AXES if y[k + 3] < 0.0]
         return min(creeps) if creeps else None
 
-    def near_stop(t, y):
-        k = min(_AXES, key=y.__getitem__)
-        return y[k] / -y[k + 3] if y[k + 3] < 0.0 and xi3 <= 0.0 else None
+    def node_exit(t, y):
+        b = min([y[k] / -y[k + 3] for k in _AXES if y[k + 3] < 0.0], default=math.inf)
+        if b <= tol * max(1.0, t) or (b < math.inf and min(y[:3]) <= eps):
+            return "collapsed"
+        return None
 
     sol = _rk.solve(rhs, 0.0, tuple(c3.a_init) + tuple(c3.adot_init), t_end,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
-                    step_bound=step_bound, positive=_AXES, stop=lambda y: min(y[:3]) - eps,
-                    near_stop=near_stop)
-    return Scales3Trajectory(c3, sol, _terminal(sol))
+                    step_bound=step_bound, positive=_AXES,
+                    node_exit=node_exit if xi3 <= 0.0 else None)
+    t, y = float(sol.ts[-1]), sol.ys[-1].tolist()
+    end = _terminal(sol) if sol.status != "collapsed" else _collapse_event(t, tol, [
+        (a / -v, 1.0 - a * f / v / v) for a, v, f in zip(y, y[3:], rhs(t, y)[3:]) if v < 0.0])
+    return Scales3Trajectory(c3, sol, end)
 
 
 def eval_flow_3d_arrays(c3: ThreeAxisParams, a, adot, t: float, x, y, z):

@@ -468,10 +468,12 @@ def test_bad_values_are_domain_errors(args, capsys):
     # 2 gamma - 2 overflows in the barrier height.
     ["classify", "--preset", "blowup-demo", "--gamma=1.7976931348623157e+308", "--a1=-1e+30",
      "--locate-blowup"],
-    # The plunge's a^(gamma - 1) underflows to 0 before a reaches collapse_epsilon.
+    # The plunge's a^(gamma - 1) underflows to 0 below a = 2.5e-7; the run ends
+    # on its remaining-time bound near a = 0.54.
     ["integrate", "--gamma", "50", "--K", "1", "--xi", "1", "--lam", "-2", "--alpha", "1",
      "--a0", "1", "--a1", "0"],
-    # collapse_epsilon lies below what the plunge resolves in s; a^3 underflows there.
+    # collapse_epsilon lies below what the plunge resolves in s; the run ends on
+    # its remaining-time bound at a = 1.7e-3, as with the default.
     ["integrate", "--gamma", "4", "--K", "1", "--xi", "1", "--lam", "-2", "--alpha", "1",
      "--a0", "1", "--a1", "0", "--collapse-epsilon", "1e-120"],
 ])

@@ -422,6 +422,20 @@ def test_certify_reports_a_failed_integration():
     assert exc.value.reason.startswith("tolerance unmet at the step floor")
 
 
+def test_certify_of_a_bounce_below_the_step_floor_is_an_integration_failure():
+    # A periodic orbit with a_min = 8.3e-9: its q run cannot resolve the
+    # bounce and fails at the step floor.  It cannot collapse, so that is a
+    # failed integration, not a disagreement with the periodic verdict.
+    p = P(1.8594228642996016, 0.1723301913564539, -4.772204229955089,
+          a0=1.2768533562903674, a1=-0.8271047156358691)
+    regime = classify(p, locate_blowup=True)
+    assert regime.kind == "time-periodic"
+    with pytest.raises(IntegrationFailed) as exc:
+        certify(p, regime)
+    assert exc.value.t == 0.50991954644876
+    assert exc.value.reason.startswith("tolerance unmet at the step floor")
+
+
 @pytest.mark.parametrize("a0,a1", [(1.0, -0.025), (1.0, -0.25), (3.0, -0.075), (0.2, -0.005)])
 def test_linear_collapse_certifies_in_its_bracket(a0, a1):
     # 2aII at t* = 40 and 4: the event is the touch of zero, inside +-1e-6.
