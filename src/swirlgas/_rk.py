@@ -277,7 +277,7 @@ def _initial_step(f, t0, y0, f0, rtol, atol, max_step, positive):
 
 
 def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
-          step_bound=None, positive=(), node_exit=None, max_steps=_MAX_STEPS):
+          step_bound=None, positive=(), node_exit=None):
     """Integrate y' = f(t, y) from t0 to t_end.
 
     f(t, y)          -> derivative as a float sequence; y is a list of floats.
@@ -287,7 +287,8 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     node_exit(t, y)  -> called at every accepted node before t_end; a status
                         string ends the run there with that status, None
                         goes on.
-    A step that fails at the step floor ends the run in "step_failure".
+    A step that fails at the step floor, or a run that makes _MAX_STEPS loop
+    passes before t_end, ends in "step_failure".
     """
     y = [float(v) for v in y0]
     d = len(y)
@@ -305,8 +306,8 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
 
     steps = 0
     while t < t_end:
-        if steps >= max_steps:
-            status, message = "step_failure", f"exceeded {max_steps} steps"
+        if steps >= _MAX_STEPS:
+            status, message = "step_failure", f"exceeded {_MAX_STEPS} steps"
             break
         steps += 1
 
@@ -388,8 +389,8 @@ def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     """Integrate y = (q, qdot) under qddot = A + C q^P from t = 0 to t_end.
 
     q must stay > 0 at every stage, and while q falls a step is at most
-    q/|qdot|, the time to the root of its tangent; max_steps is solve's
-    default.  A stage whose force q^P overflows is rejected: its inf would
+    q/|qdot|, the time to the root of its tangent; _MAX_STEPS is solve's
+    budget.  A stage whose force q^P overflows is rejected: its inf would
     reject the step anyway.  The run ends at the first accepted node before
     t_end that meets one of these rules, checked in this order (with the
     default zeros, none):
@@ -545,7 +546,7 @@ def solve_plunge(B, D, k, y0, t_end, collapse_tol, a_floor, rtol=1e-10, atol=1e-
     collapse_tol max(1, t).  a must stay > 0 at every stage; while a falls a
     step is at most a/|w|, the s to the root of its tangent, and it is at
     most max_step/u, so that max_step bounds the step in t.  There is no end
-    in s; the step floor and max_steps are solve's.  solve with plunge_rhs,
+    in s; the step floor and _MAX_STEPS are solve's.  solve with plunge_rhs,
     those step bounds, positive=(0,) and a node_exit with the same rules
     makes bitwise the same run.
     """

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _rk
 from .errors import (CollapsedAtOrBefore, CollapsedState, IntegrationFailed, InvalidParams,
-                     NonPositiveTime, TrajectoryTooShort)
+                     NonPositiveTime, StepBudgetExceeded, TrajectoryTooShort)
 from .fields import ScaleState, SolutionParams
 
 __all__ = [
@@ -281,7 +281,8 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
 
     The run steps (q, qdot) = (a^2, 2 a adot) under qddot = 4 E(0) + c q^(1 - gamma),
     at _Q_TOL times cfg's tolerances.  While q falls, a step is at most q/|qdot|,
-    the time to the root of its tangent.
+    the time to the root of its tangent.  StepBudgetExceeded at once when
+    steps of cfg.max_step need more than _rk._MAX_STEPS to reach t_end.
 
     A gamma > 2, lam < 0 orbit that falls below its barrier, where
     xi^2 a^(2 gamma - 4) < -lam and so addot < 0, never turns again and
@@ -305,7 +306,7 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     step passes the turn) the event is that turn, +- rel_tol max(1, t).
     """
     a0, eps, g, lam = params.a0, cfg.collapse_epsilon, params.gamma, params.lam
-    _check_start((a0,), cfg.t_end, eps)
+    _check_start((a0,), cfg.t_end, eps, cfg.max_step)
     e0 = energy_of(a0, params.a1, params).E
     four_e0 = 4.0 * e0
     c, p = 2.0 * lam * (g - 2.0) / (g - 1.0), 1.0 - g
@@ -420,11 +421,14 @@ def _cut_last_step(sol: _rk.RkSolution, t_end: float) -> _rk.RkSolution:
     return replace(sol, ts=ts, hs=hs, ys=ys, dense_q=dense_q)
 
 
-def _check_start(a_init, t_end, eps):
+def _check_start(a_init, t_end, eps, max_step):
     if not t_end > 0.0:
         raise NonPositiveTime("t_end must be positive")
     if t_end == math.inf:       # the run would spend its whole step budget first
         raise InvalidParams(["NonFinite:t_end"])
+    if t_end / max_step > _rk._MAX_STEPS:     # steps of max_step cannot reach t_end
+        raise StepBudgetExceeded(f"t_end / max_step = {t_end / max_step:.3g} steps, "
+                                 f"more than the budget of {_rk._MAX_STEPS}")
     if not min(a_init) > eps:
         raise CollapsedState(f"a_init = {tuple(a_init)!r} is not above collapse_epsilon = {eps!r}")
 

@@ -110,9 +110,12 @@ def profile_law(s, gamma, K, c, alpha):
 
     The density profile of both families: c is lam in 2D and xi3 in 3D.  The
     base is clamped at zero before exponentiation so a fractional power never
-    sees a negative argument.
+    sees a negative argument.  InvalidParams when the slope leaves the float
+    range (K far below c).
     """
     slope = -c * (gamma - 1.0) / (2.0 * K * gamma)
+    if not -math.inf < slope < math.inf:
+        raise InvalidParams(["NonFinite:profile_slope"])
     f = slope * s
     f += alpha
     # In place on f, never on s; a 0-d s makes f a numpy scalar, which has no out=.
@@ -151,10 +154,20 @@ def support_s_bound(params: SolutionParams) -> float:
 SUPPORT_MARGIN = 0.9
 
 
+def check_reach_squares(reach: float, a: float, name: str):
+    """InvalidParams naming the setting behind reach unless eval_flow_arrays
+    can take s = (x^2 + y^2)/a^2 out to radius reach at scale a: reach^2 and
+    (reach/a)^2 finite."""
+    ratio = reach / a
+    if not max(reach * reach, ratio * ratio) < math.inf:
+        raise InvalidParams([f"NonFiniteSquare:{name}"])
+
+
 def check_support_reach(s_b: float, reach: float, a_min: float, error, what: str):
     """Raise error unless points within radius reach of the support centre,
     at scales down to a_min, keep s = (reach/a_min)^2 <= SUPPORT_MARGIN * s_b."""
-    s_reach = (reach / a_min) ** 2
+    ratio = reach / a_min
+    s_reach = ratio * ratio     # inf where a float power would raise OverflowError
     if s_reach > SUPPORT_MARGIN * s_b:
         raise error(f"{what} reaches s = {s_reach:.4g}, beyond "
                     f"{SUPPORT_MARGIN:g} * s_b = {SUPPORT_MARGIN:g} * {s_b:.4g}")

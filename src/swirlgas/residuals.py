@@ -13,7 +13,8 @@ derivative:
   carries a PASS/FAIL verdict with the offending equation and location):
   4th-order space stencils, time derivatives by 2nd-order central
   differences of the field at t +- h_t (scale states from dense output);
-  the 2D check optionally adds the viscous term mu * Laplacian(u),
+  the 2D check optionally adds the viscous term mu * Laplacian(u), one more
+  column of the balance pass, whose peak it also reports on its own,
 * ``mass_residual_generic_g``: the generic-swirl mass identity (for ANY
   tangential speed profile G(t, r), rho = f(r/a)/a^2 with the dilation
   velocity keeps the mass equation exact); mass equation only, else as 2D,
@@ -43,8 +44,8 @@ from .emden import (IntegrationConfig, Trajectory, _check_span, _check_start, _c
                     _terminal)
 from .errors import GridTouchesSupportBoundary, InvalidParams, LadderTooShort
 from .fields import (
-    ScaleState,
     SolutionParams,
+    check_reach_squares,
     check_support_reach,
     eval_flow_arrays,
     profile_law,
@@ -63,7 +64,6 @@ __all__ = [
     "euler_residual_2d",
     "zz_direct_residual",
     "mass_residual_generic_g",
-    "laplacian_fd",
     "integrate_scales_3d",
     "eval_flow_3d_arrays",
     "euler_residual_3d",
@@ -139,6 +139,8 @@ class ResidualReport:
     verdict: str | None = None       # "PASS"/"FAIL" when a tolerance was given
     tolerance: float | None = None
     worst_equation: str | None = None
+    # 2D with mu != 0: max |mu Laplacian(u)| over the velocity-gradient scale / h (not in as_dict)
+    viscous_term_normalized: float | None = None
 
     @property
     def max_normalized(self) -> float:
@@ -154,7 +156,8 @@ class ResidualReport:
 
 
 def _balance(field, X, h, order, time_derivative, mu=0.0):
-    """Mass and momentum residual summaries of a field at the points X.
+    """Mass and momentum residual summaries of a field at the points X, and
+    the largest |mu Laplacian(u_i)| over the points and axes (None for mu = 0).
 
     field(X) -> (rho, U, p) evaluates the field at the current time on a
     d-tuple of coordinate arrays, with U a d-tuple of velocity components.
@@ -164,14 +167,14 @@ def _balance(field, X, h, order, time_derivative, mu=0.0):
 
     Space derivatives are central differences of the given order (4: 5-point,
     2: 3-point stencil) with step h.  With mu != 0 the momentum equations
-    gain the term -mu Laplacian(u_i).  Each equation is one row of a block
-    holding its terms (summed in the order time, axes 0..d-1, pressure,
-    viscous) and its undifferentiated flux payloads: rho and rho u_j for mass,
-    and rho u_i, rho u_j u_i for every axis j and p for momentum i.  The
-    scale is the largest magnitude in the row.  The payloads floor it: for
-    uniform fields every derivative term is stencil rounding noise, and the
-    normalization would otherwise divide noise by noise instead of reporting
-    a machine-zero residual.
+    gain the term -mu Laplacian(u_i), by the 5-point stencil.  Each equation
+    is one row of a block holding its terms (summed in the order time, axes
+    0..d-1, pressure, viscous) and its undifferentiated flux payloads: rho
+    and rho u_j for mass, and rho u_i, rho u_j u_i for every axis j and p for
+    momentum i.  The scale is the largest magnitude in the row.  The payloads
+    floor it: for uniform fields every derivative term is stencil rounding
+    noise, and the normalization would otherwise divide noise by noise
+    instead of reporting a machine-zero residual.
     """
     d, n = len(X), X[0].size
     offsets = (-2, -1, 1, 2) if order == 4 else (-1, 1)
@@ -192,6 +195,7 @@ def _balance(field, X, h, order, time_derivative, mu=0.0):
     rho_t, U_t = time_derivative(rho, U)
     rhoU = rho * U
     n_eq, n_terms = (1, d + 1) if p_s is None else (d + 1, d + 2 + (mu != 0.0))
+    viscous = None
     blocks = np.zeros((n_eq, n_terms + d + 2, n))  # per equation: terms, then payloads
     terms, payloads = blocks[:, :n_terms], blocks[:, n_terms:]
     terms[0, 0] = rho_t
@@ -205,6 +209,7 @@ def _balance(field, X, h, order, time_derivative, mu=0.0):
         if mu != 0.0:
             lap = sum(Vs[:, j, offsets.index(k)] for j in range(d) for k in (1, -1))
             terms[1:, d + 2] = -mu * ((lap - 2.0 * d * U) / (h * h))
+            viscous = float(np.abs(terms[1:, d + 2]).max())
         payloads[1:, 0] = rhoU
         payloads[1:, 1:d + 1] = rhoU * U[:, None]
         payloads[1:, d + 1] = P[0]
@@ -217,7 +222,7 @@ def _balance(field, X, h, order, time_derivative, mu=0.0):
     names = ["mass"] + [f"momentum-{'xyz'[i]}" for i in range(d)]
     return {names[e]: {"max": float(peak[e]), "mean": float(mean[e]), "scale": float(scale[e]),
                        "worst_point": tuple(float(c) for c in where[:, e])}
-            for e in range(n_eq)}
+            for e in range(n_eq)}, viscous
 
 
 def _central_in_time(before, after, X, h_t):
@@ -245,7 +250,8 @@ def euler_residual_2d(params: SolutionParams, traj: Trajectory, t: float,
     is a 2nd-order central difference with scale states taken from the
     trajectory's dense output at t +- h_t.  With mu != 0 the viscous term
     mu * Laplacian(u) is subtracted from the momentum residuals (the family
-    velocity is affine in x, y, so this changes nothing beyond rounding).
+    velocity is affine in x, y, so this changes nothing beyond rounding), and
+    viscous_term_normalized is its peak over (|adot/a| + |xi|/a^2)/h.
 
     density_factor multiplies the density everywhere; values != 1 provide a
     deliberately broken field as a negative control for convergence studies.
@@ -253,8 +259,10 @@ def euler_residual_2d(params: SolutionParams, traj: Trajectory, t: float,
     h_t = grid.h_t
     _check_span(traj, t - h_t, t + h_t)
     st_m, st_0, st_p = (traj.state_at(t - h_t), traj.state_at(t), traj.state_at(t + h_t))
-    check_support_reach(support_s_bound(params), grid.max_radius() + 2.0 * grid.h,
-                        min(st_m.a, st_0.a, st_p.a), GridTouchesSupportBoundary, "stencil")
+    reach, a_min = grid.max_radius() + 2.0 * grid.h, min(st_m.a, st_0.a, st_p.a)
+    check_reach_squares(reach, a_min, "grid")
+    check_support_reach(support_s_bound(params), reach, a_min, GridTouchesSupportBoundary,
+                        "stencil")
     X = grid.points()
 
     def field_at(state):
@@ -266,9 +274,13 @@ def euler_residual_2d(params: SolutionParams, traj: Trajectory, t: float,
             return rho, (u1, u2), p
         return field
 
-    eqs = _balance(field_at(st_0), X, grid.h, 4,
-                   _central_in_time(field_at(st_m), field_at(st_p), X, h_t), mu=mu)
-    return ResidualReport(equations=eqs, h=grid.h, h_t=h_t, n_points=X[0].size)
+    eqs, viscous = _balance(field_at(st_0), X, grid.h, 4,
+                            _central_in_time(field_at(st_m), field_at(st_p), X, h_t), mu=mu)
+    if viscous is not None:
+        grad_scale = abs(st_0.adot / st_0.a) + abs(params.xi) / st_0.a ** 2
+        viscous /= max(grad_scale, 1e-300) / grid.h
+    return ResidualReport(equations=eqs, h=grid.h, h_t=h_t, n_points=X[0].size,
+                          viscous_term_normalized=viscous)
 
 
 def zz_direct_residual(t: float, K: float, grid: GridSpec) -> ResidualReport:
@@ -285,8 +297,7 @@ def zz_direct_residual(t: float, K: float, grid: GridSpec) -> ResidualReport:
         rho, u1, u2, p = zhang_zheng_arrays(t, *X, K)
         return rho, (u1, u2), p
 
-    eqs = _balance(field, X, grid.h, 2,
-                   lambda rho, U: (-2.0 * rho / t, -U / t))
+    eqs, _ = _balance(field, X, grid.h, 2, lambda rho, U: (-2.0 * rho / t, -U / t))
     return ResidualReport(equations=eqs, h=grid.h, h_t=0.0, n_points=X[0].size)
 
 
@@ -332,40 +343,9 @@ def mass_residual_generic_g(fieldspec: GenericRotationField, t: float,
             return fieldspec.f(rr / a) / (a * a), (dil * x - swirl * y, swirl * x + dil * y), None
         return field
 
-    eqs = _balance(field_at(t), X, grid.h, 4,
-                   _central_in_time(field_at(t - grid.h_t), field_at(t + grid.h_t), X, grid.h_t))
+    eqs, _ = _balance(field_at(t), X, grid.h, 4,
+                      _central_in_time(field_at(t - grid.h_t), field_at(t + grid.h_t), X, grid.h_t))
     return eqs["mass"]["max"]
-
-
-def laplacian_fd(velocity, x, y, h: float):
-    """5-point finite-difference vector Laplacian of velocity(x, y) -> (u1, u2)."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    c1, c2 = velocity(x, y)
-    terms = [velocity(x + h, y), velocity(x - h, y), velocity(x, y + h), velocity(x, y - h)]
-    lap1 = (sum(tt[0] for tt in terms) - 4.0 * c1) / (h * h)
-    lap2 = (sum(tt[1] for tt in terms) - 4.0 * c2) / (h * h)
-    return lap1, lap2
-
-
-def viscous_norm(params: SolutionParams, state: ScaleState, x, y,
-                 mu: float = 1.0, h: float = 1e-3) -> float:
-    """max |mu Lap(u)| of the family velocity, by finite differences,
-    normalized by the velocity-gradient scale / h.
-
-    The family velocity is affine in (x, y), so the exact Laplacian is zero
-    and the finite-difference result is pure rounding noise with floor
-    ~ eps * |u| / h^2.
-    """
-
-    def vel(xs, ys):
-        _, u1, u2, _ = eval_flow_arrays(params, state, xs, ys)
-        return u1, u2
-
-    lap1, lap2 = laplacian_fd(vel, x, y, h)
-    l1, l2 = mu * lap1, mu * lap2
-    grad_scale = abs(state.adot / state.a) + abs(params.xi) / state.a ** 2
-    floor_scale = max(grad_scale, 1e-300) / h
-    return float(max(np.max(np.abs(l1)), np.max(np.abs(l2))) / floor_scale)
 
 
 # --------------------------------------------------------------------------
@@ -480,8 +460,7 @@ def integrate_scales_3d(c3: ThreeAxisParams, t_end: float,
     The t_end argument sets the horizon; cfg.t_end is not read, and cfg
     supplies only the tolerances, max_step and collapse_epsilon.
 
-    Every scale stays positive, and each contracting axis moves by at most
-    0.1 a/|adot| per step.  With xi3 <= 0 no force slows a fall, so the
+    Every scale stays positive.  With xi3 <= 0 no force slows a fall, so the
     smallest a_i/|adot_i| over the falling axes, b, bounds the time left: the
     run ends "collapsed" at the first node where b is at most
     cfg.rel_tol max(1, t) or the smallest scale at most cfg.collapse_epsilon,
@@ -491,18 +470,11 @@ def integrate_scales_3d(c3: ThreeAxisParams, t_end: float,
     failure.
     """
     g, xi3, eps, tol = c3.gamma, c3.xi3, cfg.collapse_epsilon, cfg.rel_tol
-    _check_start(c3.a_init, t_end, eps)
+    _check_start(c3.a_init, t_end, eps, cfg.max_step)
 
     def rhs(t, y):
         c = _fpow(_ordered_prod3(y[:3]), g - 1.0)
         return y[3], y[4], y[5], xi3 / (y[0] * c), xi3 / (y[1] * c), xi3 / (y[2] * c)
-
-    def step_bound(t, y):
-        # Kept for speed alone: on 80 seeded collapses with gamma in
-        # (1.0005, 1.05), dropping it took 18,101 trial steps instead of
-        # 15,885, and the tangent bound a/|adot| took as many as none.
-        creeps = [0.1 * y[k] / -y[k + 3] for k in _AXES if y[k + 3] < 0.0]
-        return min(creeps) if creeps else None
 
     def node_exit(t, y):
         b = min([y[k] / -y[k + 3] for k in _AXES if y[k + 3] < 0.0], default=math.inf)
@@ -512,8 +484,7 @@ def integrate_scales_3d(c3: ThreeAxisParams, t_end: float,
 
     sol = _rk.solve(rhs, 0.0, tuple(c3.a_init) + tuple(c3.adot_init), t_end,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
-                    step_bound=step_bound, positive=_AXES,
-                    node_exit=node_exit if xi3 <= 0.0 else None)
+                    positive=_AXES, node_exit=node_exit if xi3 <= 0.0 else None)
     t, y = float(sol.ts[-1]), sol.ys[-1].tolist()
     end = _terminal(sol) if sol.status != "collapsed" else _collapse_event(t, tol, [
         (a / -v, 1.0 - a * f / v / v) for a, v, f in zip(y, y[3:], rhs(t, y)[3:]) if v < 0.0])
@@ -584,8 +555,8 @@ def euler_residual_3d(c3: ThreeAxisParams, scales: Scales3Trajectory, t: float,
             return rho, (u1, u2, u3), p
         return field
 
-    eq_dict = _balance(field_at(0.0), X, h, 4,
-                       _central_in_time(field_at(-h_t), field_at(h_t), X, h_t))
+    eq_dict, _ = _balance(field_at(0.0), X, h, 4,
+                          _central_in_time(field_at(-h_t), field_at(h_t), X, h_t))
 
     verdict = worst = None
     if tolerance is not None:

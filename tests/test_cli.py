@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import time
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -445,11 +446,24 @@ HUGE_XI = ["--gamma", "1.5", "--K", "1", "--xi", "1e200", "--lam", "-1",
     # A sound speed of 1e15: the first CFL step predicts 1e15 steps.
     ["fvbench", "--preset", "generic-smooth", "--xi", "50", "--K", "1e30", "--a1", "0.5",
      "--resolutions", "16,32", "--horizon", "0.05"],
+    # Steps of max_step need 1e201 passes to reach t_end: rejected before the first.
+    ["integrate", "--preset", "periodic-demo", "--max-step", "1e-200"],
+    # The annulus reaches s = (r_hi/a)^2 = 1e320, past the float range.
+    ["verify", "--preset", "gamma3-critical", "--a1=1e-30", "--r-lo=1e-30", "--r-hi=1e+160",
+     "--h=1e-200"],
+    # The grid corners' x^2 + y^2 is past the float range.
+    ["eval", "--preset", "generic-smooth", "--grid-extent=-1e+300"],
+    # The profile slope lam (gamma - 1)/(2 K gamma) overflows.
+    ["verify", "--preset", "periodic-demo", "--K=1e-320", "--a1=2.0"],
+    ["eval", "--preset", "periodic-demo", "--K=1e-320"],
+    ["fvbench", "--preset", "periodic-demo", "--K=1e-320", "--resolutions", "16,32"],
 ])
 def test_bad_values_are_domain_errors(args, capsys):
+    start = time.perf_counter()
     code, _, err = run_cli(args, capsys)
     assert code == 1
     assert "error" in json.loads(err)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("args", [
@@ -483,6 +497,13 @@ def test_extreme_values_end_in_a_report_or_a_domain_error(args, capsys):
         assert "error" in json.loads(err)
     else:
         assert code == 0 and out
+
+
+def test_a_tiny_K_still_classifies(capsys):
+    # Its profile slope overflows, but classify evaluates no field.
+    code, out, _ = run_cli(["classify", "--preset", "periodic-demo", "--K=1e-320"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["params"]["K"] == 1e-320
 
 
 @pytest.mark.parametrize("args", [

@@ -395,13 +395,13 @@ def test_drift_bounded_by_tolerance_budget():
 
 # ----------------------------------------------------------- solver guts
 
-def test_rk_step_failure_is_reported():
+def test_rk_step_failure_is_reported(monkeypatch):
     # A discontinuous right-hand side defeats the error controller.
     def nasty(t, y):
         return np.array([math.copysign(1e6, math.sin(1e5 * t))])
 
-    sol = _rk.solve(nasty, 0.0, np.array([1.0]), 1.0, rtol=1e-12, atol=1e-12,
-                    max_steps=2000)
+    monkeypatch.setattr(_rk, "_MAX_STEPS", 2000)
+    sol = _rk.solve(nasty, 0.0, np.array([1.0]), 1.0, rtol=1e-12, atol=1e-12)
     assert sol.status in ("step_failure", "reached_end")
     # Either outcome must leave a usable trajectory prefix.
     assert sol.ts.size >= 1

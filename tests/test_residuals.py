@@ -30,12 +30,9 @@ from swirlgas import (
     zhang_zheng_embedding,
     zz_direct_residual,
 )
-from swirlgas.residuals import (
-    _order3,
-    eval_flow_3d_arrays,
-    laplacian_fd,
-    viscous_norm,
-)
+from swirlgas.cli import PRESETS
+from swirlgas.fields import eval_flow_arrays
+from swirlgas.residuals import _order3, eval_flow_3d_arrays
 from swirlgas import _rk, residuals
 
 GENERIC = SolutionParams(gamma=1.4, K=1, xi=0.7, lam=0.9, alpha=1, a0=1, a1=0.3)
@@ -187,30 +184,66 @@ def test_generic_swirl_mass_matches_family_mass(generic_traj):
 
 # ----------------------------------------------------------- viscous term
 
+def _viscous(traj, grid, mu, params=GENERIC):
+    return euler_residual_2d(params, traj, 0.5, grid, mu=mu).viscous_term_normalized
+
+
 def test_viscous_term_vanishes_on_family(generic_traj):
-    st = generic_traj.state_at(0.5)
-    x, y = grid_2d(1e-3).points()
     for mu in (1.0, 3.7):
-        assert viscous_norm(GENERIC, st, x, y, mu=mu, h=1e-3) <= 1e-10
+        assert _viscous(generic_traj, grid_2d(1e-3), mu) <= 1e-10
 
 
 def test_viscous_term_scales_linearly(generic_traj):
     # A power-of-two factor scales every float exactly, so the normalized
     # value must be exactly 4 times the mu = 1 value.
-    st = generic_traj.state_at(0.5)
-    x, y = grid_2d(1e-3).points()
-    one = viscous_norm(GENERIC, st, x, y, mu=1.0, h=1e-3)
-    four = viscous_norm(GENERIC, st, x, y, mu=4.0, h=1e-3)
+    one = _viscous(generic_traj, grid_2d(1e-3), 1.0)
+    four = _viscous(generic_traj, grid_2d(1e-3), 4.0)
     assert one > 0.0
     assert four == 4.0 * one
 
 
+def _reference_viscous_norm(params, state, x, y, mu, h):
+    """max |mu Lap(u)| of the family velocity by the 5-point stencil, apart
+    from _balance, over the velocity-gradient scale / h."""
+
+    def vel(xs, ys):
+        return eval_flow_arrays(params, state, xs, ys)[1:3]
+
+    centre = vel(x, y)
+    around = [vel(x + h, y), vel(x - h, y), vel(x, y + h), vel(x, y - h)]
+    laps = [(sum(v[i] for v in around) - 4.0 * centre[i]) / (h * h) for i in (0, 1)]
+    grad_scale = abs(state.adot / state.a) + abs(params.xi) / state.a ** 2
+    peak = max(np.max(np.abs(mu * lap)) for lap in laps)
+    return float(peak / (max(grad_scale, 1e-300) / h))
+
+
+@pytest.mark.parametrize("preset, h", [("generic-smooth", 1e-3), ("generic-smooth", 1e-2),
+                                       ("periodic-demo", 1e-3), ("gamma3-critical", 1e-3),
+                                       ("zhang-zheng", 1e-3)])
+def test_viscous_term_is_the_reference_laplacian(preset, h):
+    # The balance pass's viscous column, read as the report's peak, is the
+    # separately evaluated 5-point Laplacian bit for bit.
+    params = SolutionParams(**PRESETS[preset])
+    traj = integrate(params, IntegrationConfig(t_end=1.0))
+    grid = grid_2d(h, h_t=5e-4)
+    x, y = grid.points()
+    for mu in (1e-7, 0.1, 1.0, 3.7):
+        expected = _reference_viscous_norm(params, traj.state_at(0.5), x, y, mu, h)
+        assert _viscous(traj, grid, mu, params) == expected, mu
+
+
 def test_laplacian_oracle_quadratic_field():
-    x = np.linspace(-1, 1, 11)
-    y = np.linspace(-1, 1, 11)
-    lap1, lap2 = laplacian_fd(lambda xs, ys: (xs ** 2, np.zeros_like(xs)), x, y, 1e-3)
-    assert np.max(np.abs(lap1 - 2.0)) <= 1e-6
-    assert np.max(np.abs(lap2)) <= 1e-6
+    # u = (x^2, 0) has Laplacian (2, 0), so the balance's viscous column is -2 mu.
+    X = tuple(g.ravel() for g in np.meshgrid(np.linspace(-1, 1, 11), np.linspace(-1, 1, 11)))
+
+    def field(X):
+        x = X[0]
+        return np.ones_like(x), (x ** 2, np.zeros_like(x)), np.ones_like(x)
+
+    for mu in (1.0, 3.7):
+        _, viscous = residuals._balance(field, X, 1e-3, 4, lambda rho, U: (0.0 * rho, 0.0 * U),
+                                        mu=mu)
+        assert abs(viscous - 2.0 * mu) <= 1e-6
 
 
 def test_euler_vs_viscous_momentum_residuals(generic_traj):
@@ -552,7 +585,8 @@ def _reference_summary(residual, terms, coords, payloads):
 
 
 def _reference_balance(field, X, h, order, time_derivative, mu=0.0):
-    """The per-equation, per-axis balance that residuals._balance vectorizes.
+    """The per-equation, per-axis balance that residuals._balance vectorizes,
+    with the largest |mu Laplacian(u_i)| (None for mu = 0).
 
     Kept as the reference the vectorized form must match bitwise.  The only
     change is that time_derivative receives U as one (d, n) array, as it
@@ -585,8 +619,9 @@ def _reference_balance(field, X, h, order, time_derivative, mu=0.0):
 
     terms = [rho_t] + [diff(along(rho_s, j) * along(U_s[j], j)) for j in range(d)]
     eqs = {"mass": _reference_summary(sum(terms), terms, X, [rho] + [rho * u for u in U])}
+    viscous = None
     if p_s is None:
-        return eqs
+        return eqs, viscous
     neighbours = [1 + j * m + offsets.index(k) for j in range(d) for k in (1, -1)]
     for i in range(d):
         terms = ([rho * U_t[i]] + [rho * U[j] * diff(along(U_s[i], j)) for j in range(d)]
@@ -595,9 +630,10 @@ def _reference_balance(field, X, h, order, time_derivative, mu=0.0):
             ui = rows(U_s[i])
             lap = (sum(ui[r] for r in neighbours) - 2.0 * d * ui[0]) / (h * h)
             terms.append(-mu * lap)
+            viscous = max(viscous or 0.0, float(np.max(np.abs(terms[-1]))))
         payloads = [rho * U[i]] + [rho * U[j] * U[i] for j in range(d)] + [rows(p_s)[0]]
         eqs[f"momentum-{'xyz'[i]}"] = _reference_summary(sum(terms), terms, X, payloads)
-    return eqs
+    return eqs, viscous
 
 
 BOX = dict(kind="box", x_lo=-1.0, x_hi=0.9, y_lo=-0.8, y_hi=1.0, nx=9, ny=11)
@@ -626,7 +662,8 @@ BALANCE_CASES = {
 @pytest.mark.parametrize("case", sorted(BALANCE_CASES))
 def test_balance_matches_the_per_equation_reference(case, generic_traj, monkeypatch):
     # Every _balance call the public check makes is repeated by the reference
-    # on the same field and time derivative; the summaries must be equal floats.
+    # on the same field and time derivative; the summaries and the viscous
+    # peak must be equal floats.
     pairs = []
     vectorized = residuals._balance
 
@@ -638,10 +675,11 @@ def test_balance_matches_the_per_equation_reference(case, generic_traj, monkeypa
     monkeypatch.setattr(residuals, "_balance", both)
     BALANCE_CASES[case](generic_traj)
     assert len(pairs) == 1
-    got, ref = pairs[0]
+    (got, got_viscous), (ref, ref_viscous) = pairs[0]
     assert list(got) == list(ref)
     for name in ref:
         assert got[name] == ref[name], name
+    assert got_viscous == ref_viscous
 
 
 # Ties come from triples drawn out of a small pool.  +-0.0 ties are compared
