@@ -253,7 +253,7 @@ def _trial(f, pos, rtol, atol, t, y, k1, h):
     return y7, err, k7, chain.from_iterable(zip(k1, k2, k3, k4, k5, k6, k7))
 
 
-def _initial_step(f, t0, y0, f0, rtol, atol, max_step, positive):
+def _initial_step(f, y0, f0, rtol, atol, max_step, positive):
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
@@ -267,7 +267,7 @@ def _initial_step(f, t0, y0, f0, rtol, atol, max_step, positive):
         h0 *= 0.1
     else:
         return min(1e-12, max_step)
-    f1 = f(t0 + h0, y1)
+    f1 = f(h0, y1)
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -276,9 +276,9 @@ def _initial_step(f, t0, y0, f0, rtol, atol, max_step, positive):
     return min(100 * h0, h1, max_step)
 
 
-def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
+def solve(f, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
           step_bound=None, positive=(), node_exit=None):
-    """Integrate y' = f(t, y) from t0 to t_end.
+    """Integrate y' = f(t, y) from t = 0 to t_end.
 
     f(t, y)          -> derivative as a float sequence; y is a list of floats.
     step_bound(t, y) -> additional per-step upper bound on h (or None).
@@ -294,9 +294,9 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     d = len(y)
     pos = tuple(k in positive for k in range(d))
 
-    t = float(t0)
+    t = 0.0
     f_curr = f(t, y)
-    h = _initial_step(f, t, y, f_curr, rtol, atol, max_step, positive)
+    h = _initial_step(f, y, f_curr, rtol, atol, max_step, positive)
     nfev = 2
 
     t_buf, h_buf, y_buf, k_buf = array("d", [t]), array("d", [0.0]), array("d", y), array("d")
@@ -399,8 +399,9 @@ def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     * collapse_tol > 0, qdot < 0 and either q <= q_floor or the
       remaining-time bound 2 q/|qdot| is at most collapse_tol max(1, t):
       status "collapsed";
-    * q <= q_touch and the node's parabola q + qdot tau + qddot tau^2/2 turns
-      (qddot > 0) above -q_touch: status "touched".
+    * q <= q_touch n and the node's parabola q + qdot tau + qddot tau^2/2
+      turns (qddot > 0) above -q_touch n, n the accepted steps so far:
+      status "touched".
     """
     inf, sqrt = math.inf, math.sqrt
     rhs = scale_rhs(A, C, P)
@@ -408,7 +409,7 @@ def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     v0, v1 = float(y0[0]), float(y0[1])
     k1 = rhs(t, [v0, v1])
     g1 = k1[1]
-    h = _initial_step(rhs, t, [v0, v1], k1, rtol, atol, max_step, (0,))
+    h = _initial_step(rhs, [v0, v1], k1, rtol, atol, max_step, (0,))
     nfev = 2
 
     t_buf, h_buf, k_buf = array("d", [t]), array("d", [0.0]), array("d")
@@ -515,7 +516,8 @@ def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
                                      <= collapse_tol * (t_new if t_new > 1.0 else 1.0)):
                     status = "collapsed"
                     break
-            if w0 <= q_touch and g7 > 0.0 and w0 - w1 * w1 / (2.0 * g7) > -q_touch:
+            touch = q_touch * naccepted
+            if w0 <= touch and g7 > 0.0 and w0 - w1 * w1 / (2.0 * g7) > -touch:
                 status = "touched"
                 break
         t, v0, v1, g1 = t_new, w0, w1, g7
@@ -556,7 +558,7 @@ def solve_plunge(B, D, k, y0, t_end, collapse_tol, a_floor, rtol=1e-10, atol=1e-
     a, w, t = float(y0[0]), float(y0[1]), float(y0[2])
     k1 = rhs(s, [a, w, t])
     g1, u1 = k1[1], k1[2]
-    h = _initial_step(rhs, s, [a, w, t], k1, rtol, atol, inf, (0,))
+    h = _initial_step(rhs, [a, w, t], k1, rtol, atol, inf, (0,))
     nfev = 2
 
     s_buf, h_buf, k_buf = array("d", [s]), array("d", [0.0]), array("d")

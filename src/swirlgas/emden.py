@@ -282,7 +282,8 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     The run steps (q, qdot) = (a^2, 2 a adot) under qddot = 4 E(0) + c q^(1 - gamma),
     at _Q_TOL times cfg's tolerances.  While q falls, a step is at most q/|qdot|,
     the time to the root of its tangent.  StepBudgetExceeded at once when
-    steps of cfg.max_step need more than _rk._MAX_STEPS to reach t_end.
+    steps of cfg.max_step need more than _rk._MAX_STEPS to reach t_end or,
+    where q is a parabola (c = 0), its first root.
 
     A gamma > 2, lam < 0 orbit that falls below its barrier, where
     xi^2 a^(2 gamma - 4) < -lam and so addot < 0, never turns again and
@@ -300,17 +301,19 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     share = 1 - 4 a^3 addot/qdot^2 in q, b = a^gamma/|w| and share =
     gamma - a w'/w^2 in the plunge.  Where c = 0 (gamma = 2, or xi = lam = 0)
     q is a parabola, and a fall also ends at a touch of zero: the double root
-    of a force-free collapse such as 2aII, which rounding lifts or lowers by a
-    few eps a0^2.  At the first node with q <= q_touch whose parabola turns
-    above -q_touch (the tangent bound leaves a node below 2 q_min before any
-    step passes the turn) the event is that turn, +- rel_tol max(1, t).
+    of a force-free collapse such as 2aII, which each step's rounding lifts or
+    lowers by about eps a0^2.  At the first node n with q <= n q_touch whose
+    parabola turns above -n q_touch (the tangent bound leaves a node below
+    2 q_min before any step passes the turn) the event is that turn,
+    +- rel_tol max(1, t).
     """
     a0, eps, g, lam = params.a0, cfg.collapse_epsilon, params.gamma, params.lam
-    _check_start((a0,), cfg.t_end, eps, cfg.max_step)
     e0 = energy_of(a0, params.a1, params).E
     four_e0 = 4.0 * e0
     c, p = 2.0 * lam * (g - 2.0) / (g - 1.0), 1.0 - g
     y0 = (a0 * a0, 2.0 * a0 * params.a1)
+    t_root = _first_positive_root(2.0 * e0, y0[1], y0[0]) if c == 0.0 else None
+    _check_start((a0,), cfg.t_end, eps, cfg.max_step, t_root or math.inf)
     q_barrier, falls = _plunge_level(params), _q_collapses(params)
 
     if y0[1] < 0.0 and y0[0] < q_barrier:       # the plunge starts at t = 0
@@ -421,13 +424,17 @@ def _cut_last_step(sol: _rk.RkSolution, t_end: float) -> _rk.RkSolution:
     return replace(sol, ts=ts, hs=hs, ys=ys, dense_q=dense_q)
 
 
-def _check_start(a_init, t_end, eps, max_step):
+def _check_start(a_init, t_end, eps, max_step, t_stop=math.inf):
+    """Reject a run that cannot start, or whose steps of max_step cannot reach
+    min(t_end, t_stop) within _rk._MAX_STEPS (t_stop: a collapse known in advance)."""
     if not t_end > 0.0:
         raise NonPositiveTime("t_end must be positive")
     if t_end == math.inf:       # the run would spend its whole step budget first
         raise InvalidParams(["NonFinite:t_end"])
-    if t_end / max_step > _rk._MAX_STEPS:     # steps of max_step cannot reach t_end
-        raise StepBudgetExceeded(f"t_end / max_step = {t_end / max_step:.3g} steps, "
+    span = min(t_end, t_stop)
+    if span / max_step > _rk._MAX_STEPS:
+        what = "t_end" if span == t_end else f"the collapse at {span!r}"
+        raise StepBudgetExceeded(f"{what} / max_step = {span / max_step:.3g} steps, "
                                  f"more than the budget of {_rk._MAX_STEPS}")
     if not min(a_init) > eps:
         raise CollapsedState(f"a_init = {tuple(a_init)!r} is not above collapse_epsilon = {eps!r}")
@@ -459,8 +466,9 @@ def _collapse_event(t: float, rel_tol: float, falls) -> TerminalEvent:
 
 # rel_tol and abs_tol bound the error of (a, adot); the run asks this share of them of (q, qdot).
 _Q_TOL = 0.3
-# q_touch in units of eps a0^2: rounding moved the double root of a 2aII
-# collapse by at most 6.5 of them over 3,000 seeded runs, below half of it.
+# q_touch per accepted step, in units of eps a0^2: each step's rounding moves
+# the double root of a 2aII collapse by at most about one of them (0.5 on
+# linear-blowup-demo at every max_step from 1e-5 to inf).
 _TOUCH_ULPS = 16.0
 
 

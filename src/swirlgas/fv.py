@@ -128,7 +128,7 @@ class _Work:
         self.xr, self.yr = (g.ravel()[self.ring] for g in cfg.centers())
 
 
-def _fill_ghosts(field: ConservativeField, params, traj, t: float):
+def _fill_ghosts(field: ConservativeField, params, traj):
     U = field.U
     if field.cfg.boundary == "outflow":
         U[:, 0, :] = U[:, 1, :]
@@ -139,7 +139,7 @@ def _fill_ghosts(field: ConservativeField, params, traj, t: float):
     if traj is None:
         raise ValueError("exact-Dirichlet boundaries need the scale trajectory")
     w = field._work
-    state = traj.state_at(t)
+    state = traj.state_at(field.t)
     rho, u1, u2, _ = eval_flow_arrays(params, state, w.xr, w.yr)
     flat = U.reshape(3, -1)
     flat[0, w.ring] = rho
@@ -177,7 +177,8 @@ def step(field: ConservativeField, params: SolutionParams,
 
     Ghost cells are refreshed at the current time before the fluxes are
     formed.  Densities below the floor are clamped (and counted).  NaN or
-    Inf anywhere aborts via NonFiniteState with diagnostics.
+    Inf anywhere, or a peak wave speed that is not finite, aborts via
+    NonFiniteState with diagnostics.
 
     Face values are kept doubled (F_L + F_R - a (q_R - q_L)) and the 0.5 is
     folded into dt/dx and dt/dy; scaling by a power of two is exact, so the
@@ -187,7 +188,7 @@ def step(field: ConservativeField, params: SolutionParams,
     if field._work is None:
         field._work = _Work(cfg)
     w = field._work
-    _fill_ghosts(field, params, traj, field.t)
+    _fill_ghosts(field, params, traj)
     U = field.U.reshape(3, -1)
     rho = U[0]
     u1, u2, p, c, ay, amax = w.u1, w.u2, w.p, w.c, w.ay, w.amax
@@ -198,6 +199,8 @@ def step(field: ConservativeField, params: SolutionParams,
     np.add(np.abs(u2, out=ay), c, out=ay)
     ax = np.add(np.abs(u1, out=amax), c, out=c)  # the last use of c: ax takes its buffer
     smax = float(np.maximum(ax.max(), ay.max()))
+    if not math.isfinite(smax):
+        raise NonFiniteState(f"peak wave speed {smax} at t = {field.t}")
     dt = cfg.cfl * min(cfg.dx, cfg.dy) / smax
     if dt_cap is not None:
         dt = min(dt, dt_cap)

@@ -85,11 +85,11 @@ def _points(polar, axes):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling region and stencil steps for 2D residual evaluation.
+    """Sampling annulus and stencil steps for 2D residual evaluation.
 
-    Either an annulus r in [r_lo, r_hi] (n_r x n_theta points) or a box
-    [x_lo, x_hi] x [y_lo, y_hi] (nx x ny points).  h is the spatial stencil
-    step, h_t the temporal one.
+    The annulus r in [r_lo, r_hi] holds n_r x n_theta points; kind names it
+    and takes no other value.  h is the spatial stencil step, h_t the
+    temporal one.
     """
 
     kind: str = "annulus"
@@ -97,35 +97,23 @@ class GridSpec:
     r_hi: float = 1.5
     n_r: int = 20
     n_theta: int = 24
-    x_lo: float = -1.0
-    x_hi: float = 1.0
-    y_lo: float = -1.0
-    y_hi: float = 1.0
-    nx: int = 16
-    ny: int = 16
     h: float = 1e-3
     h_t: float = 1e-3
 
     def __post_init__(self):
-        violations = [f"NonPositive:{name}" for name in ("h", "h_t", "n_r", "n_theta", "nx", "ny")
+        violations = [f"NonPositive:{name}" for name in ("h", "h_t", "n_r", "n_theta")
                       if not getattr(self, name) > 0]
-        if self.kind not in ("annulus", "box"):
+        if self.kind != "annulus":
             violations.append(f"UnknownGridKind:{self.kind}")
+        if not 0.0 <= self.r_lo < self.r_hi:
+            violations.append("EmptyAnnulus")
         if violations:
             raise InvalidParams(violations)
 
     def points(self):
         """Flattened (x, y) sample arrays, read-only and shared by equal geometries."""
-        if self.kind == "annulus":
-            return _points(True, ((self.r_lo, self.r_hi, self.n_r),
-                                  (0.0, 2.0 * math.pi, self.n_theta, False)))
-        return _points(False, ((self.x_lo, self.x_hi, self.nx), (self.y_lo, self.y_hi, self.ny)))
-
-    def max_radius(self) -> float:
-        if self.kind == "annulus":
-            return self.r_hi
-        return math.hypot(max(abs(self.x_lo), abs(self.x_hi)),
-                          max(abs(self.y_lo), abs(self.y_hi)))
+        return _points(True, ((self.r_lo, self.r_hi, self.n_r),
+                              (0.0, 2.0 * math.pi, self.n_theta, False)))
 
 
 @dataclass(frozen=True)
@@ -237,7 +225,7 @@ def _central_in_time(before, after, X, h_t):
 
 
 def _check_annulus(grid: GridSpec):
-    if grid.kind == "annulus" and grid.r_lo <= 2.0 * grid.h:
+    if grid.r_lo <= 2.0 * grid.h:
         raise ValueError("annulus must exclude an r = 0 neighborhood wider than 2h")
 
 
@@ -259,7 +247,7 @@ def euler_residual_2d(params: SolutionParams, traj: Trajectory, t: float,
     h_t = grid.h_t
     _check_span(traj, t - h_t, t + h_t)
     st_m, st_0, st_p = (traj.state_at(t - h_t), traj.state_at(t), traj.state_at(t + h_t))
-    reach, a_min = grid.max_radius() + 2.0 * grid.h, min(st_m.a, st_0.a, st_p.a)
+    reach, a_min = grid.r_hi + 2.0 * grid.h, min(st_m.a, st_0.a, st_p.a)
     check_reach_squares(reach, a_min, "grid")
     check_support_reach(support_s_bound(params), reach, a_min, GridTouchesSupportBoundary,
                         "stencil")
@@ -327,8 +315,6 @@ def mass_residual_generic_g(fieldspec: GenericRotationField, t: float,
     4th-order space stencils; rho_t is a 2nd-order central difference of the
     density at t +- h_t.
     """
-    if grid.kind != "annulus":
-        raise ValueError("generic-swirl residuals need an annulus grid (u is singular at r = 0)")
     _check_annulus(grid)
     X = grid.points()
 
@@ -453,22 +439,20 @@ def _order3(q0, q1, q2):
 _AXES = (0, 1, 2)
 
 
-def integrate_scales_3d(c3: ThreeAxisParams, t_end: float,
-                        cfg: IntegrationConfig = IntegrationConfig()) -> Scales3Trajectory:
-    """Integrate the coupled three-axis scale system from t = 0 to t_end.
-
-    The t_end argument sets the horizon; cfg.t_end is not read, and cfg
-    supplies only the tolerances, max_step and collapse_epsilon.
+def integrate_scales_3d(c3: ThreeAxisParams, t_end: float) -> Scales3Trajectory:
+    """Integrate the coupled three-axis scale system from t = 0 to t_end, with
+    IntegrationConfig()'s tolerances, max_step and collapse_epsilon.
 
     Every scale stays positive.  With xi3 <= 0 no force slows a fall, so the
     smallest a_i/|adot_i| over the falling axes, b, bounds the time left: the
     run ends "collapsed" at the first node where b is at most
-    cfg.rel_tol max(1, t) or the smallest scale at most cfg.collapse_epsilon,
+    rel_tol max(1, t) or the smallest scale at most collapse_epsilon,
     and reports the event from each falling axis's a_i/|adot_i| and
     1 - a_i addot_i/adot_i^2 (emden._collapse_event).  With xi3 > 0
     nothing collapses, and a step that fails at the step floor is a step
     failure.
     """
+    cfg = IntegrationConfig()
     g, xi3, eps, tol = c3.gamma, c3.xi3, cfg.collapse_epsilon, cfg.rel_tol
     _check_start(c3.a_init, t_end, eps, cfg.max_step)
 
@@ -482,7 +466,7 @@ def integrate_scales_3d(c3: ThreeAxisParams, t_end: float,
             return "collapsed"
         return None
 
-    sol = _rk.solve(rhs, 0.0, tuple(c3.a_init) + tuple(c3.adot_init), t_end,
+    sol = _rk.solve(rhs, tuple(c3.a_init) + tuple(c3.adot_init), t_end,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
                     positive=_AXES, node_exit=node_exit if xi3 <= 0.0 else None)
     t, y = float(sol.ts[-1]), sol.ys[-1].tolist()
@@ -569,7 +553,7 @@ def euler_residual_3d(c3: ThreeAxisParams, scales: Scales3Trajectory, t: float,
 def residual_convergence(run, h_ladder):
     """Observed order of a residual operation across an h-ladder.
 
-    ``run`` maps h to either a ResidualReport or a bare residual float.
+    ``run`` maps h to a ResidualReport.
     Returns a dict with the ladder, per-h residuals, the least-squares slope
     of log(residual) vs log(h), and "not_applicable" = True when residuals
     sit at the rounding floor (machine-zero fields have no order).
@@ -579,10 +563,7 @@ def residual_convergence(run, h_ladder):
         raise LadderTooShort(f"need >= 3 rungs, got {len(ladder)}")
     if any(h2 >= h1 for h1, h2 in zip(ladder, ladder[1:])):
         raise ValueError("h-ladder must be strictly decreasing")
-    residuals = []
-    for h in ladder:
-        out = run(h)
-        residuals.append(out.max_normalized if isinstance(out, ResidualReport) else float(out))
+    residuals = [run(h).max_normalized for h in ladder]
     floor = 1e-13
     if all(r <= floor for r in residuals):
         return {"h": ladder, "residuals": residuals, "order": None, "not_applicable": True}

@@ -457,6 +457,11 @@ HUGE_XI = ["--gamma", "1.5", "--K", "1", "--xi", "1e200", "--lam", "-1",
     ["verify", "--preset", "periodic-demo", "--K=1e-320", "--a1=2.0"],
     ["eval", "--preset", "periodic-demo", "--K=1e-320"],
     ["fvbench", "--preset", "periodic-demo", "--K=1e-320", "--resolutions", "16,32"],
+    # An empty or inverted annulus: r = 0 on the grid, or a mirrored grid that passed.
+    ["verify", "--preset", "generic-smooth", "--r-hi=-0.0", "--mass-sweep", "1"],
+    ["verify", "--preset", "generic-smooth", "--r-lo", "1.5", "--r-hi", "0.5"],
+    # gamma K overflows, so the peak wave speed is inf and the first step's dt is 0.
+    ["fvbench", "--preset", "gamma3-critical", "--K=1.7976931348623157e+308"],
 ])
 def test_bad_values_are_domain_errors(args, capsys):
     start = time.perf_counter()

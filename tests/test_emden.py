@@ -15,6 +15,7 @@ from swirlgas import (
     NonPositiveTime,
     ScaleState,
     SolutionParams,
+    StepBudgetExceeded,
     TerminalEvent,
     ThreeAxisParams,
     classify,
@@ -266,6 +267,30 @@ def test_linear_collapse_double_root_ends_collapsed(p, tol):
     assert abs(traj.terminal.t - 1000.0) <= 1e-6      # classify's 2aII bracket
 
 
+@pytest.mark.parametrize("max_step", [3e-3, 1e-3, 1e-4])
+def test_linear_collapse_under_a_capped_step_lands_in_its_bracket(max_step):
+    # linear-blowup-demo's q = (1 - t/2)^2 touches zero at t* = -a0/a1 = 2.
+    # Each of its many steps moves the double root by about eps a0^2, so a
+    # fixed touch level let the run fall past the touch into the a =
+    # collapse_epsilon exit, whose event missed t* by 3e-7 to 7e-7.
+    traj = integrate(P(2, 1, -1, a1=-0.5), IntegrationConfig(max_step=max_step))
+    lo, hi = traj.terminal.bracket
+    assert traj.terminal.kind == "collapsed" and lo <= 2.0 <= hi
+
+
+@pytest.mark.parametrize("p, t_star", [(P(2, 1, -2), 1.0), (P(2, 1, -1, a1=-0.5), 2.0)],
+                         ids=["blowup-demo", "linear-blowup-demo"])
+def test_the_step_budget_counts_to_a_parabola_collapse(p, t_star, monkeypatch):
+    # Where q is a parabola the run ends at its first root: steps of max_step
+    # to t_end = 10 pass a budget of 3,000, and the 1,000 or 2,000 to t* do not.
+    monkeypatch.setattr(_rk, "_MAX_STEPS", 3000)
+    traj = integrate(p, IntegrationConfig(max_step=1e-3, t_end=10.0))
+    lo, hi = traj.terminal.bracket
+    assert traj.terminal.kind == "collapsed" and lo <= t_star <= hi
+    with pytest.raises(StepBudgetExceeded):
+        integrate(P(1.5, 1, -2), IntegrationConfig(max_step=1e-3, t_end=10.0))
+
+
 def test_gamma2_global_orbit_takes_few_steps():
     # In q the gamma = 2 equation is qddot = 4 E0: the 5(4) pair is exact
     # on it, and the steps grow at the controller's largest factor.
@@ -401,14 +426,14 @@ def test_rk_step_failure_is_reported(monkeypatch):
         return np.array([math.copysign(1e6, math.sin(1e5 * t))])
 
     monkeypatch.setattr(_rk, "_MAX_STEPS", 2000)
-    sol = _rk.solve(nasty, 0.0, np.array([1.0]), 1.0, rtol=1e-12, atol=1e-12)
+    sol = _rk.solve(nasty, np.array([1.0]), 1.0, rtol=1e-12, atol=1e-12)
     assert sol.status in ("step_failure", "reached_end")
     # Either outcome must leave a usable trajectory prefix.
     assert sol.ts.size >= 1
 
 
 def test_rk_dense_output_accuracy():
-    sol = _rk.solve(lambda t, y: np.array([y[1], -y[0]]), 0.0,
+    sol = _rk.solve(lambda t, y: np.array([y[1], -y[0]]),
                     np.array([1.0, 0.0]), 6.0, rtol=1e-10, atol=1e-10)
     ts = np.linspace(0, 6, 500)
     ys = sol.eval_dense(ts)
@@ -454,7 +479,7 @@ def test_dense_output_scalar_shape_and_span():
 
 
 def test_dense_output_of_a_single_node():
-    sol = _rk.solve(lambda t, y: (y[1], -y[0]), 0.0, (1.0, 0.5), 0.0)
+    sol = _rk.solve(lambda t, y: (y[1], -y[0]), (1.0, 0.5), 0.0)
     assert sol.ts.size == 1 and sol.dense_q.shape == (0, 2, 4)
     assert np.array_equal(sol.eval_dense(0.0), [1.0, 0.5])
     assert np.array_equal(sol.eval_dense(np.array([0.0, 0.0])), [[1.0, 0.5], [1.0, 0.5]])
@@ -520,7 +545,7 @@ def _reference_step(f, t0, y0, h):
 def test_first_step_matches_a_numpy_reference(f, y0):
     # Guards the written-out stage sums against transcription errors.
     y0 = np.array(y0)
-    sol = _rk.solve(f, 0.0, y0, 1.0, rtol=1e-8, atol=1e-8)
+    sol = _rk.solve(f, y0, 1.0, rtol=1e-8, atol=1e-8)
     h = sol.hs[1]
     y_ref, err_ref, K = _reference_step(f, 0.0, y0, h)
     assert np.max(np.abs(sol.ys[1] - y_ref)) <= 1e-14 * np.max(np.abs(y_ref))
@@ -596,19 +621,24 @@ def test_generic_step_outcome(f, y, h, expected, positive):
 
 
 def _scale_exit(A, C, P, handoff=0.0, collapse_tol=0.0, q_floor=0.0, q_touch=0.0):
-    """solve_scale's exit rules as solve's node_exit callback."""
+    """solve_scale's exit rules as solve's node_exit callback; solve calls it
+    at every accepted node before t_end, so its calls count the nodes."""
     rhs = _rk.scale_rhs(A, C, P)
+    nodes = 0
 
     def node_exit(t, y):
+        nonlocal nodes
+        nodes += 1
         q, qdot = y
         if qdot < 0.0:
             if q < handoff:
                 return "handoff"
             if collapse_tol and (q <= q_floor or 2.0 * q / -qdot <= collapse_tol * max(1.0, t)):
                 return "collapsed"
-        if q <= q_touch:
+        touch = q_touch * nodes
+        if q <= touch:
             acc = rhs(t, y)[1]
-            if acc > 0.0 and q - qdot * qdot / (2.0 * acc) > -q_touch:
+            if acc > 0.0 and q - qdot * qdot / (2.0 * acc) > -touch:
                 return "touched"
         return None
     return node_exit
@@ -616,7 +646,7 @@ def _scale_exit(A, C, P, handoff=0.0, collapse_tol=0.0, q_floor=0.0, q_touch=0.0
 
 def _through_solve(A, C, P, y0, t_end, *, rtol=1e-10, atol=1e-10, max_step=math.inf, **exits):
     """solve_scale's run made by the generic solve, with the equivalent callbacks."""
-    return _rk.solve(_rk.scale_rhs(A, C, P), 0.0, y0, t_end, rtol=rtol, atol=atol,
+    return _rk.solve(_rk.scale_rhs(A, C, P), y0, t_end, rtol=rtol, atol=atol,
                      max_step=max_step, positive=(0,), step_bound=_tangent_bound,
                      node_exit=_scale_exit(A, C, P, **exits))
 
@@ -680,7 +710,7 @@ def test_two_component_step_is_bitwise_the_generic_step(force, y, h, accepted, p
     assert isinstance(out, bytes) if accepted else out == "rejected"
     with mock.patch.object(_rk, "_initial_step", lambda *args: h):
         scale = _rk.solve_scale(*force, y, h)
-        generic = _rk.solve(ref, 0.0, y, h, positive=positive, step_bound=_tangent_bound)
+        generic = _rk.solve(ref, y, h, positive=positive, step_bound=_tangent_bound)
     _assert_same_run(scale, generic)
 
 
@@ -764,7 +794,7 @@ def _plunge_exit(k, t_end, collapse_tol, a_floor):
 def _plunge_through_solve(B, D, k, y0, t_end, collapse_tol, a_floor, *, rtol=1e-10,
                           atol=1e-10, max_step=math.inf):
     """solve_plunge's run made by the generic solve, with the equivalent callbacks."""
-    return _rk.solve(_rk.plunge_rhs(B, D, k), 0.0, y0, math.inf, rtol=rtol, atol=atol,
+    return _rk.solve(_rk.plunge_rhs(B, D, k), y0, math.inf, rtol=rtol, atol=atol,
                      positive=(0,), step_bound=_plunge_bound(k, max_step),
                      node_exit=_plunge_exit(k, t_end, collapse_tol, a_floor))
 

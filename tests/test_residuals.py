@@ -65,8 +65,7 @@ def test_generic_family_residual_second_order(generic_traj):
 def test_uniform_static_residual_is_zero():
     p = SolutionParams(gamma=1.4, K=1, xi=0.0, lam=0.0, alpha=1, a0=1, a1=0)
     traj = integrate(p, IntegrationConfig(t_end=1.0))
-    grid = GridSpec(kind="box", x_lo=-1, x_hi=1, y_lo=-1, y_hi=1, nx=8, ny=8,
-                    h=1e-3, h_t=5e-4)
+    grid = GridSpec(kind="annulus", r_lo=0.05, r_hi=1.4, n_r=8, n_theta=8, h=1e-3, h_t=5e-4)
     rep = euler_residual_2d(p, traj, 0.5, grid)
     assert rep.max_normalized == 0.0
 
@@ -272,7 +271,7 @@ def test_3d_isotropic_matches_scalar_reduction():
     c3 = ThreeAxisParams(gamma=g, K=1.0, xi3=1.0, alpha3=1.0)
     sc = integrate_scales_3d(c3, 1.0)
     sol = _rk.solve(lambda t, y: np.array([y[1], 1.0 / y[0] ** (3 * g - 2)]),
-                    0.0, np.array([1.0, 0.0]), 1.0, rtol=1e-12, atol=1e-12)
+                    np.array([1.0, 0.0]), 1.0, rtol=1e-12, atol=1e-12)
     assert abs(sc.a[-1, 0] - sol.ys[-1, 0]) <= 1e-8
 
 
@@ -317,7 +316,7 @@ def test_collapse_bracket_spans_the_remaining_time_bound():
     # u = rel_tol max(1, t_n), and report the bracket [t_n - u, t_n + b + u].
     cfg = IntegrationConfig(t_end=2.0)
     traj = integrate(SolutionParams(gamma=2, K=1, xi=1, lam=-2, alpha=1, a0=1, a1=0), cfg)
-    sc = integrate_scales_3d(ThreeAxisParams(gamma=1.4, K=1.0, xi3=-1.0, alpha3=1.0), 10.0, cfg)
+    sc = integrate_scales_3d(ThreeAxisParams(gamma=1.4, K=1.0, xi3=-1.0, alpha3=1.0), 10.0)
     for ev, t_n, b in ((traj.terminal, traj.ts[-1], traj.a[-1] / -traj.adot[-1]),
                        (sc.terminal, sc.ts[-1], np.min(sc.a[-1] / -sc.adot[-1]))):
         u = cfg.rel_tol * max(1.0, t_n)
@@ -334,7 +333,7 @@ def test_a_start_at_or_below_the_collapse_epsilon_is_collapsed_in_both_integrato
             integrate(SolutionParams(gamma=2, K=1, xi=1, lam=0, alpha=1, a0=a, a1=0), cfg)
         with pytest.raises(CollapsedState):
             integrate_scales_3d(ThreeAxisParams(gamma=1.4, K=1.0, xi3=1.0, alpha3=1.0,
-                                                a_init=(1.0, a, 1.0)), 1.0, cfg)
+                                                a_init=(1.0, a, 1.0)), 1.0)
 
 
 def test_3d_integration_needs_a_positive_t_end_like_2d():
@@ -558,8 +557,8 @@ def test_convergence_negative_control_plateaus(generic_traj):
 def test_convergence_not_applicable_for_machine_zero():
     p = SolutionParams(gamma=1.4, K=1, xi=0.0, lam=0.0, alpha=1, a0=1, a1=0)
     traj = integrate(p, IntegrationConfig(t_end=1.0))
-    grid = lambda h: GridSpec(kind="box", x_lo=-1, x_hi=1, y_lo=-1, y_hi=1,
-                              nx=6, ny=6, h=h, h_t=h / 2)
+    grid = lambda h: GridSpec(kind="annulus", r_lo=0.05, r_hi=1.4, n_r=6, n_theta=6,
+                              h=h, h_t=h / 2)
     study = residual_convergence(
         lambda h: euler_residual_2d(p, traj, 0.5, grid(h)), [4e-3, 2e-3, 1e-3])
     assert study["not_applicable"]
@@ -567,7 +566,7 @@ def test_convergence_not_applicable_for_machine_zero():
 
 
 def test_convergence_ladder_validation(generic_traj):
-    run = lambda h: 1.0
+    run = lambda h: pytest.fail("the ladder is checked before any run")
     with pytest.raises(LadderTooShort):
         residual_convergence(run, [1e-3, 5e-4])
     with pytest.raises(ValueError):
@@ -636,7 +635,7 @@ def _reference_balance(field, X, h, order, time_derivative, mu=0.0):
     return eqs, viscous
 
 
-BOX = dict(kind="box", x_lo=-1.0, x_hi=0.9, y_lo=-0.8, y_hi=1.0, nx=9, ny=11)
+NEAR_CORE = dict(kind="annulus", r_lo=0.05, r_hi=1.3, n_r=9, n_theta=11)
 WEIRD_SWIRL = GenericRotationField(f=lambda eta: np.exp(-eta ** 2),
                                    G=lambda t, r: (1 + t) * r ** 2 * np.sin(r),
                                    a=lambda t: 1.0 + t, adot=lambda t: 1.0)
@@ -644,9 +643,10 @@ BALANCE_CASES = {
     "annulus": lambda traj: euler_residual_2d(GENERIC, traj, 0.5, grid_2d(1e-3)),
     "annulus-viscous": lambda traj: euler_residual_2d(GENERIC, traj, 0.5,
                                                       grid_2d(1e-2, h_t=5e-4), mu=3.7),
-    "box": lambda traj: euler_residual_2d(GENERIC, traj, 0.5, GridSpec(**BOX, h=1e-3, h_t=5e-4)),
-    "box-viscous": lambda traj: euler_residual_2d(GENERIC, traj, 0.5,
-                                                  GridSpec(**BOX, h=1e-2, h_t=5e-4), mu=1.0),
+    "near-core": lambda traj: euler_residual_2d(GENERIC, traj, 0.5,
+                                                GridSpec(**NEAR_CORE, h=1e-3, h_t=5e-4)),
+    "near-core-viscous": lambda traj: euler_residual_2d(
+        GENERIC, traj, 0.5, GridSpec(**NEAR_CORE, h=1e-2, h_t=5e-4), mu=1.0),
     "density-control": lambda traj: euler_residual_2d(GENERIC, traj, 0.5, grid_2d(2e-3),
                                                       density_factor=1.01),
     "three-axis-drift": lambda traj: euler_residual_3d(
@@ -721,10 +721,10 @@ def test_points_are_read_only_and_shared_by_geometry():
 
 
 def test_points_of_different_geometries_are_apart():
-    # A box with the annulus's (r, theta) ranges holds the unmapped grid.
+    # The annulus's (r, theta) axes, not mapped to (x, y), are another geometry.
     annulus = GridSpec(kind="annulus", r_lo=0.3, r_hi=1.5, n_r=6, n_theta=8)
-    box = GridSpec(kind="box", x_lo=0.3, x_hi=1.5, nx=6, y_lo=0.0, y_hi=1.75 * math.pi, ny=8)
-    (x, y), (r, th) = annulus.points(), box.points()
+    unmapped = residuals._points(False, ((0.3, 1.5, 6), (0.0, 2.0 * math.pi, 8, False)))
+    (x, y), (r, th) = annulus.points(), unmapped
     assert x is not r and y is not th
     assert np.array_equal(x, r * np.cos(th)) and np.array_equal(y, r * np.sin(th))
     g3 = Grid3Spec(half_width=0.4, n=5)
