@@ -37,18 +37,15 @@ from .fields import (
     zhang_zheng_arrays,
     zhang_zheng_embedding,
 )
-from .emden import (
+from .orbit import (
     EnergySplit,
-    IntegrationConfig,
-    TerminalEvent,
-    Trajectory,
     closed_form_gamma2,
     emden_rhs,
     energy_of,
     gamma2_scale_squared_coeffs,
-    integrate,
     potential,
 )
+from .emden import IntegrationConfig, TerminalEvent, Trajectory, integrate
 from .regimes import (
     CertificationReport,
     CriticalData,

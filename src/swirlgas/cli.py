@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fv, regimes, residuals
-from .emden import IntegrationConfig, _check_span, closed_form_gamma2, integrate
+from .emden import IntegrationConfig, _check_span, integrate
 from .errors import InvalidParams, SwirlgasError
 from .fields import (
     ScaleState,
@@ -46,6 +46,7 @@ from .fields import (
     zhang_zheng_arrays,
     zhang_zheng_embedding,
 )
+from .orbit import closed_form_gamma2
 
 PRESETS = {
     "zhang-zheng": asdict(zhang_zheng_embedding()),

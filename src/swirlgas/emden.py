@@ -2,19 +2,14 @@
 
     addot = xi^2 / a^3 + lam / a^(2 gamma - 1),    a(0) = a0 > 0, adot(0) = a1.
 
-This one-degree-of-freedom system conserves
-
-    E = adot^2 / 2 + xi^2 / (2 a^2) + lam / ((2 gamma - 2) a^(2 gamma - 2)),
-
-which the integrator monitors node by node.  For gamma = 2 the equation
-collapses to addot = (xi^2 + lam)/a^3 and a^2(t) is an exact quadratic in t;
-``closed_form_gamma2`` provides that closed form as an independent oracle.
+Its energy E = adot^2/2 + F_pot(a) (``orbit``) is conserved, and the
+integrator monitors it node by node.
 
 ``integrate`` steps q = a^2 instead (Levi-Civita's regularization in one
-degree of freedom): with E held at E(0), qddot = 4 E(0) + c q^(1 - gamma),
-c = 2 lam (gamma - 2)/(gamma - 1).  The centrifugal term drops out, a bounce
-is a smooth turn of q, and for gamma = 2 q is the quadratic itself, which the
-adaptive 5(4) pair of ``_rk`` reproduces to rounding.  Trajectories report
+degree of freedom): with E held at E(0), qddot = 4 E(0) + c q^(1 - gamma)
+(``orbit.q_force``) has no centrifugal term, a bounce is a smooth turn of q,
+and for gamma = 2 q is the quadratic itself, which the adaptive 5(4) pair of
+``_rk`` reproduces to rounding.  Trajectories report
 a = sqrt(q), adot = qdot/(2 a) and E from those, so the drift of E checks the
 q system's first integral.
 
@@ -40,31 +35,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _rk
-from .errors import (CollapsedAtOrBefore, CollapsedState, IntegrationFailed, InvalidParams,
-                     NonPositiveTime, StepBudgetExceeded, TrajectoryTooShort)
+from .errors import (CollapsedState, IntegrationFailed, InvalidParams, NonPositiveTime,
+                     StepBudgetExceeded, TrajectoryTooShort)
 from .fields import ScaleState, SolutionParams
+from .orbit import (_q_collapses, a3_force, barrier, collapse_time, energy_of, plunge_drift,
+                    plunge_force, potential, q_force)
 
-__all__ = [
-    "EnergySplit",
-    "IntegrationConfig",
-    "TerminalEvent",
-    "Trajectory",
-    "emden_rhs",
-    "energy_of",
-    "potential",
-    "integrate",
-    "closed_form_gamma2",
-    "gamma2_scale_squared_coeffs",
-]
-
-
-@dataclass(frozen=True)
-class EnergySplit:
-    """Total energy and its kinetic/potential parts; E = F_kin + F_pot."""
-
-    E: float
-    F_kin: float
-    F_pot: float
+__all__ = ["IntegrationConfig", "TerminalEvent", "Trajectory", "integrate"]
 
 
 @dataclass(frozen=True)
@@ -102,48 +79,6 @@ class TerminalEvent:
     message: str = ""
 
 
-def potential(a, params: SolutionParams):
-    """Effective potential F_pot(a) = xi^2/(2 a^2) + lam/((2g-2) a^(2g-2)).
-
-    Overflow to +-inf for extreme scales is the correct limit and is allowed.
-    """
-    a_arr = np.asarray(a, dtype=float)
-    if np.any(a_arr <= 0.0):
-        raise CollapsedState("potential requires a > 0")
-    two_g_minus_2 = 2.0 * params.gamma - 2.0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        val = (params.xi ** 2 / (2.0 * a_arr ** 2)
-               + params.lam / (two_g_minus_2 * a_arr ** two_g_minus_2))
-    return float(val) if a_arr.ndim == 0 else val
-
-
-def energy_of(a: float, adot: float, params: SolutionParams) -> EnergySplit:
-    """Energy split for a starting (a, adot) = (a0, a1); InvalidParams unless E
-    and the q = a^2 that starts the integration are finite."""
-    if not a > 0.0:
-        raise CollapsedState(f"scale a = {a!r} is not positive")
-    if not a * a < math.inf:
-        raise InvalidParams(["NonFiniteSquare:a0"])
-    f_kin = 0.5 * adot * adot
-    try:
-        f_pot = potential(a, params)
-    except OverflowError:  # xi^2 beyond the float range
-        f_pot = math.inf
-    e = f_kin + f_pot
-    if not math.isfinite(e):
-        raise InvalidParams(["NonFiniteEnergy"])
-    return EnergySplit(E=e, F_kin=f_kin, F_pot=f_pot)
-
-
-def emden_rhs(state: ScaleState, params: SolutionParams):
-    """Right-hand side (adot, addot) of the scale equation."""
-    a = state.a
-    if not a > 0.0:
-        raise CollapsedState(f"scale a = {a!r} is not positive")
-    addot = params.xi ** 2 / _rk._fpow(a, 3) + params.lam / _rk._fpow(a, 2.0 * params.gamma - 1.0)
-    return state.adot, addot
-
-
 class Trajectory:
     """An integrated scale-factor path with dense output and energy record.
 
@@ -156,10 +91,8 @@ class Trajectory:
     ts, a, adot : node arrays
     hs : the step in t that produced each node (hs[0] = 0)
     E, F_kin, F_pot : per-node energy split
-    drift : per-node |E - E(0)| / max(1, |E(0)|) on q nodes.  On plunge nodes,
-        where E is a difference of terms of size a^(2 - 2 gamma), it is
-        |H| / max(1, |lam/(gamma - 1)|) of the plunge's first integral, whose terms
-        stay of order one: H = w^2 - 2 E(0) a^(2g-2) + xi^2 a^(2g-4) + lam/(g-1) = 0.
+    drift : per-node |E - E(0)| / max(1, |E(0)|) on q nodes, and on plunge nodes,
+        where E is a difference of terms of size a^(2 - 2 gamma), orbit.plunge_drift.
     terminal : TerminalEvent
     nfev, naccepted, nrejected, diagnostics : solver counters over both phases (read-only)
     """
@@ -195,22 +128,13 @@ class Trajectory:
             self.E = self.F_kin + self.F_pot
         self.drift = np.abs(self.E - self.E[0]) / max(1.0, abs(self.E[0]))
         if plunge is not None:
-            self.drift[sol.ts.size:] = self._plunge_drift(plunge.ys[1:, 0], plunge.ys[1:, 1])
+            e0 = energy_of(params.a0, params.a1, params).E
+            self.drift[sol.ts.size:] = plunge_drift(params, e0, plunge.ys[1:, 0], plunge.ys[1:, 1])
         self.drift[np.isnan(self.drift)] = math.inf
 
     @property
     def t_span(self):
         return float(self.ts[0]), float(self.ts[-1])
-
-    def _plunge_drift(self, a, w):
-        """|H| / max(1, |lam/(gamma - 1)|) at plunge nodes (a, w); see the class docstring."""
-        p = self.params
-        e0 = energy_of(p.a0, p.a1, p).E
-        lam_k = p.lam / (p.gamma - 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = (w * w - 2.0 * e0 * a ** (2.0 * p.gamma - 2.0)
-                 + p.xi * p.xi * a ** (2.0 * p.gamma - 4.0) + lam_k)
-        return np.abs(h) / max(1.0, abs(lam_k))
 
     def _rate(self, a, w):
         """adot = w a^(1 - gamma) of a plunge state (inf times w where the power
@@ -282,17 +206,16 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     The run steps (q, qdot) = (a^2, 2 a adot) under qddot = 4 E(0) + c q^(1 - gamma),
     at _Q_TOL times cfg's tolerances.  While q falls, a step is at most q/|qdot|,
     the time to the root of its tangent.  StepBudgetExceeded at once when
-    steps of cfg.max_step need more than _rk._MAX_STEPS to reach t_end or,
-    where q is a parabola (c = 0), its first root.
+    steps of cfg.max_step need more than _rk._MAX_STEPS to reach t_end or the
+    collapse that orbit.collapse_time predicts, which is worked out only then.
 
     A gamma > 2, lam < 0 orbit that falls below its barrier, where
     xi^2 a^(2 gamma - 4) < -lam and so addot < 0, never turns again and
     plunges to a = 0 like (t* - t)^(1/gamma); in q the steps would shrink
     with the time left.  At the first q node in that region (at t = 0 if the
     orbit starts there) the run hands off to Sundman time s, dt = a^(gamma-1) ds,
-    in which a is regular: it steps (a, w, t) with w = a^(gamma-1) adot under
-    a' = w, w' = 2 E(0) (gamma-1) a^(2gamma-3) - (gamma-2) xi^2 a^(2gamma-5),
-    t' = a^(gamma-1) (_rk.solve_plunge).  cfg.max_step bounds its steps in t,
+    in which a is regular: it steps (a, w, t), w = a^(gamma-1) adot, under
+    orbit.plunge_force (_rk.solve_plunge).  cfg.max_step bounds its steps in t,
     and a plunge that outlives t_end ends "reached_end", its last step cut
     where its dense t reaches t_end.
 
@@ -310,11 +233,12 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     a0, eps, g, lam = params.a0, cfg.collapse_epsilon, params.gamma, params.lam
     e0 = energy_of(a0, params.a1, params).E
     four_e0 = 4.0 * e0
-    c, p = 2.0 * lam * (g - 2.0) / (g - 1.0), 1.0 - g
+    c, p = q_force(params)
     y0 = (a0 * a0, 2.0 * a0 * params.a1)
-    t_root = _first_positive_root(2.0 * e0, y0[1], y0[0]) if c == 0.0 else None
-    _check_start((a0,), cfg.t_end, eps, cfg.max_step, t_root or math.inf)
-    q_barrier, falls = _plunge_level(params), _q_collapses(params)
+    t_stop = collapse_time(params, e0) if cfg.t_end / cfg.max_step > _rk._MAX_STEPS else math.inf
+    _check_start((a0,), cfg.t_end, eps, cfg.max_step, t_stop)
+    q_barrier = barrier(params)[1] if g > 2.0 and lam < 0.0 else 0.0
+    falls = _q_collapses(params)
 
     if y0[1] < 0.0 and y0[0] < q_barrier:       # the plunge starts at t = 0
         sol = _rk.RkSolution(ts=np.zeros(1), ys=np.array([y0]), hs=np.zeros(1),
@@ -331,9 +255,8 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     if sol.status == "collapsed":
         # share = 2 - 2 q qddot/qdot^2 = 1 - 4 a^3 addot/qdot^2 from the force, not from
         # q, whose double root in a force-free fall rounding lifts or lowers.
-        a3_addot = params.xi * params.xi + (lam * _rk._fpow(q, 2.0 - g) if lam else 0.0)
         end = _collapse_event(t, cfg.rel_tol,
-                              [(2.0 * q / -qdot, 1.0 - 4.0 * a3_addot / qdot / qdot)])
+                              [(2.0 * q / -qdot, 1.0 - 4.0 * a3_force(params, q) / qdot / qdot)])
     elif sol.status == "touched":       # the turn of q's parabola; qddot = 4 E(0) where c = 0
         t_turn, u = t - qdot / four_e0, cfg.rel_tol * max(1.0, t)
         end = TerminalEvent(kind="collapsed", t=t_turn, bracket=(t_turn - u, t_turn + u))
@@ -342,40 +265,13 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     return Trajectory(params, sol, end)
 
 
-def _log_stationary_scale(params: SolutionParams) -> float:
-    """ln of the potential's stationary point (-lam/xi^2)^(1/(2g-4)), as if xi^2 had no range."""
-    return (math.log(-params.lam) - 2.0 * math.log(abs(params.xi))) / (2.0 * params.gamma - 4.0)
-
-
-def _plunge_level(params: SolutionParams) -> float:
-    """q below which a gamma > 2, lam < 0 orbit is inside its barrier: the barrier's
-    a^2, where xi^2 a^(2 gamma - 4) = -lam, formed in log space (inf for xi = 0);
-    0 for every other orbit, which never hands off."""
-    if not (params.gamma > 2.0 and params.lam < 0.0):
-        return 0.0
-    if params.xi == 0.0:
-        return math.inf
-    log_q = 2.0 * _log_stationary_scale(params)
-    return math.exp(log_q) if log_q < 709.0 else math.inf
-
-
-def _q_collapses(params: SolutionParams) -> bool:
-    """Whether a fall in q can reach a = 0: the force is nowhere outward at gamma = 2
-    with xi^2 + lam <= 0 and at xi = 0 with lam <= 0 (at gamma > 2 the plunge takes
-    such falls).  On any other orbit F_pot -> +inf as a -> 0, or a fall in q hands off."""
-    lam = params.lam
-    return lam <= 0.0 and (params.xi == 0.0
-                           or (params.gamma == 2.0 and params.xi * params.xi + lam <= 0.0))
-
-
 def _plunge(params: SolutionParams, cfg: IntegrationConfig, e0: float,
             sol: _rk.RkSolution) -> Trajectory:
     """Continue a run from its handoff node (sol's last) in Sundman time; see integrate."""
-    g, k = params.gamma, params.gamma - 1.0
+    g, (B, D, k) = params.gamma, plunge_force(params, e0)
     t_h, (q, qdot) = float(sol.ts[-1]), sol.ys[-1].tolist()
     a = math.sqrt(q)
     w = _rk._fpow(a, k) * (qdot / (2.0 * a))
-    B, D = 2.0 * e0 * k, (g - 2.0) * params.xi * params.xi
     plunge = _rk.solve_plunge(B, D, k, (a, w, t_h), cfg.t_end, cfg.rel_tol, cfg.collapse_epsilon,
                               rtol=_Q_TOL * cfg.rel_tol, atol=_Q_TOL * cfg.abs_tol,
                               max_step=cfg.max_step)
@@ -470,52 +366,3 @@ _Q_TOL = 0.3
 # the double root of a 2aII collapse by at most about one of them (0.5 on
 # linear-blowup-demo at every max_step from 1e-5 to inf).
 _TOUCH_ULPS = 16.0
-
-
-def gamma2_scale_squared_coeffs(params: SolutionParams):
-    """Coefficients (c0, c1, c2) of a^2(t) = c0 + c1 t + c2 t^2 for gamma = 2.
-
-    c0 = a0^2, c1 = 2 a0 a1, c2 = 2 E(0) = a1^2 + (xi^2 + lam)/a0^2; exact
-    because (a^2)'' = 4 E is constant when gamma = 2.
-    """
-    if params.gamma != 2.0:
-        raise ValueError("closed form requires gamma = 2")
-    c0 = params.a0 ** 2
-    c1 = 2.0 * params.a0 * params.a1
-    c2 = params.a1 ** 2 + (params.xi ** 2 + params.lam) / params.a0 ** 2
-    return c0, c1, c2
-
-
-def closed_form_gamma2(params: SolutionParams, t: float) -> ScaleState:
-    """Exact gamma = 2 scale state at time t.
-
-    Raises CollapsedAtOrBefore if the quadratic a^2(t) has a root in (0, t].
-    """
-    c0, c1, c2 = gamma2_scale_squared_coeffs(params)
-    root = _first_positive_root(c2, c1, c0)
-    if root is not None and root <= t:
-        raise CollapsedAtOrBefore(root)
-    a_sq = c0 + c1 * t + c2 * t * t
-    if a_sq <= 0.0:
-        raise CollapsedAtOrBefore(root if root is not None else t)
-    a = math.sqrt(a_sq)
-    adot = (0.5 * c1 + c2 * t) / a
-    return ScaleState(t=float(t), a=a, adot=adot)
-
-
-def _first_positive_root(c2, c1, c0):
-    """Smallest root > 0 of c2 x^2 + c1 x + c0 (None if there is none)."""
-    if c2 == 0.0:
-        if c1 == 0.0:
-            return None
-        x = -c0 / c1
-        return x if x > 0.0 else None
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return None
-    sq = math.sqrt(disc)
-    # Numerically stable pairing of the two roots.
-    q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else 0.5 * sq
-    pos = [r for r in ((q / c2, c0 / q) if q != 0.0 else ()) if r > 0.0]
-    return min(pos) if pos else None
-

@@ -105,22 +105,34 @@ class ScaleState:
     adot: float
 
 
-def profile_law(s, gamma, K, c, alpha):
-    """max(-c (gamma-1)/(2 K gamma) s + alpha, 0)^(1/(gamma-1)) on an array s.
+def profile_law(s, gamma, K, c, alpha, scale=1.0):
+    """max(-c (gamma-1)/(2 K gamma) s + alpha, 0)^(1/(gamma-1)) / scale on an array s.
 
-    The density profile of both families: c is lam in 2D and xi3 in 3D.  The
-    base is clamped at zero before exponentiation so a fractional power never
-    sees a negative argument.  InvalidParams when the slope leaves the float
-    range (K far below c).
+    The density of both families: c is lam in 2D and xi3 in 3D, and scale
+    the product of the scale factors.  The base is clamped at zero before
+    exponentiation so a fractional power never sees a negative argument.
+    InvalidParams when the slope leaves the float range (K far below c), or
+    when the largest density or its power gamma, which the pressure takes,
+    would: one scalar check, before the power, on the largest base alpha +
+    slope max(s) (alpha where the slope is not positive, as s >= 0).
     """
     slope = -c * (gamma - 1.0) / (2.0 * K * gamma)
     if not -math.inf < slope < math.inf:
         raise InvalidParams(["NonFinite:profile_slope"])
+    base = float(alpha + slope * float(s.max(initial=0.0)) if slope > 0.0 else alpha)
+    try:        # math.pow raises OverflowError where numpy's power warns
+        rho = math.pow(base, 1.0 / (gamma - 1.0)) / float(scale) if base > 0.0 else 0.0
+        finite = math.pow(rho, gamma) < math.inf
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise InvalidParams([f"NonFiniteDensityPower:{base!r}"])
     f = slope * s
     f += alpha
     # In place on f, never on s; a 0-d s makes f a numpy scalar, which has no out=.
     f = np.maximum(f, 0.0, out=f if isinstance(f, np.ndarray) else None)
     f **= 1.0 / (gamma - 1.0)
+    f /= scale
     return f
 
 
@@ -200,8 +212,7 @@ def eval_flow_arrays(params: SolutionParams, state: ScaleState, x, y):
     s = x * x
     s += y * y
     s /= a2                     # s >= 0, so profile_f's sign check is not needed
-    rho = profile_law(s, params.gamma, params.K, params.lam, params.alpha)
-    rho /= a2
+    rho = profile_law(s, params.gamma, params.K, params.lam, params.alpha, a2)
     dil = state.adot / a
     swirl = params.xi / a2
     u1 = dil * x
@@ -241,7 +252,7 @@ def zhang_zheng_embedding(K: float = 1.0) -> SolutionParams:
     Matching the swirl rate fixes xi = -1/2 (clockwise), the density profile
     fixes lam = -1/2 and alpha = 0, and a = sqrt(t) pins (a0, a1) = (1, 1/2)
     at the fixture time t = 1, where the family clock starts.  There 2 E(0) =
-    a1^2 + (xi^2 + lam)/a0^2 = 0, so ``emden.closed_form_gamma2(params, tau)``
+    a1^2 + (xi^2 + lam)/a0^2 = 0, so ``orbit.closed_form_gamma2(params, tau)``
     is the fixture scale sqrt(1 + tau).  Density, speed AND both velocity
     components match; the mirrored fixture (u2 negated) matches only in
     density and speed and fails the governing equations.

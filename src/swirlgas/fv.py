@@ -27,6 +27,7 @@ makes them on first use, and ``run`` drops them before it returns.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,10 +61,15 @@ class FvConfig:
         violations = []
         if not 0.0 < self.cfl < 1.0:
             violations.append("CflOutsideUnitInterval")
-        if not (self.x_hi > self.x_lo and self.y_hi > self.y_lo):
+        empty = not (self.x_hi > self.x_lo and self.y_hi > self.y_lo)
+        if empty:
             violations.append("EmptyBox")
         if self.nx < 16 or self.ny < 16:
             violations.append("ResolutionBelow16")
+        elif not (empty or self.dx * self.dy >= sys.float_info.min):
+            # The L1 errors weigh by the cell area, and the exact density at a
+            # cell centre squares coordinates of its size: both must not underflow.
+            violations.append(f"CellAreaUnderflow:{self.dx * self.dy!r}")
         if self.boundary not in ("exact", "outflow"):
             violations.append(f"UnknownBoundary:{self.boundary}")
         if violations:
@@ -202,6 +208,9 @@ def step(field: ConservativeField, params: SolutionParams,
     if not math.isfinite(smax):
         raise NonFiniteState(f"peak wave speed {smax} at t = {field.t}")
     dt = cfg.cfl * min(cfg.dx, cfg.dy) / smax
+    if not dt > 0.0:        # the run could never reach t_end
+        raise StepBudgetExceeded(f"the CFL step {cfg.cfl!r} * {min(cfg.dx, cfg.dy)!r} / "
+                                 f"{smax!r} underflows to {dt!r}")
     if dt_cap is not None:
         dt = min(dt, dt_cap)
 

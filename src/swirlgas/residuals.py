@@ -482,8 +482,7 @@ def eval_flow_3d_arrays(c3: ThreeAxisParams, a, adot, t: float, x, y, z):
     d = c3.drift_at(t)
     xr, yr, zr = x - d[0], y - d[1], z - d[2]
     lo, mid, hi = _order3((xr / a[0]) ** 2, (yr / a[1]) ** 2, (zr / a[2]) ** 2)
-    f = profile_law(lo + mid + hi, c3.gamma, c3.K, c3.xi3, c3.alpha3)
-    rho = f / _ordered_prod3(a)
+    rho = profile_law(lo + mid + hi, c3.gamma, c3.K, c3.xi3, c3.alpha3, _ordered_prod3(a))
     u1 = (adot[0] / a[0]) * xr + c3.drift_rate[0]
     u2 = (adot[1] / a[1]) * yr + c3.drift_rate[1]
     u3 = (adot[2] / a[2]) * zr + c3.drift_rate[2]

@@ -462,6 +462,16 @@ HUGE_XI = ["--gamma", "1.5", "--K", "1", "--xi", "1e200", "--lam", "-1",
     ["verify", "--preset", "generic-smooth", "--r-lo", "1.5", "--r-hi", "0.5"],
     # gamma K overflows, so the peak wave speed is inf and the first step's dt is 0.
     ["fvbench", "--preset", "gamma3-critical", "--K=1.7976931348623157e+308"],
+    # Cells of 1.25e-321: their area underflows, and so would the first CFL
+    # step (a ZeroDivisionError) and the density at every cell centre (0 / 0).
+    ["fvbench", "--preset", "gamma2-oracle", "--K=1e-30", "--box=1e-320", "--gamma=1e160",
+     "--resolutions", "16,32"],
+    ["fvbench", "--preset", "zhang-zheng", "--box=1e-320", "--resolutions", "16,32"],
+    # The density's power 1/(gamma - 1), or the pressure's gamma, overflows.
+    ["eval", "--preset", "periodic-demo", "--xi=0", "--lam=-1e+300"],
+    ["eval", "--preset", "gamma3-critical", "--lam=-1e+300", "--alpha=1e-320", "--a1=2",
+     "--collapse-epsilon=0.5"],
+    ["fvbench", "--preset", "generic-smooth", "--alpha=1e300"],
 ])
 def test_bad_values_are_domain_errors(args, capsys):
     start = time.perf_counter()

@@ -27,7 +27,7 @@ from swirlgas import (
     integrate_scales_3d,
 )
 from swirlgas import _rk
-from swirlgas.emden import _first_positive_root
+from swirlgas.orbit import _first_positive_root
 
 
 def P(gamma, xi, lam, a0=1.0, a1=0.0, K=1.0, alpha=1.0):
@@ -278,11 +278,15 @@ def test_linear_collapse_under_a_capped_step_lands_in_its_bracket(max_step):
     assert traj.terminal.kind == "collapsed" and lo <= 2.0 <= hi
 
 
-@pytest.mark.parametrize("p, t_star", [(P(2, 1, -2), 1.0), (P(2, 1, -1, a1=-0.5), 2.0)],
-                         ids=["blowup-demo", "linear-blowup-demo"])
-def test_the_step_budget_counts_to_a_parabola_collapse(p, t_star, monkeypatch):
-    # Where q is a parabola the run ends at its first root: steps of max_step
-    # to t_end = 10 pass a budget of 3,000, and the 1,000 or 2,000 to t* do not.
+@pytest.mark.parametrize("p, t_star", [(P(2, 1, -2), 1.0), (P(2, 1, -1, a1=-0.5), 2.0),
+                                        (P(3, 1, -2), 0.7853981633974482),
+                                        (P(1.4, 0, -1), 1.136655629415973)],
+                         ids=["blowup-demo", "linear-blowup-demo", "gamma3-plunge", "xi0-fall"])
+def test_the_step_budget_counts_to_the_predicted_collapse(p, t_star, monkeypatch):
+    # Where the orbit collapses the run ends there: steps of max_step to t_end
+    # = 10 pass a budget of 3,000, and the 786 to 2,000 to t* do not.  t* is the
+    # first root of q's parabola, or the energy quadrature of a gamma > 2 plunge
+    # and of a xi = 0 fall.
     monkeypatch.setattr(_rk, "_MAX_STEPS", 3000)
     traj = integrate(p, IntegrationConfig(max_step=1e-3, t_end=10.0))
     lo, hi = traj.terminal.bracket

@@ -49,6 +49,20 @@ def test_config_validation():
         FvConfig(nx=8)
     with pytest.raises(ValueError):
         FvConfig(boundary="periodic")
+    # A cell of 1.25e-321 squared is 0: every L1 error would read 0, and the
+    # exact density at a cell centre squares coordinates of that size.
+    with pytest.raises(ValueError, match="CellAreaUnderflow:0.0"):
+        FvConfig(x_lo=-1e-320, x_hi=1e-320, y_lo=-1e-320, y_hi=1e-320, nx=16, ny=16)
+
+
+def test_a_cfl_step_that_underflows_is_a_step_budget_error():
+    # A cell 1.25e-301 wide against a sound speed of about 1e30: dt is 0, and
+    # the run could never reach t_end.
+    loud = SolutionParams(gamma=1.5, K=1e60, xi=1.0, lam=-2.0, alpha=1.0, a0=1.0, a1=0.0)
+    traj = integrate(loud, IntegrationConfig(t_end=0.5))
+    cfg = FvConfig(x_lo=-1e-300, x_hi=1e-300, y_lo=-1.0, y_hi=1.0, nx=16, ny=16, t_end=0.1)
+    with pytest.raises(StepBudgetExceeded, match="underflows to 0.0"):
+        run(loud, traj, cfg)
 
 
 def test_init_uniform_static(static_traj):

@@ -1,9 +1,11 @@
 """Decision tree, turning points, period quadrature, certification."""
 
+import ast
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,11 +35,38 @@ from swirlgas import (
     potential,
     turning_points,
 )
-from swirlgas.emden import _first_positive_root
+from swirlgas.orbit import _first_positive_root
 
 
 def P(gamma, xi, lam, a0=1.0, a1=0.0, K=1.0, alpha=1.0):
     return SolutionParams(gamma=gamma, K=K, xi=xi, lam=lam, alpha=alpha, a0=a0, a1=a1)
+
+
+# ----------------------------------------------------------- module boundary
+
+def _imports(module):
+    """(module relative to the package, imported names, private attributes read
+    from a module name) for each import and attribute of swirlgas/<module>.py."""
+    tree = ast.parse((Path(swirlgas.__file__).parent / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or "" if node.level else node.module.removeprefix("swirlgas")
+            yield base.lstrip("."), [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            yield from ((a.name.removeprefix("swirlgas").lstrip("."), []) for a in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield node.value.id, [node.attr]
+
+
+def test_the_orbit_module_sits_below_emden_and_regimes():
+    # orbit is the one home of the potential's geometry: it imports neither of
+    # the modules that use it, and regimes reads no private name of emden.
+    for module, names in _imports("orbit"):
+        assert module not in ("emden", "regimes"), (module, names)
+        assert not (module == "" and {"emden", "regimes"} & set(names)), names
+    for module, names in _imports("regimes"):
+        if module == "emden":
+            assert not [n for n in names if n.startswith("_")], names
 
 
 # ----------------------------------------------------------- potential
