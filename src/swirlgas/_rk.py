@@ -385,7 +385,7 @@ def scale_rhs(A, C, P):
 
 
 def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
-                handoff=0.0, collapse_tol=0.0, q_floor=0.0, q_touch=0.0):
+                handoff=0.0, collapse_tol=0.0, q_floor=0.0):
     """Integrate y = (q, qdot) under qddot = A + C q^P from t = 0 to t_end.
 
     q must stay > 0 at every stage, and while q falls a step is at most
@@ -398,10 +398,7 @@ def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     * qdot < 0 and q < handoff: status "handoff";
     * collapse_tol > 0, qdot < 0 and either q <= q_floor or the
       remaining-time bound 2 q/|qdot| is at most collapse_tol max(1, t):
-      status "collapsed";
-    * q <= q_touch n and the node's parabola q + qdot tau + qddot tau^2/2
-      turns (qddot > 0) above -q_touch n, n the accepted steps so far:
-      status "touched".
+      status "collapsed".
     """
     inf, sqrt = math.inf, math.sqrt
     rhs = scale_rhs(A, C, P)
@@ -507,18 +504,13 @@ def solve_scale(A, C, P, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
               else _MIN_FACTOR)
         err_prev = 1e-4 if err < 1e-4 else err
 
-        if t_new < t_end:
-            if w1 < 0.0:
-                if w0 < handoff:
-                    status = "handoff"
-                    break
-                if collapse_tol and (w0 <= q_floor or 2.0 * w0 / -w1
-                                     <= collapse_tol * (t_new if t_new > 1.0 else 1.0)):
-                    status = "collapsed"
-                    break
-            touch = q_touch * naccepted
-            if w0 <= touch and g7 > 0.0 and w0 - w1 * w1 / (2.0 * g7) > -touch:
-                status = "touched"
+        if t_new < t_end and w1 < 0.0:
+            if w0 < handoff:
+                status = "handoff"
+                break
+            if collapse_tol and (w0 <= q_floor or 2.0 * w0 / -w1
+                                 <= collapse_tol * (t_new if t_new > 1.0 else 1.0)):
+                status = "collapsed"
                 break
         t, v0, v1, g1 = t_new, w0, w1, g7
 

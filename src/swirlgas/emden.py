@@ -23,8 +23,10 @@ at most b = a/|adot|, so the run ends at the first falling node with
 b <= rel_tol max(1, t) or a <= collapse_epsilon.  The event is t + b/share,
 the time left of the node's local power law a ~ (t* - t)^p, 1/p = share =
 1 - a addot/adot^2 (gamma in a plunge, 1 in a force-free fall), in
-[t - u, t + b + u] with u = rel_tol max(1, t).  Only orbits that can collapse
-have these exits; on any other a step failing at the step floor is a failure.
+[t - u, t + b + u] with u = rel_tol max(1, t).  Where q is a parabola (c = 0)
+its collapse time t* is closed-form (orbit.parabola_collapse): the run stops
+at t* at the latest, and the event is t*.  Only orbits that can collapse have
+these exits; on any other a step failing at the step floor is a failure.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from . import _rk
 from .errors import (CollapsedState, IntegrationFailed, InvalidParams, NonPositiveTime,
                      StepBudgetExceeded, TrajectoryTooShort)
 from .fields import ScaleState, SolutionParams
-from .orbit import (_q_collapses, a3_force, barrier, collapse_time, energy_of, plunge_drift,
+from .orbit import (barrier, collapse_time, energy_of, parabola_collapse, plunge_drift,
                     plunge_force, potential, q_force)
 
 __all__ = ["IntegrationConfig", "TerminalEvent", "Trajectory", "integrate"]
@@ -69,8 +71,8 @@ class TerminalEvent:
     kind: "reached_end" | "collapsed" | "step_failure".
     For "collapsed", t is the event estimated from the run's last node t_n,
     t_n + b/share in [t_n - u, t_n + b + u] by the module docstring's rule
-    (the smallest b over the falling scales for three axes); the touch of a
-    force-free collapse such as 2aII reports the turn of its parabola, +- u.
+    (the smallest b over the falling scales for three axes); where q is a
+    parabola, its closed-form root t*, +- orbit.parabola_collapse's half-width.
     """
 
     kind: str
@@ -219,47 +221,41 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     and a plunge that outlives t_end ends "reached_end", its last step cut
     where its dense t reaches t_end.
 
-    Every plunge and, in q, every fall that _q_collapses names ends
-    "collapsed" by the module docstring's rule, with b = 2 q/|qdot| and
-    share = 1 - 4 a^3 addot/qdot^2 in q, b = a^gamma/|w| and share =
-    gamma - a w'/w^2 in the plunge.  Where c = 0 (gamma = 2, or xi = lam = 0)
-    q is a parabola, and a fall also ends at a touch of zero: the double root
-    of a force-free collapse such as 2aII, which each step's rounding lifts or
-    lowers by about eps a0^2.  At the first node n with q <= n q_touch whose
-    parabola turns above -n q_touch (the tangent bound leaves a node below
-    2 q_min before any step passes the turn) the event is that turn,
-    +- rel_tol max(1, t).
+    Every plunge, and in q every fall at xi = 0 with lam < 0, ends "collapsed"
+    by the module docstring's rule, with b = 2 q/|qdot| and share =
+    1 - 4 a^3 addot/qdot^2 in q, b = a^gamma/|w| and share = gamma - a w'/w^2
+    in the plunge.  Where c = 0 (gamma = 2, or lam = 0) q is a parabola, and
+    orbit.parabola_collapse decides and times its collapse: the run goes to
+    min(t_end, t*), with the same exits, and a fall that ends "collapsed" or
+    reaches t* ends "collapsed" at t*, +- that function's half-width.
     """
     a0, eps, g, lam = params.a0, cfg.collapse_epsilon, params.gamma, params.lam
     e0 = energy_of(a0, params.a1, params).E
-    four_e0 = 4.0 * e0
     c, p = q_force(params)
     y0 = (a0 * a0, 2.0 * a0 * params.a1)
     t_stop = collapse_time(params, e0) if cfg.t_end / cfg.max_step > _rk._MAX_STEPS else math.inf
     _check_start((a0,), cfg.t_end, eps, cfg.max_step, t_stop)
     q_barrier = barrier(params)[1] if g > 2.0 and lam < 0.0 else 0.0
-    falls = _q_collapses(params)
+    t_star, half = parabola_collapse(params, cfg.rel_tol)[1:] if c == 0.0 else (math.inf, 0.0)
+    falls = t_star < math.inf or (c != 0.0 and lam < 0.0 and params.xi == 0.0)
 
     if y0[1] < 0.0 and y0[0] < q_barrier:       # the plunge starts at t = 0
         sol = _rk.RkSolution(ts=np.zeros(1), ys=np.array([y0]), hs=np.zeros(1),
                              dense_q=np.empty((0, 2, 4)), status="handoff")
     else:
         sol = _rk.solve_scale(
-            four_e0, c, p, y0, cfg.t_end, rtol=_Q_TOL * cfg.rel_tol, atol=_Q_TOL * cfg.abs_tol,
-            max_step=cfg.max_step, handoff=q_barrier, collapse_tol=cfg.rel_tol if falls else 0.0,
-            q_floor=eps * eps if falls else 0.0,
-            q_touch=_TOUCH_ULPS * math.ulp(1.0) * a0 * a0 if falls and c == 0.0 else 0.0)
+            4.0 * e0, c, p, y0, min(cfg.t_end, t_star), rtol=_Q_TOL * cfg.rel_tol,
+            atol=_Q_TOL * cfg.abs_tol, max_step=cfg.max_step, handoff=q_barrier,
+            collapse_tol=cfg.rel_tol if falls else 0.0, q_floor=eps * eps if falls else 0.0)
     if sol.status == "handoff":
         return _plunge(params, cfg, e0, sol)
     t, (q, qdot) = float(sol.ts[-1]), sol.ys[-1].tolist()
-    if sol.status == "collapsed":
-        # share = 2 - 2 q qddot/qdot^2 = 1 - 4 a^3 addot/qdot^2 from the force, not from
-        # q, whose double root in a force-free fall rounding lifts or lowers.
-        end = _collapse_event(t, cfg.rel_tol,
-                              [(2.0 * q / -qdot, 1.0 - 4.0 * a3_force(params, q) / qdot / qdot)])
-    elif sol.status == "touched":       # the turn of q's parabola; qddot = 4 E(0) where c = 0
-        t_turn, u = t - qdot / four_e0, cfg.rel_tol * max(1.0, t)
-        end = TerminalEvent(kind="collapsed", t=t_turn, bracket=(t_turn - u, t_turn + u))
+    if t_star < math.inf and (sol.status == "collapsed"
+                              or (sol.status == "reached_end" and t_star <= cfg.t_end)):
+        end = TerminalEvent(kind="collapsed", t=t_star, bracket=(t_star - half, t_star + half))
+    elif sol.status == "collapsed":     # a xi = 0 fall, a^3 addot = lam q^(2 - gamma): share =
+        u = lam * _rk._fpow(q, 2.0 - g)   # 2 - 2 q qddot/qdot^2 = 1 - 4 a^3 addot/qdot^2
+        end = _collapse_event(t, cfg.rel_tol, [(2.0 * q / -qdot, 1.0 - 4.0 * u / qdot / qdot)])
     else:
         end = _terminal(sol)
     return Trajectory(params, sol, end)
@@ -362,7 +358,3 @@ def _collapse_event(t: float, rel_tol: float, falls) -> TerminalEvent:
 
 # rel_tol and abs_tol bound the error of (a, adot); the run asks this share of them of (q, qdot).
 _Q_TOL = 0.3
-# q_touch per accepted step, in units of eps a0^2: each step's rounding moves
-# the double root of a 2aII collapse by at most about one of them (0.5 on
-# linear-blowup-demo at every max_step from 1e-5 to inf).
-_TOUCH_ULPS = 16.0

@@ -5,8 +5,9 @@
 of addot = xi^2/a^3 + lam/a^(2 gamma - 1) = -F_pot'(a), whose orbits conserve
 E = adot^2/2 + F_pot(a): the potential, its force in each of the integrator's
 coordinates, its stationary point (the gamma > 2 barrier), the turning points,
-the energy quadrature of orbit times, and the gamma = 2 closed form, where a^2(t)
-is a parabola.  ``emden`` integrates orbits and ``regimes`` sorts them from these.
+the energy quadrature of orbit times, and the closed form where a^2(t) is a
+parabola (gamma = 2, or lam = 0), which decides and times its collapse.
+``emden`` integrates orbits and ``regimes`` sorts them from these.
 """
 
 from __future__ import annotations
@@ -82,12 +83,6 @@ def q_force(params: SolutionParams):
     return 2.0 * params.lam * (g - 2.0) / (g - 1.0), 1.0 - g
 
 
-def a3_force(params: SolutionParams, q: float) -> float:
-    """a^3 addot = xi^2 + lam q^(2 - gamma) at q = a^2."""
-    lam = params.lam
-    return params.xi * params.xi + (lam * _fpow(q, 2.0 - params.gamma) if lam else 0.0)
-
-
 def plunge_force(params: SolutionParams, e0: float):
     """(B, D, k) of a plunge in Sundman time, dt = a^k ds with k = gamma - 1:
     w = a^k adot obeys w' = (B - D/a^2) a^(2k)/a, B = 2 E(0) k, D = (gamma - 2) xi^2."""
@@ -143,31 +138,42 @@ def reaches_zero(params: SolutionParams, e0: float, a_star: float, f_star: float
 def collapse_time(params: SolutionParams, e0: float) -> float:
     """The time t* at which a reaches 0; inf where it does not, or t* is not resolved.
 
-    Where c = 0 (q_force), t* is the first root of q = q0 + qdot0 t + 2 E(0) t^2
-    with 2 E(0) as the run steps it.  Where lam < 0 and gamma > 2 or xi = 0, t*
-    is the energy quadrature of an orbit that reaches_zero.  On any other orbit
-    F_pot -> +inf as a -> 0.
+    Where c = 0 (q_force), t* is parabola_collapse's.  Where lam < 0 and gamma > 2
+    or xi = 0, t* is the energy quadrature of an orbit that reaches_zero; a
+    quadrature time that is not > 0 (at extreme gamma) is not resolved.  On any
+    other orbit F_pot -> +inf as a -> 0.
     """
-    a0, lam = params.a0, params.lam
     if q_force(params)[0] == 0.0:
-        root = _first_positive_root(2.0 * e0, 2.0 * a0 * params.a1, a0 * a0)
-        return math.inf if root is None else root
-    if not (lam < 0.0 and (params.gamma > 2.0 or params.xi == 0.0)):
+        return parabola_collapse(params, 0.0)[1]
+    if not (params.lam < 0.0 and (params.gamma > 2.0 or params.xi == 0.0)):
         return math.inf
     a_star, _, f_star = barrier(params)
     if not reaches_zero(params, e0, a_star, f_star):
         return math.inf
     t, err = _blowup_time(params, e0, a_star)
-    return t if err <= 1e-6 * max(1.0, t) else math.inf
+    return t if t > 0.0 and err <= 1e-6 * max(1.0, t) else math.inf
 
 
-def _q_collapses(params: SolutionParams) -> bool:
-    """Whether a fall in q can reach a = 0: the force is nowhere outward at gamma = 2
-    with xi^2 + lam <= 0 and at xi = 0 with lam <= 0 (at gamma > 2 the plunge takes
-    such falls).  On any other orbit F_pot -> +inf as a -> 0, or a fall in q hands off."""
-    lam = params.lam
-    return lam <= 0.0 and (params.xi == 0.0
-                           or (params.gamma == 2.0 and params.xi * params.xi + lam <= 0.0))
+def parabola_collapse(params: SolutionParams, rel_tol: float):
+    """(s, t*, w) of an orbit whose force in q has no q term (q_force's c = 0:
+    gamma = 2, or lam = 0), where F_pot = s/(2 a^2) with s = xi xi + lam.
+
+    q = a^2 is the parabola a0^2 + 2 a0 a1 t + (a1^2 + s/a0^2) t^2, whose
+    discriminant is -4 s: for s <= 0 it is (a0 + (a1 - r) t)(a0 + (a1 + r) t)
+    with r = sqrt(-s)/a0.  So the orbit collapses iff s <= 0 and a1 < r, at
+    t* = a0/(r - a1) (the other root is negative or later), with no cancelling
+    difference; t* = inf where it does not.  w bounds the rounding of t* from s
+    to first order, (2 + r/(r - a1)) eps t* (r - a1 cancels near the 2b
+    threshold; where w nears t* the floats do not decide whether the orbit
+    collapses), and is never below rel_tol max(1, t*).
+    """
+    a0, a1 = params.a0, params.a1
+    s = params.xi * params.xi + params.lam
+    r = math.sqrt(-s) / a0 if s <= 0.0 else 0.0
+    if not (s <= 0.0 and a1 < r):
+        return s, math.inf, 0.0
+    t = a0 / (r - a1)
+    return s, t, max(rel_tol * max(1.0, t), (2.0 + r / (r - a1)) * math.ulp(1.0) * t)
 
 
 def turning_points(params: SolutionParams):
@@ -337,46 +343,27 @@ def _blowup_time(params: SolutionParams, e0: float, a_barrier: float):
 def gamma2_scale_squared_coeffs(params: SolutionParams):
     """Coefficients (c0, c1, c2) of a^2(t) = c0 + c1 t + c2 t^2 for gamma = 2.
 
-    c0 = a0^2, c1 = 2 a0 a1, c2 = 2 E(0) = a1^2 + (xi^2 + lam)/a0^2; exact
-    because (a^2)'' = 4 E is constant when gamma = 2.
+    c0 = a0^2, c1 = 2 a0 a1, c2 = 2 E(0) = a1^2 + s/a0^2 with parabola_collapse's
+    s = xi xi + lam; exact because (a^2)'' = 4 E is constant when gamma = 2.
     """
     if params.gamma != 2.0:
         raise ValueError("closed form requires gamma = 2")
     c0 = params.a0 ** 2
     c1 = 2.0 * params.a0 * params.a1
-    c2 = params.a1 ** 2 + (params.xi ** 2 + params.lam) / params.a0 ** 2
+    c2 = params.a1 ** 2 + (params.xi * params.xi + params.lam) / params.a0 ** 2
     return c0, c1, c2
 
 
 def closed_form_gamma2(params: SolutionParams, t: float) -> ScaleState:
     """Exact gamma = 2 scale state at time t.
 
-    Raises CollapsedAtOrBefore if the quadratic a^2(t) has a root in (0, t].
+    Raises CollapsedAtOrBefore if a^2 reaches 0 in (0, t], at parabola_collapse's t*.
     """
     c0, c1, c2 = gamma2_scale_squared_coeffs(params)
-    root = _first_positive_root(c2, c1, c0)
-    if root is not None and root <= t:
-        raise CollapsedAtOrBefore(root)
+    t_star = parabola_collapse(params, 0.0)[1]
     a_sq = c0 + c1 * t + c2 * t * t
-    if a_sq <= 0.0:
-        raise CollapsedAtOrBefore(root if root is not None else t)
+    if t_star <= t or a_sq <= 0.0:
+        raise CollapsedAtOrBefore(min(t_star, t))
     a = math.sqrt(a_sq)
     adot = (0.5 * c1 + c2 * t) / a
     return ScaleState(t=float(t), a=a, adot=adot)
-
-
-def _first_positive_root(c2, c1, c0):
-    """Smallest root > 0 of c2 x^2 + c1 x + c0 (None if there is none)."""
-    if c2 == 0.0:
-        if c1 == 0.0:
-            return None
-        x = -c0 / c1
-        return x if x > 0.0 else None
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return None
-    sq = math.sqrt(disc)
-    # Numerically stable pairing of the two roots.
-    q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else 0.5 * sq
-    pos = [r for r in ((q / c2, c0 / q) if q != 0.0 else ()) if r > 0.0]
-    return min(pos) if pos else None

@@ -42,8 +42,8 @@ from .errors import (
     ZeroRotation,
 )
 from .fields import ScaleState, SolutionParams
-from .orbit import (_blowup_time, _first_positive_root, _orbit_time, barrier, emden_rhs,
-                    energy_of, gamma2_scale_squared_coeffs, reaches_zero, turning_points)
+from .orbit import (_blowup_time, _orbit_time, barrier, emden_rhs, energy_of,
+                    parabola_collapse, q_force, reaches_zero, turning_points)
 
 __all__ = [
     "Regime",
@@ -147,8 +147,9 @@ def period_quadrature(params: SolutionParams, quad_tol: float = 1e-9) -> PeriodR
 def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
     """Map parameters to their long-time branch.
 
-    Classification is symbolic: energy against the potential's shape.  For
-    gamma = 2 blowups the time comes from the closed-form quadratic.  For
+    Classification is symbolic: energy against the potential's shape.  At
+    gamma = 2, orbit.parabola_collapse decides the branch on s = xi xi + lam
+    and a1, and gives the blowup time t* with its bracket t* +- w.  For
     gamma > 2 blowups, ``locate_blowup`` adds the time t* from the energy
     quadrature (no integration) with the bracket t* +- w, where w is the
     quadrature's error estimate plus the integrator's share,
@@ -187,33 +188,25 @@ def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
         return Regime(kind="global", branch="1", certificate=cert)
 
     if g == 2.0:
-        xi2, neg_lam = params.xi ** 2, -params.lam
-        cert["xi_squared"] = xi2
-        cert["neg_lam"] = neg_lam
-        if xi2 > neg_lam or (xi2 == neg_lam and params.a1 >= 0.0):
+        s, t_star, w = parabola_collapse(params, IntegrationConfig.rel_tol)
+        cert.update(xi_squared=params.xi * params.xi, neg_lam=-params.lam)
+        if t_star == math.inf and s >= 0.0:
             # Steady when xi^2 = -lam with a1 = 0: the scale never moves.
             kind = "steady" if _is_steady(params) else "global"
             return Regime(kind=kind, branch="2aI", certificate=cert)
-        if xi2 == neg_lam:  # a1 < 0: a(t) = a0 + a1 t is exactly linear
-            t_star = -params.a0 / params.a1
-            cert["linear_root"] = t_star
-            cert["rate_ratio"] = -params.a1 / params.a0
+        if s == 0.0:  # a1 < 0: a(t) = a0 + a1 t is exactly linear
+            cert.update(linear_root=t_star, rate_ratio=-params.a1 / params.a0)
             notes = (
                 "scale is linear in t; the blowup time is the root -a0/a1 of "
                 "a0 + a1 t (the reciprocal ratio -a1/a0 equals it only when "
                 "a0 = -a1 and does not zero the scale in general)",
             )
             return Regime(kind="finite-time-blowup", branch="2aII", blowup_time=t_star,
-                          blowup_bracket=(t_star - 1e-6, t_star + 1e-6),
-                          certificate=cert, notes=notes)
-        threshold = math.sqrt(neg_lam - xi2) / params.a0
-        cert["blowup_threshold"] = threshold
-        if params.a1 < threshold:
-            c0, c1, c2 = gamma2_scale_squared_coeffs(params)
-            t_star = _first_positive_root(c2, c1, c0)
-            bracket = (t_star - 1e-6, t_star + 1e-6) if t_star is not None else None
+                          blowup_bracket=(t_star - w, t_star + w), certificate=cert, notes=notes)
+        cert["blowup_threshold"] = math.sqrt(-s) / params.a0
+        if t_star < math.inf:
             return Regime(kind="finite-time-blowup", branch="2b-blowup", blowup_time=t_star,
-                          blowup_bracket=bracket, certificate=cert)
+                          blowup_bracket=(t_star - w, t_star + w), certificate=cert)
         return Regime(kind="global", branch="2b-global", certificate=cert)
 
     # gamma > 2
@@ -241,6 +234,36 @@ def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
                   blowup_bracket=(t_star - w, t_star + w), certificate=cert)
 
 
+def _parabola_check(params: SolutionParams, traj, t_star: float, half: float) -> dict:
+    """Check a c = 0 collapse at t* +- half on the integrated state, not on the root
+    that the run shares with classify: the parabola of the run's last node t_n,
+    q + qdot tau + 2 E(0) tau^2 with tau = t* - t_n, must vanish at t*, and its rate
+    too where s = 0 (a double root).  Each budget holds the gap between the run's
+    parabola and the closed form's, |2 E(0) - c2| t*^2 in q with c2 = a1^2 + s/a0^2
+    and its rounding (the derivative, in qdot), a root's move within +- half, and
+    the run's tolerance share, rel_tol max|q| + abs_tol (max|qdot| in qdot).
+    """
+    cfg, a0, a1 = IntegrationConfig(), params.a0, params.a1
+    s, e0 = parabola_collapse(params, 0.0)[0], energy_of(a0, a1, params).E
+    tau, a, adot = t_star - float(traj.ts[-1]), float(traj.a[-1]), float(traj.adot[-1])
+    q, qdot = a * a + tau * (2.0 * a * adot + 2.0 * e0 * tau), 2.0 * a * adot + 4.0 * e0 * tau
+    c2, c2_terms = a1 * a1 + s / (a0 * a0), a1 * a1 + abs(s) / (a0 * a0)
+    gap = abs(2.0 * e0 - c2) + math.ulp(1.0) * c2_terms
+    rows = [("q", q, gap * t_star * t_star + abs(qdot) * half, traj.a * traj.a)]
+    if s == 0.0:
+        rows.append(("qdot", qdot, 2.0 * gap * t_star + 4.0 * abs(e0) * half,
+                     2.0 * traj.a * traj.adot))
+    checks = {}
+    for name, value, budget, run in rows:
+        budget += cfg.rel_tol * float(np.max(np.abs(run))) + cfg.abs_tol
+        checks[f"{name}_at_event"], checks[f"{name}_budget"] = value, budget
+        if not abs(value) <= budget:
+            raise CertificationMismatch("finite-time-blowup", f"{name} = {value} at t*",
+                                        f"integrated {name} = {value} at the collapse t* = "
+                                        f"{t_star}, beyond its budget {budget}")
+    return checks
+
+
 def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0) -> CertificationReport:
     """Cross-check a classification by direct integration.
 
@@ -249,7 +272,9 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0) -> Ce
     steady   : the scale stays within 1e-9 of a0 over the horizon.
     blowup   : a collapse event occurs, inside the reported bracket if any;
                event_margin is its distance from the bracket centre over the
-               half-width.
+               half-width.  Where q is a parabola (c = 0), whose event is the
+               closed-form t* that classify reports too, the integrated state
+               at t* is checked instead (_parabola_check).
 
     All of them come from one integration, whose solver record is the
     report's diagnostics.  Raises CertificationMismatch on disagreement; never
@@ -293,10 +318,13 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0) -> Ce
         checks["event_time"] = end.t
         if regime.blowup_bracket is not None:
             lo, hi = regime.blowup_bracket
-            checks["event_margin"] = abs(end.t - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
-            if not lo <= end.t <= hi:
-                raise CertificationMismatch(
-                    regime.kind, f"event at {end.t}",
-                    f"collapse at t = {end.t} outside the reported bracket [{lo}, {hi}]")
+            if q_force(params)[0] == 0.0:
+                checks.update(_parabola_check(params, traj, regime.blowup_time, 0.5 * (hi - lo)))
+            else:
+                checks["event_margin"] = abs(end.t - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+                if not lo <= end.t <= hi:
+                    raise CertificationMismatch(
+                        regime.kind, f"event at {end.t}",
+                        f"collapse at t = {end.t} outside the reported bracket [{lo}, {hi}]")
     return CertificationReport(passed=True, checks=checks, horizon=horizon,
                                diagnostics=traj.diagnostics)

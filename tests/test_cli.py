@@ -448,6 +448,10 @@ HUGE_XI = ["--gamma", "1.5", "--K", "1", "--xi", "1e200", "--lam", "-1",
      "--resolutions", "16,32", "--horizon", "0.05"],
     # Steps of max_step need 1e201 passes to reach t_end: rejected before the first.
     ["integrate", "--preset", "periodic-demo", "--max-step", "1e-200"],
+    # The quadrature collapse time of a gamma = 1e30 fall is 0.0, not resolved: steps
+    # of max_step to t_end pass the budget (they took 1,000,001 steps to a step failure).
+    ["integrate", "--gamma", "1e30", "--K", "1", "--xi", "0", "--lam", "-2", "--alpha", "1",
+     "--a0", "1", "--a1", "0", "--t-end", "1e-3", "--max-step", "1e-12"],
     # The annulus reaches s = (r_hi/a)^2 = 1e320, past the float range.
     ["verify", "--preset", "gamma3-critical", "--a1=1e-30", "--r-lo=1e-30", "--r-hi=1e+160",
      "--h=1e-200"],

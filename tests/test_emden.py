@@ -27,7 +27,7 @@ from swirlgas import (
     integrate_scales_3d,
 )
 from swirlgas import _rk
-from swirlgas.orbit import _first_positive_root
+from swirlgas.orbit import collapse_time
 
 
 def P(gamma, xi, lam, a0=1.0, a1=0.0, K=1.0, alpha=1.0):
@@ -246,7 +246,8 @@ def test_gamma2_dip_through_zero_ends_at_the_closed_form_root():
         if not (p.xi ** 2 < -p.lam and c2 > 0.0):
             continue
         tested += 1
-        t_star = _first_positive_root(c2, c1, c0)
+        # The first root by the quadratic formula, in its form without cancellation for c1 < 0.
+        t_star = 2.0 * c0 / (-c1 + math.sqrt(c1 * c1 - 4.0 * c2 * c0))
         traj = integrate(p, IntegrationConfig(t_end=2.0 * t_star + 1.0))
         assert traj.terminal.kind == "collapsed"
         assert abs(traj.terminal.t - t_star) <= 1e-10 * max(1.0, t_star)
@@ -257,22 +258,20 @@ def test_gamma2_dip_through_zero_ends_at_the_closed_form_root():
                                P(3, 0, 0, a1=-0.001)], ids=["2aII", "free-1.4", "free-3"])
 def test_linear_collapse_double_root_ends_collapsed(p, tol):
     # A force-free fall (2aII, or xi = lam = 0 at any gamma): q = (1 - 0.001 t)^2
-    # touches zero at t = 1000.  Rounding lifts or lowers that double root by
-    # a few eps, more than collapse_epsilon^2, and a = collapse_epsilon falls
-    # 1e-5 before the root; the touch is the turn.  Without the touch, the
-    # gamma = 1.4 and 3 runs passed the turn and reached t_end at tol 1e-8 and
-    # 1e-12, and missed t* by 1.6e-5 at 1e-10.
+    # has a double root at t = 1000, which rounding lifts or lowers by a few eps,
+    # more than collapse_epsilon^2, so the run may pass the turn above zero (at
+    # tol 1e-8 and 1e-12 for gamma = 1.4 and 3); it ends at the closed form's
+    # root t* = 1000 either way.
     traj = integrate(p, IntegrationConfig(rel_tol=tol, abs_tol=tol, t_end=3000.0))
     assert traj.terminal.kind == "collapsed"
-    assert abs(traj.terminal.t - 1000.0) <= 1e-6      # classify's 2aII bracket
+    assert abs(traj.terminal.t - 1000.0) <= 1e-6
 
 
 @pytest.mark.parametrize("max_step", [3e-3, 1e-3, 1e-4])
 def test_linear_collapse_under_a_capped_step_lands_in_its_bracket(max_step):
-    # linear-blowup-demo's q = (1 - t/2)^2 touches zero at t* = -a0/a1 = 2.
-    # Each of its many steps moves the double root by about eps a0^2, so a
-    # fixed touch level let the run fall past the touch into the a =
-    # collapse_epsilon exit, whose event missed t* by 3e-7 to 7e-7.
+    # linear-blowup-demo's q = (1 - t/2)^2 has a double root at t* = -a0/a1 = 2,
+    # which each of its many steps moves by about eps a0^2; an event estimated
+    # at the a = collapse_epsilon exit would miss t* by 3e-7 to 7e-7.
     traj = integrate(P(2, 1, -1, a1=-0.5), IntegrationConfig(max_step=max_step))
     lo, hi = traj.terminal.bracket
     assert traj.terminal.kind == "collapsed" and lo <= 2.0 <= hi
@@ -293,6 +292,16 @@ def test_the_step_budget_counts_to_the_predicted_collapse(p, t_star, monkeypatch
     assert traj.terminal.kind == "collapsed" and lo <= t_star <= hi
     with pytest.raises(StepBudgetExceeded):
         integrate(P(1.5, 1, -2), IntegrationConfig(max_step=1e-3, t_end=10.0))
+
+
+def test_a_collapse_time_that_is_not_positive_is_not_resolved():
+    # At gamma = 1e30 the energy quadrature of this xi = 0 fall gives t* = 0.0.
+    # Counted to it, 1e9 steps of 1e-12 to t_end passed the budget, and the run
+    # took 1,000,001 steps to a step failure; unresolved, it is rejected at once.
+    p = P(1e30, 0, -2)
+    assert collapse_time(p, energy_of(p.a0, p.a1, p).E) == math.inf
+    with pytest.raises(StepBudgetExceeded, match="t_end / max_step"):
+        integrate(p, IntegrationConfig(t_end=1e-3, max_step=1e-12))
 
 
 def test_gamma2_global_orbit_takes_few_steps():
@@ -624,26 +633,15 @@ def test_generic_step_outcome(f, y, h, expected, positive):
         assert out == expected
 
 
-def _scale_exit(A, C, P, handoff=0.0, collapse_tol=0.0, q_floor=0.0, q_touch=0.0):
-    """solve_scale's exit rules as solve's node_exit callback; solve calls it
-    at every accepted node before t_end, so its calls count the nodes."""
-    rhs = _rk.scale_rhs(A, C, P)
-    nodes = 0
-
+def _scale_exit(handoff=0.0, collapse_tol=0.0, q_floor=0.0):
+    """solve_scale's exit rules as solve's node_exit callback."""
     def node_exit(t, y):
-        nonlocal nodes
-        nodes += 1
         q, qdot = y
         if qdot < 0.0:
             if q < handoff:
                 return "handoff"
             if collapse_tol and (q <= q_floor or 2.0 * q / -qdot <= collapse_tol * max(1.0, t)):
                 return "collapsed"
-        touch = q_touch * nodes
-        if q <= touch:
-            acc = rhs(t, y)[1]
-            if acc > 0.0 and q - qdot * qdot / (2.0 * acc) > -touch:
-                return "touched"
         return None
     return node_exit
 
@@ -652,7 +650,7 @@ def _through_solve(A, C, P, y0, t_end, *, rtol=1e-10, atol=1e-10, max_step=math.
     """solve_scale's run made by the generic solve, with the equivalent callbacks."""
     return _rk.solve(_rk.scale_rhs(A, C, P), y0, t_end, rtol=rtol, atol=atol,
                      max_step=max_step, positive=(0,), step_bound=_tangent_bound,
-                     node_exit=_scale_exit(A, C, P, **exits))
+                     node_exit=_scale_exit(**exits))
 
 
 def _tangent_bound(t, y):
@@ -738,12 +736,15 @@ _FORCE_OVERFLOW = (P(50, 0, 1e-290, a1=-1.0), 3.0)
 
 @pytest.mark.parametrize("p, t_end, status", [
     (P(1.5, 1, -2), 30.0, "reached_end"),
-    (P(2, 1, -2), 20.0, "collapsed"),
-    (P(2, 1, -1, a1=-0.001), 3000.0, "touched"),
+    (P(2, 1, -2), 20.0, "reached_end"),
+    (P(2, 1, -1, a1=-0.001), 3000.0, "collapsed"),
     (*_EXPANDING_GAMMA50, "reached_end"),
     (*_FORCE_OVERFLOW, "reached_end"),
-], ids=["periodic", "2b-collapse", "2aII-touch", "expanding-gamma50", "force-overflow"])
+], ids=["periodic", "2b-collapse", "2aII-collapse", "expanding-gamma50", "force-overflow"])
 def test_solve_is_bitwise_the_same_through_either_step(p, t_end, status):
+    # A gamma = 2 collapse runs to its closed-form root t*: the 2b run reaches
+    # it (the tangent of the concave q = 1 - t^2 meets zero past t* = 1), and
+    # the 2aII run ends on its remaining-time bound just before t* = 1000.
     sol = _assert_scale_loop_is_solve(p, IntegrationConfig(t_end=t_end))
     assert (sol.status, sol.message) == (status, "")
 

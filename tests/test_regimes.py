@@ -9,11 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import swirlgas
-
+from swirlgas import emden, regimes
 from swirlgas import (
     CertificationMismatch,
     DegenerateOrbit,
@@ -35,7 +36,6 @@ from swirlgas import (
     potential,
     turning_points,
 )
-from swirlgas.orbit import _first_positive_root
 
 
 def P(gamma, xi, lam, a0=1.0, a1=0.0, K=1.0, alpha=1.0):
@@ -358,10 +358,15 @@ def test_certify_blowup_event_in_bracket():
 
 
 def test_certify_reports_event_margins():
-    # Closed-form gamma = 2 bracket: t* = 1 +- 1e-6.
-    report = certify(P(2, 1, -2), classify(P(2, 1, -2)), horizon=5.0)
-    assert report.checks["event_margin"] == pytest.approx(
-        abs(report.checks["event_time"] - 1.0) / 1e-6, rel=1e-6)
+    # Closed-form gamma = 2 collapse at t* = 1: the integrated q = 1 - t^2 is checked
+    # at t* against its budget, |qdot| = 2 times the half-width 1e-10 plus the run's
+    # tolerance share rel_tol max q + abs_tol = 2e-10; there is no event margin.
+    regime = classify(P(2, 1, -2))
+    assert regime.blowup_bracket == (1.0 - 1e-10, 1.0 + 1e-10)
+    report = certify(P(2, 1, -2), regime, horizon=5.0)
+    assert report.checks["event_time"] == 1.0 and "event_margin" not in report.checks
+    assert abs(report.checks["q_at_event"]) <= 1e-15
+    assert report.checks["q_budget"] == pytest.approx(4e-10, rel=1e-6)
     # Quadrature gamma > 2 bracket: its error enters the certificate.
     p = P(3, 1, -1, a0=0.5)
     regime = classify(p, locate_blowup=True)
@@ -467,10 +472,74 @@ def test_certify_of_a_bounce_below_the_step_floor_is_an_integration_failure():
 
 @pytest.mark.parametrize("a0,a1", [(1.0, -0.025), (1.0, -0.25), (3.0, -0.075), (0.2, -0.005)])
 def test_linear_collapse_certifies_in_its_bracket(a0, a1):
-    # 2aII at t* = 40 and 4: the event is the touch of zero, inside +-1e-6.
+    # 2aII at t* = -a0/a1 = 40 and 4: the event is t*, and the integrated q and
+    # qdot of the double root vanish there within their budgets.
     p = P(2, 1, -1, a0=a0, a1=a1)
-    report = certify(p, classify(p))
-    assert abs(report.checks["event_time"] + a0 / a1) <= 1e-6
+    regime = classify(p)
+    report = certify(p, regime)
+    assert report.checks["event_time"] == regime.blowup_time == -a0 / a1
+    for name in ("q", "qdot"):
+        assert abs(report.checks[f"{name}_at_event"]) <= report.checks[f"{name}_budget"] <= 1e-8
+
+
+@st.composite
+def gamma2_collapses(draw):
+    """gamma = 2 collapses over xi in [0.2, 3] and a0 in [0.3, 3]: exact float ties
+    lam = -xi xi (2aII) with a1 = -10^U(-3, 0.5), and 2b blowups lam = -xi xi - d,
+    d in [0.01, 5], with a1 in [-3, thr) or near thr, a1 = thr (1 - 10^U(-8, -2))."""
+    kind = draw(st.sampled_from(["tie", "2b", "near-threshold"]))
+    xi, a0 = draw(st.floats(0.2, 3.0)), draw(st.floats(0.3, 3.0))
+    if kind == "tie":
+        return P(2, xi, -(xi * xi), a0=a0, a1=-10.0 ** draw(st.floats(-3.0, 0.5)))
+    lam = -(xi * xi) - draw(st.floats(0.01, 5.0))
+    thr = math.sqrt(-(xi * xi + lam)) / a0
+    if kind == "2b":
+        return P(2, xi, lam, a0=a0, a1=draw(st.floats(-3.0, thr, exclude_max=True)))
+    return P(2, xi, lam, a0=a0, a1=thr * (1.0 - 10.0 ** draw(st.floats(-8.0, -2.0))))
+
+
+@settings(max_examples=60, deadline=2000)
+@given(gamma2_collapses())
+# xi xi + lam = 0 exactly, but xi ** 2 is one ulp below -lam: classify called it
+# 2b-blowup at the quadratic's root 182.28969272, and the run collapsed 8.4e-6 earlier.
+@example(P(2, 2.5132684463830057, -6.316518283584448, a0=1.4389122601282571,
+           a1=-0.007893526304586567))
+def test_classify_and_certify_agree_on_gamma2_collapses(p):
+    regime = classify(p, locate_blowup=True)
+    assert regime.branch == ("2aII" if p.xi * p.xi + p.lam == 0.0 else "2b-blowup")
+    report = certify(p, regime)
+    assert report.passed and report.checks["event_time"] == regime.blowup_time
+
+
+def test_the_gamma2_tie_is_decided_once_on_xi_times_xi():
+    # xi ** 2 == -lam (libm's pow), but xi * xi + lam = 1.8e-15 > 0: the orbit turns
+    # at a ~ 8e-8 and is global (2aI), where classify said 2aII at t* = 2.  The run
+    # has no collapse exit, and it cannot resolve that bounce (ROADMAP item 1).
+    p = P(2, 2.9900584297811834, -8.940449413505515, a1=-0.5)
+    assert p.xi ** 2 == -p.lam and p.xi * p.xi + p.lam > 0.0
+    regime = classify(p, locate_blowup=True)
+    assert (regime.kind, regime.branch, regime.blowup_time) == ("global", "2aI", None)
+    assert integrate(p, IntegrationConfig(t_end=20.0)).terminal.kind != "collapsed"
+
+
+@pytest.mark.parametrize("shift", [-1e-3, 1e-3])
+@pytest.mark.parametrize("p", [P(2, 1, -2), P(2, 1, -1, a1=-0.5)],
+                         ids=["blowup-demo", "linear-blowup-demo"])
+def test_certify_does_not_take_the_closed_form_root_on_trust(p, shift, monkeypatch):
+    # classify and the run take t* from one function; moved by 1e-3 t* in both,
+    # the integrated q (1 - t^2 at t* = 1) or qdot ((1 - t/2)^2 at t* = 2) misses 0.
+    collapse = regimes.parabola_collapse
+
+    def moved(params, rel_tol):
+        s, t_star, w = collapse(params, rel_tol)
+        return s, t_star * (1.0 + shift), w
+
+    monkeypatch.setattr(regimes, "parabola_collapse", moved)
+    monkeypatch.setattr(emden, "parabola_collapse", moved)
+    regime = classify(p, locate_blowup=True)
+    assert regime.blowup_time == (1.0 if p.a1 == 0.0 else 2.0) * (1.0 + shift)
+    with pytest.raises(CertificationMismatch):
+        certify(p, regime)
 
 
 def test_certify_rejects_an_infinite_horizon_at_once():
@@ -552,8 +621,9 @@ def test_gamma2_quadratic_sign_consistency():
               a0=rng.uniform(0.1, 2.5), a1=rng.uniform(-2, 2))
         r = classify(p)
         c0, c1, c2 = gamma2_scale_squared_coeffs(p)
-        root = _first_positive_root(c2, c1, c0)
-        stays_positive = root is None
+        # c0 > 0: no root t > 0 iff c2 >= 0 and q rises at t = 0 or its
+        # discriminant is negative.
+        stays_positive = c2 >= 0.0 and (c1 >= 0.0 or c1 * c1 < 4.0 * c2 * c0)
         assert (r.kind in ("global", "steady")) == stays_positive
 
 
