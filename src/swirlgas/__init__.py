@@ -23,7 +23,6 @@ from .errors import (
     StepBudgetExceeded,
     SwirlgasError,
     TrajectoryTooShort,
-    UndefinedCritical,
     ZeroRotation,
 )
 from .fields import (
@@ -42,16 +41,13 @@ from .orbit import (
     closed_form_gamma2,
     emden_rhs,
     energy_of,
-    gamma2_scale_squared_coeffs,
     potential,
 )
 from .emden import IntegrationConfig, TerminalEvent, Trajectory, integrate
 from .regimes import (
     CertificationReport,
-    CriticalData,
     PeriodResult,
     Regime,
-    a_max_critical,
     certify,
     classify,
     period_quadrature,

@@ -236,7 +236,7 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     t_stop = collapse_time(params, e0) if cfg.t_end / cfg.max_step > _rk._MAX_STEPS else math.inf
     _check_start((a0,), cfg.t_end, eps, cfg.max_step, t_stop)
     q_barrier = barrier(params)[1] if g > 2.0 and lam < 0.0 else 0.0
-    t_star, half = parabola_collapse(params, cfg.rel_tol)[1:] if c == 0.0 else (math.inf, 0.0)
+    t_star, half = parabola_collapse(params, cfg.rel_tol)[3:] if c == 0.0 else (math.inf, 0.0)
     falls = t_star < math.inf or (c != 0.0 and lam < 0.0 and params.xi == 0.0)
 
     if y0[1] < 0.0 and y0[0] < q_barrier:       # the plunge starts at t = 0

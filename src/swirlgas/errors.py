@@ -41,10 +41,6 @@ class ZeroRotation(SwirlgasError, ValueError):
     """Classification requires a nonzero rotation constant."""
 
 
-class UndefinedCritical(SwirlgasError, ValueError):
-    """Critical-scale data is only defined for gamma > 2, lambda < 0, xi != 0."""
-
-
 class NoBracket(SwirlgasError, RuntimeError):
     """Turning-point root bracketing failed (hypotheses violated numerically)."""
 

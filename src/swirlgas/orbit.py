@@ -22,7 +22,7 @@ from .errors import CollapsedAtOrBefore, CollapsedState, InvalidParams, NoBracke
 from .fields import ScaleState, SolutionParams
 
 __all__ = ["EnergySplit", "potential", "energy_of", "emden_rhs", "turning_points",
-           "closed_form_gamma2", "gamma2_scale_squared_coeffs"]
+           "closed_form_gamma2"]
 
 
 @dataclass(frozen=True)
@@ -144,36 +144,43 @@ def collapse_time(params: SolutionParams, e0: float) -> float:
     other orbit F_pot -> +inf as a -> 0.
     """
     if q_force(params)[0] == 0.0:
-        return parabola_collapse(params, 0.0)[1]
+        return parabola_collapse(params, 0.0)[3]
     if not (params.lam < 0.0 and (params.gamma > 2.0 or params.xi == 0.0)):
         return math.inf
     a_star, _, f_star = barrier(params)
     if not reaches_zero(params, e0, a_star, f_star):
         return math.inf
     t, err = _blowup_time(params, e0, a_star)
-    return t if t > 0.0 and err <= 1e-6 * max(1.0, t) else math.inf
+    return t if resolved(t, err) else math.inf
+
+
+def resolved(t: float, err: float) -> bool:
+    """Whether a quadrature collapse time t with error estimate err is resolved:
+    t > 0 (not so at extreme gamma) and err <= 1e-6 max(1, t); false for nan or inf."""
+    return t > 0.0 and err <= 1e-6 * max(1.0, t)
 
 
 def parabola_collapse(params: SolutionParams, rel_tol: float):
-    """(s, t*, w) of an orbit whose force in q has no q term (q_force's c = 0:
-    gamma = 2, or lam = 0), where F_pot = s/(2 a^2) with s = xi xi + lam.
+    """(s, r, c2, t*, w) of an orbit whose force in q has no q term (q_force's
+    c = 0: gamma = 2, or lam = 0), where F_pot = s/(2 a^2) with s = xi xi + lam.
 
-    q = a^2 is the parabola a0^2 + 2 a0 a1 t + (a1^2 + s/a0^2) t^2, whose
-    discriminant is -4 s: for s <= 0 it is (a0 + (a1 - r) t)(a0 + (a1 + r) t)
-    with r = sqrt(-s)/a0.  So the orbit collapses iff s <= 0 and a1 < r, at
-    t* = a0/(r - a1) (the other root is negative or later), with no cancelling
-    difference; t* = inf where it does not.  w bounds the rounding of t* from s
-    to first order, (2 + r/(r - a1)) eps t* (r - a1 cancels near the 2b
+    q = a^2 is the parabola a0^2 + 2 a0 a1 t + c2 t^2 with c2 = a1^2 + s/a0^2,
+    whose discriminant is -4 s: for s <= 0 it is (a0 + (a1 - r) t)(a0 + (a1 + r) t)
+    with r = sqrt(-s)/a0 (r = 0 for s > 0).  So the orbit collapses iff s <= 0 and
+    a1 < r, at t* = a0/(r - a1) (the other root is negative or later), with no
+    cancelling difference; t* = inf where it does not.  w bounds the rounding of
+    t* from s to first order, (2 + r/(r - a1)) eps t* (r - a1 cancels near the 2b
     threshold; where w nears t* the floats do not decide whether the orbit
     collapses), and is never below rel_tol max(1, t*).
     """
     a0, a1 = params.a0, params.a1
     s = params.xi * params.xi + params.lam
     r = math.sqrt(-s) / a0 if s <= 0.0 else 0.0
+    c2 = a1 * a1 + s / (a0 * a0)
     if not (s <= 0.0 and a1 < r):
-        return s, math.inf, 0.0
+        return s, r, c2, math.inf, 0.0
     t = a0 / (r - a1)
-    return s, t, max(rel_tol * max(1.0, t), (2.0 + r / (r - a1)) * math.ulp(1.0) * t)
+    return s, r, c2, t, max(rel_tol * max(1.0, t), (2.0 + r / (r - a1)) * math.ulp(1.0) * t)
 
 
 def turning_points(params: SolutionParams):
@@ -340,30 +347,18 @@ def _blowup_time(params: SolutionParams, e0: float, a_barrier: float):
     return up + down, err_up + err_down
 
 
-def gamma2_scale_squared_coeffs(params: SolutionParams):
-    """Coefficients (c0, c1, c2) of a^2(t) = c0 + c1 t + c2 t^2 for gamma = 2.
-
-    c0 = a0^2, c1 = 2 a0 a1, c2 = 2 E(0) = a1^2 + s/a0^2 with parabola_collapse's
-    s = xi xi + lam; exact because (a^2)'' = 4 E is constant when gamma = 2.
-    """
-    if params.gamma != 2.0:
-        raise ValueError("closed form requires gamma = 2")
-    c0 = params.a0 ** 2
-    c1 = 2.0 * params.a0 * params.a1
-    c2 = params.a1 ** 2 + (params.xi * params.xi + params.lam) / params.a0 ** 2
-    return c0, c1, c2
-
-
 def closed_form_gamma2(params: SolutionParams, t: float) -> ScaleState:
-    """Exact gamma = 2 scale state at time t.
+    """Exact gamma = 2 scale state at time t: a^2 = a0^2 + 2 a0 a1 t + c2 t^2,
+    exact because (a^2)'' = 4 E is constant, with parabola_collapse's c2 = 2 E(0).
 
     Raises CollapsedAtOrBefore if a^2 reaches 0 in (0, t], at parabola_collapse's t*.
     """
-    c0, c1, c2 = gamma2_scale_squared_coeffs(params)
-    t_star = parabola_collapse(params, 0.0)[1]
-    a_sq = c0 + c1 * t + c2 * t * t
+    if params.gamma != 2.0:
+        raise ValueError("closed form requires gamma = 2")
+    a0, c1 = params.a0, 2.0 * params.a0 * params.a1
+    _, _, c2, t_star, _ = parabola_collapse(params, 0.0)
+    a_sq = a0 * a0 + c1 * t + c2 * t * t
     if t_star <= t or a_sq <= 0.0:
         raise CollapsedAtOrBefore(min(t_star, t))
     a = math.sqrt(a_sq)
-    adot = (0.5 * c1 + c2 * t) / a
-    return ScaleState(t=float(t), a=a, adot=adot)
+    return ScaleState(t=float(t), a=a, adot=(0.5 * c1 + c2 * t) / a)

@@ -11,6 +11,7 @@ exactly one branch:
       xi^2 > -lam, or xi^2 = -lam with a1 >= 0        -> global      ["2aI"]
       xi^2 = -lam and a1 < 0 (a is linear in t)       -> blowup      ["2aII"]
       xi^2 < -lam: blowup iff a1 < sqrt(-lam-xi^2)/a0 -> blowup/global ["2b-*"]
+      So too at gamma > 2 where lam (gamma - 2) underflows: q is the same parabola.
   gamma > 2     : lam >= 0 makes F_pot decreasing     -> global      ["3a"]
       lam < 0: F_pot has a unique maximum at a_Max = (-lam/xi^2)^(1/(2g-4));
       whether the orbit clears or is trapped by that barrier decides
@@ -38,20 +39,17 @@ from .errors import (
     InvalidParams,
     NoBracket,
     NonPositiveTime,
-    UndefinedCritical,
     ZeroRotation,
 )
 from .fields import ScaleState, SolutionParams
 from .orbit import (_blowup_time, _orbit_time, barrier, emden_rhs, energy_of,
-                    parabola_collapse, q_force, reaches_zero, turning_points)
+                    parabola_collapse, q_force, reaches_zero, resolved, turning_points)
 
 __all__ = [
     "Regime",
-    "CriticalData",
     "PeriodResult",
     "CertificationReport",
     "classify",
-    "a_max_critical",
     "turning_points",
     "period_quadrature",
     "certify",
@@ -73,14 +71,6 @@ class Regime:
 
 
 @dataclass(frozen=True)
-class CriticalData:
-    """Critical quantities of the decision tree (whichever are defined)."""
-
-    a_max_scale: float | None = None        # (-lam/xi^2)^(1/(2g-4)) for gamma > 2
-    f_pot_at_max: float | None = None
-
-
-@dataclass(frozen=True)
 class PeriodResult:
     period: float
     quad_error: float
@@ -97,19 +87,6 @@ class CertificationReport:
     checks: dict
     horizon: float
     diagnostics: dict
-
-
-def a_max_critical(params: SolutionParams) -> CriticalData:
-    """Barrier location a* and height F* for gamma > 2, lam < 0, xi != 0, from
-    ``orbit.barrier`` (a* is 0 or inf, and F* its limit inf or 0, where a* leaves
-    the float range, so that E(0) still compares with F* exactly)."""
-    if not (params.gamma > 2.0 and params.lam < 0.0 and params.xi != 0.0):
-        raise UndefinedCritical(
-            f"needs gamma > 2, lam < 0, xi != 0; got gamma={params.gamma}, "
-            f"lam={params.lam}, xi={params.xi}"
-        )
-    a_star, _, f_star = barrier(params)
-    return CriticalData(a_max_scale=a_star, f_pot_at_max=f_star)
 
 
 def _is_steady(params: SolutionParams) -> bool:
@@ -147,14 +124,16 @@ def period_quadrature(params: SolutionParams, quad_tol: float = 1e-9) -> PeriodR
 def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
     """Map parameters to their long-time branch.
 
-    Classification is symbolic: energy against the potential's shape.  At
-    gamma = 2, orbit.parabola_collapse decides the branch on s = xi xi + lam
-    and a1, and gives the blowup time t* with its bracket t* +- w.  For
+    Classification is symbolic: energy against the potential's shape.  Where
+    q is a parabola (gamma = 2, or q_force's c underflows to 0 at lam < 0),
+    orbit.parabola_collapse decides the branch on s = xi xi + lam and a1, and
+    gives the blowup time t* with its bracket t* +- w, as for the run.  For
     gamma > 2 blowups, ``locate_blowup`` adds the time t* from the energy
     quadrature (no integration) with the bracket t* +- w, where w is the
     quadrature's error estimate plus the integrator's share,
-    _EVENT_BUDGET * rel_tol * max(1, t*) at the default rel_tol.  When the
-    quadrature cannot produce t*, blowup_time stays None and a note says why.
+    _EVENT_BUDGET * rel_tol * max(1, t*) at the default rel_tol.  Where t* is
+    not orbit.resolved (nor so for orbit.collapse_time), blowup_time stays None
+    and a note says why.
     """
     if params.xi == 0.0:
         raise ZeroRotation("classification requires xi != 0")
@@ -187,8 +166,8 @@ def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
                           certificate=cert)
         return Regime(kind="global", branch="1", certificate=cert)
 
-    if g == 2.0:
-        s, t_star, w = parabola_collapse(params, IntegrationConfig.rel_tol)
+    if g == 2.0 or (params.lam < 0.0 and q_force(params)[0] == 0.0):
+        s, r, _, t_star, w = parabola_collapse(params, IntegrationConfig.rel_tol)
         cert.update(xi_squared=params.xi * params.xi, neg_lam=-params.lam)
         if t_star == math.inf and s >= 0.0:
             # Steady when xi^2 = -lam with a1 = 0: the scale never moves.
@@ -203,7 +182,7 @@ def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
             )
             return Regime(kind="finite-time-blowup", branch="2aII", blowup_time=t_star,
                           blowup_bracket=(t_star - w, t_star + w), certificate=cert, notes=notes)
-        cert["blowup_threshold"] = math.sqrt(-s) / params.a0
+        cert["blowup_threshold"] = r
         if t_star < math.inf:
             return Regime(kind="finite-time-blowup", branch="2b-blowup", blowup_time=t_star,
                           blowup_bracket=(t_star - w, t_star + w), certificate=cert)
@@ -212,10 +191,8 @@ def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
     # gamma > 2
     if params.lam >= 0.0:
         return Regime(kind="global", branch="3a", certificate=cert)
-    crit = a_max_critical(params)
-    a_max, f_star = crit.a_max_scale, crit.f_pot_at_max
-    cert["a_max_scale"] = a_max
-    cert["F_pot_at_max"] = f_star
+    a_max, _, f_star = barrier(params)     # a* is 0 or inf, F* inf or 0, beyond the floats
+    cert.update(a_max_scale=a_max, F_pot_at_max=f_star)
     branch_stub = "3bI" if params.a0 >= a_max else "3bII"
     if not reaches_zero(params, e0, a_max, f_star):
         kind = "steady" if _is_steady(params) else "global"
@@ -224,7 +201,7 @@ def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
     if not locate_blowup:
         return Regime(kind="finite-time-blowup", branch=branch, certificate=cert)
     t_star, quad_err = _blowup_time(params, e0, a_max)
-    if not quad_err <= 1e-6 * max(1.0, t_star):     # false for a nan or inf as well
+    if not resolved(t_star, quad_err):
         return Regime(kind="finite-time-blowup", branch=branch, certificate=cert,
                       notes=(f"blowup time not computable: quadrature gave {t_star} "
                              f"+- {quad_err}",))
@@ -244,11 +221,11 @@ def _parabola_check(params: SolutionParams, traj, t_star: float, half: float) ->
     the run's tolerance share, rel_tol max|q| + abs_tol (max|qdot| in qdot).
     """
     cfg, a0, a1 = IntegrationConfig(), params.a0, params.a1
-    s, e0 = parabola_collapse(params, 0.0)[0], energy_of(a0, a1, params).E
+    s, _, c2, _, _ = parabola_collapse(params, 0.0)
+    e0 = energy_of(a0, a1, params).E
     tau, a, adot = t_star - float(traj.ts[-1]), float(traj.a[-1]), float(traj.adot[-1])
     q, qdot = a * a + tau * (2.0 * a * adot + 2.0 * e0 * tau), 2.0 * a * adot + 4.0 * e0 * tau
-    c2, c2_terms = a1 * a1 + s / (a0 * a0), a1 * a1 + abs(s) / (a0 * a0)
-    gap = abs(2.0 * e0 - c2) + math.ulp(1.0) * c2_terms
+    gap = abs(2.0 * e0 - c2) + math.ulp(1.0) * (a1 * a1 + abs(s) / (a0 * a0))
     rows = [("q", q, gap * t_star * t_star + abs(qdot) * half, traj.a * traj.a)]
     if s == 0.0:
         rows.append(("qdot", qdot, 2.0 * gap * t_star + 4.0 * abs(e0) * half,

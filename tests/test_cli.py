@@ -518,6 +518,20 @@ def test_extreme_values_end_in_a_report_or_a_domain_error(args, capsys):
         assert code == 0 and out
 
 
+def test_a_blowup_time_that_is_not_positive_is_a_note(capsys):
+    # At gamma = 1e30 the energy quadrature of this fall gives t* = 0.0 +- 0.0,
+    # which orbit.collapse_time does not take either; it was reported with a
+    # bracket of +-2e-8, and certify failed at t = 0.0.
+    code, out, _ = run_cli(["classify", "--gamma", "1e30", "--K", "1", "--xi", "1", "--lam", "-2",
+                            "--alpha", "1", "--a0", "1", "--a1", "-0.1", "--locate-blowup"],
+                           capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["branch"] == "3bI-blowup" and "blowup_quad_error" not in report["certificate"]
+    assert report["blowup_time"] is None and report["blowup_bracket"] is None
+    assert "not computable" in report["notes"][0]
+
+
 def test_a_tiny_K_still_classifies(capsys):
     # Its profile slope overflows, but classify evaluates no field.
     code, out, _ = run_cli(["classify", "--preset", "periodic-demo", "--K=1e-320"], capsys)

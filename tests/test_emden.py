@@ -22,16 +22,21 @@ from swirlgas import (
     closed_form_gamma2,
     emden_rhs,
     energy_of,
-    gamma2_scale_squared_coeffs,
     integrate,
     integrate_scales_3d,
 )
 from swirlgas import _rk
-from swirlgas.orbit import collapse_time
+from swirlgas.orbit import collapse_time, parabola_collapse
 
 
 def P(gamma, xi, lam, a0=1.0, a1=0.0, K=1.0, alpha=1.0):
     return SolutionParams(gamma=gamma, K=K, xi=xi, lam=lam, alpha=alpha, a0=a0, a1=a1)
+
+
+def parabola_coeffs(p):
+    """(c0, c1, c2) of q = a^2 = c0 + c1 t + c2 t^2 where q is a parabola (gamma = 2,
+    or lam = 0), with c2 from its one source, orbit.parabola_collapse."""
+    return p.a0 * p.a0, 2.0 * p.a0 * p.a1, parabola_collapse(p, 0.0)[2]
 
 
 # ----------------------------------------------------------- right-hand side
@@ -214,7 +219,7 @@ def test_gamma2_oracle_sweep():
         a0 = rng.uniform(0.3, 2.5)
         a1 = rng.uniform(-1.5, 1.5)
         p = P(2, xi, lam, a0=a0, a1=a1)
-        c0, c1, c2 = gamma2_scale_squared_coeffs(p)
+        c0, c1, c2 = parabola_coeffs(p)
         ts = np.linspace(0, 2, 201)
         q = c0 + c1 * ts + c2 * ts ** 2
         if np.min(q) < 0.05:
@@ -242,7 +247,7 @@ def test_gamma2_dip_through_zero_ends_at_the_closed_form_root():
     while tested < 50:
         p = P(2, rng.uniform(-3, 3), rng.uniform(-5, 5), a0=rng.uniform(0.05, 3.0),
               a1=rng.uniform(-3, 0))
-        c0, c1, c2 = gamma2_scale_squared_coeffs(p)
+        c0, c1, c2 = parabola_coeffs(p)
         if not (p.xi ** 2 < -p.lam and c2 > 0.0):
             continue
         tested += 1
@@ -416,7 +421,7 @@ def test_drift_vs_closed_form():
     assert float(traj.drift.max()) <= 1e-9
     ts = np.linspace(0, 3, 101)
     a, _ = traj.sample(ts)
-    c0, c1, c2 = gamma2_scale_squared_coeffs(traj.params)
+    c0, c1, c2 = parabola_coeffs(traj.params)
     assert np.max(np.abs(a - np.sqrt(c0 + c1 * ts + c2 * ts ** 2))) <= 1e-8
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -24,18 +24,16 @@ from swirlgas import (
     NoBracket,
     Regime,
     SolutionParams,
-    UndefinedCritical,
     ZeroRotation,
-    a_max_critical,
     certify,
     classify,
     energy_of,
-    gamma2_scale_squared_coeffs,
     integrate,
     period_quadrature,
     potential,
     turning_points,
 )
+from swirlgas.orbit import barrier, collapse_time, parabola_collapse
 
 
 def P(gamma, xi, lam, a0=1.0, a1=0.0, K=1.0, alpha=1.0):
@@ -80,42 +78,42 @@ def test_potential_values():
 
 # ----------------------------------------------------------- critical data
 
+def certified_barrier(p):
+    """orbit.barrier's (a*, F*), which classify's certificate carries bit for bit."""
+    a_star, _, f_star = barrier(p)
+    cert = classify(p).certificate
+    assert [cert["a_max_scale"].hex(), cert["F_pot_at_max"].hex()] == [a_star.hex(), f_star.hex()]
+    return a_star, f_star
+
+
 def test_a_max_critical_values():
-    assert a_max_critical(P(3, 1, -1)).a_max_scale == pytest.approx(1.0, rel=1e-14)
-    assert a_max_critical(P(3, 2, -4)).a_max_scale == pytest.approx(1.0, rel=1e-14)
-    assert a_max_critical(P(4, 1, -1)).a_max_scale == pytest.approx(1.0, rel=1e-14)
+    for p in (P(3, 1, -1), P(3, 2, -4), P(4, 1, -1)):
+        assert certified_barrier(p)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_a_max_critical_is_local_max():
-    crit = a_max_critical(P(2.7, 1.3, -0.8))
-    a = crit.a_max_scale
     p = P(2.7, 1.3, -0.8)
-    assert potential(a * 0.999, p) < crit.f_pot_at_max
-    assert potential(a * 1.001, p) < crit.f_pot_at_max
-
-
-def test_a_max_critical_undefined():
-    with pytest.raises(UndefinedCritical):
-        a_max_critical(P(2, 1, -2))
-    with pytest.raises(UndefinedCritical):
-        a_max_critical(P(3, 1, 0.5))
+    a, f_star = certified_barrier(p)
+    assert potential(a * 0.999, p) < f_star
+    assert potential(a * 1.001, p) < f_star
 
 
 def test_a_max_critical_of_a_swirl_whose_square_overflows():
     # ln xi^2 is 2 ln|xi|, so xi^2 = inf never forms: the barrier is at
-    # a* = sqrt(-lam)/xi = 1e-200 with an infinite height.
-    crit = a_max_critical(P(3, 1e200, -1))
-    assert crit.a_max_scale == pytest.approx(1e-200, rel=1e-13)
-    assert crit.f_pot_at_max == math.inf
-    assert a_max_critical(P(3, 1e150, -1)).a_max_scale == pytest.approx(1e-150, rel=1e-14)
+    # a* = sqrt(-lam)/xi = 1e-200 with an infinite height.  Its E(0) is not
+    # finite, so only barrier answers there.
+    a_star, _, f_star = barrier(P(3, 1e200, -1))
+    assert a_star == pytest.approx(1e-200, rel=1e-13)
+    assert f_star == math.inf
+    assert certified_barrier(P(3, 1e150, -1))[0] == pytest.approx(1e-150, rel=1e-14)
 
 
 def test_a_max_critical_when_2_gamma_minus_2_overflows():
     # The height's factor (gamma - 2)/(2 gamma - 2) is formed from three logs;
     # its quotient was 0 here, and its log a math domain error.
-    crit = a_max_critical(P(1.7976931348623157e308, 1, -2))
-    assert crit.a_max_scale == 1.0
-    assert crit.f_pot_at_max == pytest.approx(0.5, rel=1e-12)
+    a_star, f_star = certified_barrier(P(1.7976931348623157e308, 1, -2))
+    assert a_star == 1.0
+    assert f_star == pytest.approx(0.5, rel=1e-12)
 
 
 # ----------------------------------------------------------- turning points
@@ -429,7 +427,7 @@ def test_near_barrier_collapses_certify_at_the_recorded_rate():
     while drawn < 30:
         g, xi, lam = rng.uniform(2, 4), rng.uniform(-3, 3), rng.uniform(-5, 0)
         a0, p = rng.uniform(0.05, 3), P(g, xi, lam)
-        e0 = a_max_critical(p).f_pot_at_max * (1 + rng.choice([-1, 1]) * 10 ** rng.uniform(-5, -2))
+        e0 = barrier(p)[2] * (1 + rng.choice([-1, 1]) * 10 ** rng.uniform(-5, -2))
         gap = e0 - potential(a0, p)
         if not 0.0 < gap < math.inf:
             continue
@@ -531,8 +529,8 @@ def test_certify_does_not_take_the_closed_form_root_on_trust(p, shift, monkeypat
     collapse = regimes.parabola_collapse
 
     def moved(params, rel_tol):
-        s, t_star, w = collapse(params, rel_tol)
-        return s, t_star * (1.0 + shift), w
+        s, r, c2, t_star, w = collapse(params, rel_tol)
+        return s, r, c2, t_star * (1.0 + shift), w
 
     monkeypatch.setattr(regimes, "parabola_collapse", moved)
     monkeypatch.setattr(emden, "parabola_collapse", moved)
@@ -620,7 +618,7 @@ def test_gamma2_quadratic_sign_consistency():
         p = P(2.0, rng.uniform(-2, 2) or 0.5, rng.uniform(-4, 4),
               a0=rng.uniform(0.1, 2.5), a1=rng.uniform(-2, 2))
         r = classify(p)
-        c0, c1, c2 = gamma2_scale_squared_coeffs(p)
+        c0, c1, c2 = p.a0 * p.a0, 2.0 * p.a0 * p.a1, parabola_collapse(p, 0.0)[2]
         # c0 > 0: no root t > 0 iff c2 >= 0 and q rises at t = 0 or its
         # discriminant is negative.
         stays_positive = c2 >= 0.0 and (c1 >= 0.0 or c1 * c1 < 4.0 * c2 * c0)
@@ -706,6 +704,27 @@ def test_unresolved_blowup_time_is_a_note():
     assert r.blowup_time is None and r.blowup_bracket is None
     assert r.notes and "blowup_quad_error" not in r.certificate
     assert certify(p, r).checks["terminal"] == "collapsed"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.floats(2.0, 4.0, exclude_min=True), st.floats(4.0, 1e30)),
+       st.floats(-3.0, 3.0).filter(bool), st.floats(-5.0, 0.0, exclude_max=True),
+       st.floats(0.05, 3.0), st.floats(-3.0, 3.0))
+@example(1e30, 1.0, -2.0, 1.0, -0.1)
+# lam (gamma - 2) underflows, so q_force's c is 0 and q a parabola: its t* = 2.1e156, not
+# the quadrature's, which is not resolved here.
+@example(2.0000000000000004, 2.2250738585e-313, -2.2250738585e-313, 1.0, 0.0)
+def test_classify_and_the_integrator_take_one_blowup_time(g, xi, lam, a0, a1):
+    # Over the sweep ranges at gamma > 2 and lam < 0, and gamma up to 1e30:
+    # classify's blowup time is orbit.collapse_time's, bitwise, None for inf,
+    # on every 3bI and 3bII blowup (and None, inf, on every other orbit).
+    p = P(g, xi, lam, a0=a0, a1=a1)
+    try:
+        e0 = energy_of(a0, a1, p).E
+    except InvalidParams:       # at extreme gamma, a0^(2 gamma - 2) leaves the float range
+        assume(False)
+    t_star = classify(p, locate_blowup=True).blowup_time
+    assert (math.inf if t_star is None else t_star).hex() == collapse_time(p, e0).hex()
 
 
 def test_barrier_overflow_is_global():
