@@ -4,7 +4,7 @@ Three loops take the same steps, with the same controller and exits:
 
 * solve_scale integrates the scale equation, y = (q, qdot) under
   qddot = A + C q^P, with the force given as the three numbers (A, C, P);
-* solve_plunge integrates a gamma > 2 plunge in Sundman time s,
+* solve_plunge integrates a plunge (gamma > 2, or xi = 0) in Sundman time s,
   y = (a, w, t) under a' = w, w' = (B - D/a^2) a^(2k)/a, t' = a^k;
 * solve integrates any y' = f(t, y) through a callback; it is the stepper of
   the coupled three-axis system (d = 6) and the reference that solve_scale

@@ -13,20 +13,17 @@ and for gamma = 2 q is the quadratic itself, which the adaptive 5(4) pair of
 a = sqrt(q), adot = qdot/(2 a) and E from those, so the drift of E checks the
 q system's first integral.
 
-A gamma > 2 collapse is a plunge a ~ (t* - t)^(1/gamma), through which q
-would creep at a fixed fraction of the time left.  Below the barrier it runs
-in Sundman time s, dt = a^(gamma - 1) ds, where a is regular.
-
-Every collapse ends at an accepted node by one rule.  In a fall that cannot
-turn (the force is nowhere outward below the current scale) the time left is
-at most b = a/|adot|, so the run ends at the first falling node with
-b <= rel_tol max(1, t) or a <= collapse_epsilon.  The event is t + b/share,
-the time left of the node's local power law a ~ (t* - t)^p, 1/p = share =
-1 - a addot/adot^2 (gamma in a plunge, 1 in a force-free fall), in
-[t - u, t + b + u] with u = rel_tol max(1, t).  Where q is a parabola (c = 0)
-its collapse time t* is closed-form (orbit.parabola_collapse): the run stops
-at t* at the latest, and the event is t*.  Only orbits that can collapse have
-these exits; on any other a step failing at the step floor is a failure.
+Every collapse ends at the first falling node with b = a/|adot| <= rel_tol
+max(1, t) or a <= collapse_epsilon, and is one of two kinds, which orbit
+decides.  Where q is a parabola (orbit.parabolic), orbit.parabola_collapse
+gives its collapse time t*: the run stops at t* at the latest, and the event
+is t*.  Every other collapse plunges (orbit.plunges) like a ~ (t* - t)^(1/gamma),
+through which q would creep at a fixed fraction of the time left.  Below the
+barrier (anywhere at xi = 0) it runs in Sundman time s, dt = a^(gamma - 1) ds,
+where a is regular, and its event is t + b/share, the time left of the node's
+local power law a ~ (t* - t)^p, 1/p = share = 1 - a addot/adot^2, in
+[t - u, t + b + u] with u = rel_tol max(1, t).  Only orbits that can collapse
+have these exits; on any other a step failing at the step floor is a failure.
 """
 
 from __future__ import annotations
@@ -40,8 +37,8 @@ from . import _rk
 from .errors import (CollapsedState, IntegrationFailed, InvalidParams, NonPositiveTime,
                      StepBudgetExceeded, TrajectoryTooShort)
 from .fields import ScaleState, SolutionParams
-from .orbit import (barrier, collapse_time, energy_of, parabola_collapse, plunge_drift,
-                    plunge_force, potential, q_force)
+from .orbit import (barrier, collapse_time, energy_of, parabola_collapse, parabolic,
+                    plunge_drift, plunge_force, plunges, potential, q_force)
 
 __all__ = ["IntegrationConfig", "TerminalEvent", "Trajectory", "integrate"]
 
@@ -84,7 +81,7 @@ class TerminalEvent:
 class Trajectory:
     """An integrated scale-factor path with dense output and energy record.
 
-    A run has a q phase and, when a gamma > 2 orbit falls below its barrier,
+    A run has a q phase and, when an orbit that plunges falls below its barrier,
     a plunge phase in Sundman time (see integrate); the node record runs over
     both, and the plunge's first node, the handoff, is the q phase's last.
 
@@ -211,51 +208,42 @@ def integrate(params: SolutionParams, cfg: IntegrationConfig = IntegrationConfig
     steps of cfg.max_step need more than _rk._MAX_STEPS to reach t_end or the
     collapse that orbit.collapse_time predicts, which is worked out only then.
 
-    A gamma > 2, lam < 0 orbit that falls below its barrier, where
-    xi^2 a^(2 gamma - 4) < -lam and so addot < 0, never turns again and
-    plunges to a = 0 like (t* - t)^(1/gamma); in q the steps would shrink
-    with the time left.  At the first q node in that region (at t = 0 if the
-    orbit starts there) the run hands off to Sundman time s, dt = a^(gamma-1) ds,
-    in which a is regular: it steps (a, w, t), w = a^(gamma-1) adot, under
-    orbit.plunge_force (_rk.solve_plunge).  cfg.max_step bounds its steps in t,
-    and a plunge that outlives t_end ends "reached_end", its last step cut
-    where its dense t reaches t_end.
-
-    Every plunge, and in q every fall at xi = 0 with lam < 0, ends "collapsed"
-    by the module docstring's rule, with b = 2 q/|qdot| and share =
-    1 - 4 a^3 addot/qdot^2 in q, b = a^gamma/|w| and share = gamma - a w'/w^2
-    in the plunge.  Where c = 0 (gamma = 2, or lam = 0) q is a parabola, and
-    orbit.parabola_collapse decides and times its collapse: the run goes to
-    min(t_end, t*), with the same exits, and a fall that ends "collapsed" or
-    reaches t* ends "collapsed" at t*, +- that function's half-width.
+    An orbit that plunges (orbit.plunges) and falls below its barrier, where
+    xi^2 a^(2 gamma - 4) < -lam and so addot < 0 (anywhere at xi = 0), never
+    turns again and plunges to a = 0 like (t* - t)^(1/gamma); in q the steps
+    would shrink with the time left.  At the first q node in that region (at
+    t = 0 if the orbit starts there) the run hands off to Sundman time s,
+    dt = a^(gamma-1) ds, in which a is regular: it steps (a, w, t), w =
+    a^(gamma-1) adot, under orbit.plunge_force (_rk.solve_plunge).  cfg.max_step
+    bounds its steps in t.  It ends "collapsed" by the module docstring's rule,
+    with b = a^gamma/|w| and share = gamma - a w'/w^2, or "reached_end", its
+    last step cut where its dense t reaches t_end.  Where q is a parabola
+    (orbit.parabolic), the run goes to min(t_end, t*), with b = 2 q/|qdot|, and
+    a fall that ends "collapsed" or reaches t* ends "collapsed" at t*, +-
+    orbit.parabola_collapse's half-width.
     """
-    a0, eps, g, lam = params.a0, cfg.collapse_epsilon, params.gamma, params.lam
+    a0, eps = params.a0, cfg.collapse_epsilon
     e0 = energy_of(a0, params.a1, params).E
-    c, p = q_force(params)
     y0 = (a0 * a0, 2.0 * a0 * params.a1)
     t_stop = collapse_time(params, e0) if cfg.t_end / cfg.max_step > _rk._MAX_STEPS else math.inf
     _check_start((a0,), cfg.t_end, eps, cfg.max_step, t_stop)
-    q_barrier = barrier(params)[1] if g > 2.0 and lam < 0.0 else 0.0
-    t_star, half = parabola_collapse(params, cfg.rel_tol)[3:] if c == 0.0 else (math.inf, 0.0)
-    falls = t_star < math.inf or (c != 0.0 and lam < 0.0 and params.xi == 0.0)
+    q_barrier = barrier(params)[1] if plunges(params) else 0.0
+    t_star, half = (parabola_collapse(params, cfg.rel_tol)[3:] if parabolic(params)
+                    else (math.inf, 0.0))
+    falls = t_star < math.inf
 
     if y0[1] < 0.0 and y0[0] < q_barrier:       # the plunge starts at t = 0
         sol = _rk.RkSolution(ts=np.zeros(1), ys=np.array([y0]), hs=np.zeros(1),
                              dense_q=np.empty((0, 2, 4)), status="handoff")
     else:
         sol = _rk.solve_scale(
-            4.0 * e0, c, p, y0, min(cfg.t_end, t_star), rtol=_Q_TOL * cfg.rel_tol,
+            4.0 * e0, *q_force(params), y0, min(cfg.t_end, t_star), rtol=_Q_TOL * cfg.rel_tol,
             atol=_Q_TOL * cfg.abs_tol, max_step=cfg.max_step, handoff=q_barrier,
             collapse_tol=cfg.rel_tol if falls else 0.0, q_floor=eps * eps if falls else 0.0)
     if sol.status == "handoff":
         return _plunge(params, cfg, e0, sol)
-    t, (q, qdot) = float(sol.ts[-1]), sol.ys[-1].tolist()
-    if t_star < math.inf and (sol.status == "collapsed"
-                              or (sol.status == "reached_end" and t_star <= cfg.t_end)):
+    if sol.status == "collapsed" or (sol.status == "reached_end" and t_star <= cfg.t_end):
         end = TerminalEvent(kind="collapsed", t=t_star, bracket=(t_star - half, t_star + half))
-    elif sol.status == "collapsed":     # a xi = 0 fall, a^3 addot = lam q^(2 - gamma): share =
-        u = lam * _rk._fpow(q, 2.0 - g)   # 2 - 2 q qddot/qdot^2 = 1 - 4 a^3 addot/qdot^2
-        end = _collapse_event(t, cfg.rel_tol, [(2.0 * q / -qdot, 1.0 - 4.0 * u / qdot / qdot)])
     else:
         end = _terminal(sol)
     return Trajectory(params, sol, end)

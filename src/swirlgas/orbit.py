@@ -6,8 +6,9 @@ of addot = xi^2/a^3 + lam/a^(2 gamma - 1) = -F_pot'(a), whose orbits conserve
 E = adot^2/2 + F_pot(a): the potential, its force in each of the integrator's
 coordinates, its stationary point (the gamma > 2 barrier), the turning points,
 the energy quadrature of orbit times, and the closed form where a^2(t) is a
-parabola (gamma = 2, or lam = 0), which decides and times its collapse.
-``emden`` integrates orbits and ``regimes`` sorts them from these.
+parabola (gamma = 2, or lam = 0), which decides and times its collapse; every
+other collapse plunges (parabolic and plunges say which).  ``emden`` integrates
+orbits and ``regimes`` sorts them from these.
 """
 
 from __future__ import annotations
@@ -78,13 +79,23 @@ def emden_rhs(state: ScaleState, params: SolutionParams):
 
 def q_force(params: SolutionParams):
     """(c, p) of q = a^2's equation qddot = 4 E(0) + c q^p, free of the centrifugal
-    term; where c = 0 (gamma = 2, or lam = 0) q is a parabola."""
+    term; c = 0 at gamma = 2 or lam = 0, and where lam (gamma - 2) underflows."""
     g = params.gamma
     return 2.0 * params.lam * (g - 2.0) / (g - 1.0), 1.0 - g
 
 
+def parabolic(params: SolutionParams) -> bool:
+    """Whether q = a^2 is a parabola (q_force's c = 0), timed by parabola_collapse."""
+    return q_force(params)[0] == 0.0
+
+
+def plunges(params: SolutionParams) -> bool:
+    """Whether a collapse would plunge: c != 0, lam < 0, and gamma > 2 or xi = 0."""
+    return not parabolic(params) and params.lam < 0.0 and (params.gamma > 2.0 or params.xi == 0.0)
+
+
 def plunge_force(params: SolutionParams, e0: float):
-    """(B, D, k) of a plunge in Sundman time, dt = a^k ds with k = gamma - 1:
+    """(B, D, k) of any plunge (at xi = 0 too) in Sundman time, dt = a^k ds, k = gamma - 1:
     w = a^k adot obeys w' = (B - D/a^2) a^(2k)/a, B = 2 E(0) k, D = (gamma - 2) xi^2."""
     k = params.gamma - 1.0
     return 2.0 * e0 * k, (params.gamma - 2.0) * params.xi * params.xi, k
@@ -127,9 +138,8 @@ def barrier(params: SolutionParams):
 
 
 def reaches_zero(params: SolutionParams, e0: float, a_star: float, f_star: float) -> bool:
-    """Whether a lam < 0 orbit with gamma > 2 or xi = 0 reaches a = 0, given its
-    barrier (a*, F*): from outside it only by falling over its top, and from
-    inside unless it climbs over it."""
+    """Whether an orbit that plunges reaches a = 0, given its barrier (a*, F*): from
+    outside it only by falling over its top, and from inside unless it climbs over it."""
     if params.a0 >= a_star:
         return e0 > f_star and params.a1 < 0.0
     return e0 < f_star or params.a1 <= 0.0
@@ -138,14 +148,13 @@ def reaches_zero(params: SolutionParams, e0: float, a_star: float, f_star: float
 def collapse_time(params: SolutionParams, e0: float) -> float:
     """The time t* at which a reaches 0; inf where it does not, or t* is not resolved.
 
-    Where c = 0 (q_force), t* is parabola_collapse's.  Where lam < 0 and gamma > 2
-    or xi = 0, t* is the energy quadrature of an orbit that reaches_zero; a
-    quadrature time that is not > 0 (at extreme gamma) is not resolved.  On any
-    other orbit F_pot -> +inf as a -> 0.
+    Where q is parabolic, t* is parabola_collapse's.  Where the orbit plunges, t* is
+    the energy quadrature of an orbit that reaches_zero; a quadrature time that is
+    not > 0 (at extreme gamma) is not resolved.  Other orbits never reach a = 0.
     """
-    if q_force(params)[0] == 0.0:
+    if parabolic(params):
         return parabola_collapse(params, 0.0)[3]
-    if not (params.lam < 0.0 and (params.gamma > 2.0 or params.xi == 0.0)):
+    if not plunges(params):
         return math.inf
     a_star, _, f_star = barrier(params)
     if not reaches_zero(params, e0, a_star, f_star):
@@ -272,8 +281,8 @@ def _orbit_time(params: SolutionParams, a_lo, a_hi, gap_lo, gap_hi, abs_tol, rel
     """Time int da / sqrt(2 (E0 - F_pot(a))) to pass from a_lo to a_hi.
 
     gap_lo and gap_hi are E0 - F_pot at the two ends, given exactly: 0 at a
-    turning point, a1^2/2 at the starting scale.  a_lo = 0 is a collapse
-    (lam < 0, gamma > 2 or xi = 0), where the integrand vanishes like a^(gamma - 1).
+    turning point, a1^2/2 at the starting scale.  a_lo = 0 is a plunge's
+    collapse, where the integrand vanishes like a^(gamma - 1).
 
     The substitution a = a_lo + (a_hi - a_lo) sin^2(theta) removes the
     inverse-square-root singularities at turning points.  The plain

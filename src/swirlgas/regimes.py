@@ -11,7 +11,7 @@ exactly one branch:
       xi^2 > -lam, or xi^2 = -lam with a1 >= 0        -> global      ["2aI"]
       xi^2 = -lam and a1 < 0 (a is linear in t)       -> blowup      ["2aII"]
       xi^2 < -lam: blowup iff a1 < sqrt(-lam-xi^2)/a0 -> blowup/global ["2b-*"]
-      So too at gamma > 2 where lam (gamma - 2) underflows: q is the same parabola.
+      So too at any gamma where lam < 0 and lam (gamma - 2) underflows to 0.
   gamma > 2     : lam >= 0 makes F_pot decreasing     -> global      ["3a"]
       lam < 0: F_pot has a unique maximum at a_Max = (-lam/xi^2)^(1/(2g-4));
       whether the orbit clears or is trapped by that barrier decides
@@ -43,7 +43,7 @@ from .errors import (
 )
 from .fields import ScaleState, SolutionParams
 from .orbit import (_blowup_time, _orbit_time, barrier, emden_rhs, energy_of,
-                    parabola_collapse, q_force, reaches_zero, resolved, turning_points)
+                    parabola_collapse, parabolic, reaches_zero, resolved, turning_points)
 
 __all__ = [
     "Regime",
@@ -124,8 +124,8 @@ def period_quadrature(params: SolutionParams, quad_tol: float = 1e-9) -> PeriodR
 def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
     """Map parameters to their long-time branch.
 
-    Classification is symbolic: energy against the potential's shape.  Where
-    q is a parabola (gamma = 2, or q_force's c underflows to 0 at lam < 0),
+    Classification is symbolic: energy against the potential's shape.  Asked
+    first: where q is a parabola (orbit.parabolic) at gamma = 2 or lam < 0,
     orbit.parabola_collapse decides the branch on s = xi xi + lam and a1, and
     gives the blowup time t* with its bracket t* +- w, as for the run.  For
     gamma > 2 blowups, ``locate_blowup`` adds the time t* from the energy
@@ -141,6 +141,28 @@ def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
     split = energy_of(params.a0, params.a1, params)
     e0 = split.E
     cert = {"E0": e0, "F_kin0": split.F_kin, "F_pot0": split.F_pot}
+
+    if parabolic(params) and (g == 2.0 or params.lam < 0.0):
+        s, r, _, t_star, w = parabola_collapse(params, IntegrationConfig.rel_tol)
+        cert.update(xi_squared=params.xi * params.xi, neg_lam=-params.lam)
+        if t_star == math.inf and s >= 0.0:
+            # Steady when xi^2 = -lam with a1 = 0: the scale never moves.
+            kind = "steady" if _is_steady(params) else "global"
+            return Regime(kind=kind, branch="2aI", certificate=cert)
+        if s == 0.0:  # a1 < 0: a(t) = a0 + a1 t is exactly linear
+            cert.update(linear_root=t_star, rate_ratio=-params.a1 / params.a0)
+            notes = (
+                "scale is linear in t; the blowup time is the root -a0/a1 of "
+                "a0 + a1 t (the reciprocal ratio -a1/a0 equals it only when "
+                "a0 = -a1 and does not zero the scale in general)",
+            )
+            return Regime(kind="finite-time-blowup", branch="2aII", blowup_time=t_star,
+                          blowup_bracket=(t_star - w, t_star + w), certificate=cert, notes=notes)
+        cert["blowup_threshold"] = r
+        if t_star < math.inf:
+            return Regime(kind="finite-time-blowup", branch="2b-blowup", blowup_time=t_star,
+                          blowup_bracket=(t_star - w, t_star + w), certificate=cert)
+        return Regime(kind="global", branch="2b-global", certificate=cert)
 
     if g < 2.0:
         if e0 < 0.0:        # so lam < 0: the well's bottom exists
@@ -165,28 +187,6 @@ def classify(params: SolutionParams, locate_blowup: bool = False) -> Regime:
             return Regime(kind="time-periodic", branch="1", period=pr.period,
                           certificate=cert)
         return Regime(kind="global", branch="1", certificate=cert)
-
-    if g == 2.0 or (params.lam < 0.0 and q_force(params)[0] == 0.0):
-        s, r, _, t_star, w = parabola_collapse(params, IntegrationConfig.rel_tol)
-        cert.update(xi_squared=params.xi * params.xi, neg_lam=-params.lam)
-        if t_star == math.inf and s >= 0.0:
-            # Steady when xi^2 = -lam with a1 = 0: the scale never moves.
-            kind = "steady" if _is_steady(params) else "global"
-            return Regime(kind=kind, branch="2aI", certificate=cert)
-        if s == 0.0:  # a1 < 0: a(t) = a0 + a1 t is exactly linear
-            cert.update(linear_root=t_star, rate_ratio=-params.a1 / params.a0)
-            notes = (
-                "scale is linear in t; the blowup time is the root -a0/a1 of "
-                "a0 + a1 t (the reciprocal ratio -a1/a0 equals it only when "
-                "a0 = -a1 and does not zero the scale in general)",
-            )
-            return Regime(kind="finite-time-blowup", branch="2aII", blowup_time=t_star,
-                          blowup_bracket=(t_star - w, t_star + w), certificate=cert, notes=notes)
-        cert["blowup_threshold"] = r
-        if t_star < math.inf:
-            return Regime(kind="finite-time-blowup", branch="2b-blowup", blowup_time=t_star,
-                          blowup_bracket=(t_star - w, t_star + w), certificate=cert)
-        return Regime(kind="global", branch="2b-global", certificate=cert)
 
     # gamma > 2
     if params.lam >= 0.0:
@@ -249,9 +249,9 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0) -> Ce
     steady   : the scale stays within 1e-9 of a0 over the horizon.
     blowup   : a collapse event occurs, inside the reported bracket if any;
                event_margin is its distance from the bracket centre over the
-               half-width.  Where q is a parabola (c = 0), whose event is the
-               closed-form t* that classify reports too, the integrated state
-               at t* is checked instead (_parabola_check).
+               half-width.  Where q is a parabola (orbit.parabolic), whose
+               event is the closed-form t* that classify reports too, the
+               integrated state at t* is checked instead (_parabola_check).
 
     All of them come from one integration, whose solver record is the
     report's diagnostics.  Raises CertificationMismatch on disagreement; never
@@ -295,7 +295,7 @@ def certify(params: SolutionParams, regime: Regime, horizon: float = 20.0) -> Ce
         checks["event_time"] = end.t
         if regime.blowup_bracket is not None:
             lo, hi = regime.blowup_bracket
-            if q_force(params)[0] == 0.0:
+            if parabolic(params):
                 checks.update(_parabola_check(params, traj, regime.blowup_time, 0.5 * (hi - lo)))
             else:
                 checks["event_margin"] = abs(end.t - 0.5 * (lo + hi)) / (0.5 * (hi - lo))

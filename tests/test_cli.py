@@ -532,6 +532,31 @@ def test_a_blowup_time_that_is_not_positive_is_a_note(capsys):
     assert "not computable" in report["notes"][0]
 
 
+def test_a_xi0_fall_below_gamma2_plunges_and_keeps_its_energy(capsys):
+    # The fall plunges in Sundman time, whose first integral keeps terms of order
+    # one (1.8e-10 measured); E near a = 0 is a difference of huge terms (4448 in q).
+    code, out, _ = run_cli(["integrate", "--gamma", "1.4", "--K", "1", "--xi", "0", "--lam", "-1",
+                            "--alpha", "1", "--a0", "1", "--a1", "0", "--format", "json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    lo, hi = report["terminal"]["bracket"]
+    assert report["terminal"]["kind"] == "collapsed" and lo <= 1.136655629415973 <= hi
+    assert report["energy_drift"] <= 1e-9
+
+
+def test_a_parabola_below_gamma2_is_classified_as_the_run_ends(capsys):
+    # lam (gamma - 2) underflows, so q is a parabola, whose root is t* = a0/(r - a1)
+    # = 10 with r = sqrt(-lam - xi^2)/a0 = 1e-155.  classify must ask that before
+    # its gamma < 2 branch, which would call the orbit global.
+    code, out, _ = run_cli(["classify", "--gamma", "1.9999999999999996", "--K", "1",
+                            "--xi", "1e-160", "--lam=-1e-310", "--alpha", "1", "--a0", "1",
+                            "--a1=-0.1", "--locate-blowup", "--certify"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["branch"] == "2b-blowup" and report["blowup_time"] == 10.0
+    assert report["certification"]["passed"] is True
+
+
 def test_a_tiny_K_still_classifies(capsys):
     # Its profile slope overflows, but classify evaluates no field.
     code, out, _ = run_cli(["classify", "--preset", "periodic-demo", "--K=1e-320"], capsys)

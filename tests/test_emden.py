@@ -381,6 +381,39 @@ def test_every_collapse_bracket_holds_the_blowup_time():
     assert worst[True] <= 1e-4 and worst[False] <= 0.982
 
 
+def test_xi0_falls_below_gamma2_plunge_to_their_quadrature_time():
+    # The first 100 xi = 0 falls with t* < 20 of a seeded draw at 1.05 <= gamma < 2
+    # and -5 <= lam <= -0.1, a0 and a1 over the sweep ranges.  Every one plunges and
+    # collapses, its drift at most 1e-6 (1.7e-9 measured), and no bracket misses
+    # the quadrature t*.  (Ended in q instead, 7 of them did not collapse, 28
+    # brackets missed t* and the drift reached 9.9e4.)
+    rng = np.random.default_rng(5)
+    drawn = missed = 0
+    while drawn < 100:
+        g, lam = rng.uniform(1.05, 2.0), rng.uniform(-5, -0.1)
+        p = P(g, 0, lam, a0=rng.uniform(0.05, 3.0), a1=rng.uniform(-3, 3))
+        t_star = collapse_time(p, energy_of(p.a0, p.a1, p).E)
+        if not t_star < 20.0:
+            continue
+        drawn += 1
+        traj = integrate(p, IntegrationConfig(t_end=1.5 * t_star + 1.0))
+        assert traj.terminal.kind == "collapsed" and traj._plunge is not None, p
+        assert float(traj.drift.max()) <= 1e-6, p
+        lo, hi = traj.terminal.bracket
+        missed += not lo <= t_star <= hi
+    assert missed == 0
+
+
+def test_a_parabola_just_above_gamma2_ends_at_its_root():
+    # lam (gamma - 2) underflows, so q_force's c is 0 and q is the parabola
+    # (1 - t/2)^2 of linear-blowup-demo: the run ends at its root t* = 2, and
+    # does not hand off to a plunge below the barrier on the way.
+    xi = 2.2250738585e-313
+    traj = integrate(P(2.0000000000000004, xi, -xi, a1=-0.5))
+    assert traj._plunge is None
+    assert traj.terminal.kind == "collapsed" and traj.terminal.t == 2.0
+
+
 def test_plunge_drift_is_measured_on_its_own_first_integral():
     # t* = pi/4.  Near a = 0 the energy E = F_kin + F_pot is a difference of
     # two terms of size a^(2 - 2 gamma), and its drift at the last node is 571,
@@ -860,11 +893,15 @@ def _assert_plunge_loop_is_solve(p, cfg):
     return traj
 
 
-@settings(max_examples=40, deadline=None)
-@given(gamma=st.floats(2.0, 4.0, exclude_min=True), xi=st.floats(-3.0, 3.0),
+@settings(max_examples=60, deadline=None)
+@given(orbit=st.one_of(
+           st.tuples(st.floats(2.0, 4.0, exclude_min=True), st.floats(-3.0, 3.0)),
+           # xi = 0 falls below gamma = 2 plunge too.
+           st.tuples(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True), st.just(0.0))),
        lam=st.floats(-5.0, 0.0, exclude_max=True), a0=st.floats(0.05, 3.0),
        a1=st.floats(-3.0, 3.0), max_step=st.sampled_from([math.inf, 0.05]))
-def test_plunge_loop_is_bitwise_solve_over_the_sweep_ranges(gamma, xi, lam, a0, a1, max_step):
+def test_plunge_loop_is_bitwise_solve_over_the_sweep_ranges(orbit, lam, a0, a1, max_step):
+    gamma, xi = orbit
     _assert_plunge_loop_is_solve(P(gamma, xi, lam, a0=a0, a1=a1),
                                  IntegrationConfig(t_end=5.0, max_step=max_step))
 
